@@ -24,9 +24,9 @@ from .numerics import (LN2, QuadratureError, QuadResult, SignedLogValue,
 from .paths import (EventPath, GridPath, JumpEvent, band_rate, band_variance,
                     compose, read_event_path, running_sup,
                     simulate_large_jumps, simulate_many,
-                    simulate_small_jumps, write_event_path)
+                    simulate_small_jumps, write_event_path, write_grid_path)
 from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
-                     k_norm, kbeta_norm, pair_white_noise,
+                     k_norm, kbeta_norm, pair_white_noise, parse_descriptor,
                      parse_test_function, s_norm)
 
 __all__ = [
@@ -39,11 +39,12 @@ __all__ = [
     "laplace_exponent", "upper_function_integral", "classify_support",
     "JumpEvent", "EventPath", "GridPath", "simulate_large_jumps",
     "simulate_small_jumps", "simulate_many", "band_rate", "band_variance",
-    "running_sup", "compose", "write_event_path", "read_event_path",
+    "running_sup", "compose", "write_event_path", "write_grid_path",
+    "read_event_path",
     "ExceedanceReport", "MomentScan", "PruittSlopeReport",
     "envelope_exceedances", "build_exceedance_report", "growth_scan",
     "moment_scan", "pruitt_slope",
     "TestFunction", "Gaussian", "Bump", "ExpPoly", "PairingResult",
     "s_norm", "k_norm", "kbeta_norm", "pair_white_noise",
-    "parse_test_function",
+    "parse_descriptor", "parse_test_function",
 ]

@@ -25,8 +25,9 @@ from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                       classify_support)
 from .numerics import QuadratureError
 from .paths import (RNG_NAME, read_event_path, simulate_large_jumps,
-                    simulate_many, simulate_small_jumps, write_event_path)
-from .spaces import pair_white_noise, parse_test_function
+                    simulate_many, simulate_small_jumps, write_event_path,
+                    write_grid_path)
+from .spaces import pair_white_noise, parse_descriptor, parse_test_function
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -87,10 +88,6 @@ def validate_document(doc: dict) -> None:
                              f"{type(val).__name__}")
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _manifest(command: str, params: dict, seed=None) -> dict:
     return {
         "command": command,
@@ -106,40 +103,22 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("KALPHA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"KALPHA_SEED must be an integer, got {env!r}")
-    raise UsageError("no --seed given and KALPHA_SEED is not set")
+    if env is None:
+        raise ValueError("no --seed given and KALPHA_SEED is not set")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"KALPHA_SEED must be an integer, got {env!r}") from None
 
 
-def _parse_keyed_lists(text: str, keys: tuple[str, ...]) -> dict[str, list[float]]:
-    """Parse "etas=0.05,0.1,rs=10,100" into {"etas": [...], "rs": [...]}."""
-    out: dict[str, list[float]] = {}
-    current = None
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" in token:
-            key, _, val = token.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise UsageError(f"unknown key {key!r} (expected one of {keys})")
-            current = key
-            out[current] = []
-            token = val
-        if current is None:
-            raise UsageError(f"value {token!r} before any key in {text!r}")
-        try:
-            out[current].append(float(token))
-        except ValueError:
-            raise UsageError(f"bad number {token!r} in {text!r}")
-    missing = [k for k in keys if k not in out or not out[k]]
+def _required_fields(text: str, keys: tuple[str, ...], lists=()) -> dict:
+    """Fields of an unnamed descriptor such as "etas=0.05,0.1,rs=10,100",
+    with every key required."""
+    _, fields = parse_descriptor(text, {"": keys}, lists)
+    missing = [k for k in keys if k not in fields]
     if missing:
-        raise UsageError(f"missing values for {missing} in {text!r}")
-    return out
+        raise ValueError(f"missing values for {missing} in {text!r}")
+    return fields
 
 
 _ENVELOPE_ALIASES = {
@@ -151,42 +130,35 @@ _ENVELOPE_ALIASES = {
 
 def parse_envelope(descriptor: str) -> EnvelopeSpec:
     """Build an envelope from text like "exp:c=1.0" or "pow:beta=2"."""
-    name, _, rest = descriptor.partition(":")
-    kind = _ENVELOPE_ALIASES.get(name.strip().lower())
-    if kind is None:
-        raise UsageError(f"unknown envelope kind {name!r} "
-                         f"(known: pow, exp, powexp)")
-    fields: dict[str, float] = {}
-    if rest.strip():
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip()
-            if not eq or key not in ("beta", "c"):
-                raise UsageError(f"bad envelope parameter {item!r}")
-            try:
-                fields[key] = float(val)
-            except ValueError:
-                raise UsageError(f"bad number in envelope parameter {item!r}")
-    try:
-        return EnvelopeSpec(kind, beta=fields.get("beta"), c=fields.get("c"))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    name, fields = parse_descriptor(
+        descriptor, dict.fromkeys(_ENVELOPE_ALIASES, ("beta", "c")))
+    return EnvelopeSpec(_ENVELOPE_ALIASES[name], **fields)
 
 
-def _write_json(doc: dict, out_path: str | None) -> None:
+def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
+    """Write a report to --json or stdout, then its --plot-data table.
+
+    plot is (header, rows) for the kinds that have a table; asking for
+    --plot-data of any other kind is refused before anything is written.
+    """
+    plot_out = getattr(args, "plot_data", None)
+    if plot_out and plot is None:
+        raise ValueError(f"--plot-data has no table for kind {kind!r}")
+    doc = {"format_version": FORMAT_VERSION, "kind": kind, **fields,
+           "manifest": manifest}
     validate_document(doc)
     text = json.dumps(doc, indent=2) + "\n"
-    if out_path:
-        Path(out_path).write_text(text)
+    if args.json_out:
+        Path(args.json_out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_plot_data(rows, header, out_path: str) -> None:
-    with open(out_path, "w", newline="") as fp:
-        w = csv.writer(fp)
-        w.writerow(header)
-        w.writerows(rows)
+    if plot_out:
+        header, rows = plot
+        with open(plot_out, "w", newline="") as fp:
+            w = csv.writer(fp)
+            w.writerow(header)
+            w.writerows(rows)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -197,51 +169,35 @@ def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params = KAlphaParams(args.alpha)
     if args.horizon <= 0:
-        raise UsageError("horizon must be positive")
+        raise ValueError("horizon must be positive")
     if args.paths < 1:
-        raise UsageError("--paths must be at least 1")
+        raise ValueError("--paths must be at least 1")
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
                        "paths": args.paths, "small": bool(args.small),
                        "eps": args.eps, "grid_step": args.grid_step}
-
-    def write_one(path_obj, out_file):
-        with open(out_file, "w") as fp:
-            write_event_path(path_obj, fp, extra_meta={
-                "manifest": _manifest("simulate", manifest_params, seed)})
+    meta = {"manifest": _manifest("simulate", manifest_params, seed)}
 
     out = Path(args.out)
     if args.paths == 1:
-        path_obj = simulate_large_jumps(params, args.horizon, seed)
-        write_one(path_obj, out)
-        written = [out]
+        jobs = [(write_event_path, out,
+                 simulate_large_jumps(params, args.horizon, seed))]
     else:
         ensemble = simulate_many(params, args.horizon, seed, args.paths,
                                  workers=args.workers)
-        written = []
-        for i, path_obj in enumerate(ensemble):
-            target = out.with_name(f"{out.stem}-p{i:03d}{out.suffix}")
-            write_one(path_obj, target)
-            written.append(target)
-
+        jobs = [(write_event_path,
+                 out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
+                for i, path_obj in enumerate(ensemble)]
     if args.small:
         grid = simulate_small_jumps(params, args.horizon, seed,
-                                    eps=args.eps,
-                                    grid_step=args.grid_step)
-        small_path = out.with_name(out.stem + ".small" + out.suffix)
-        with open(small_path, "w") as fp:
-            meta = {"format_version": FORMAT_VERSION, "alpha": params.alpha,
-                    "horizon": grid.horizon, "seed": seed,
-                    "rng_name": RNG_NAME, "component": "small",
-                    "eps": grid.eps, "grid_step": grid.grid_step,
-                    "manifest": _manifest("simulate", manifest_params, seed)}
-            fp.write(json.dumps(meta) + "\n")
-            for t, v in zip(grid.times, grid.values):
-                fp.write(json.dumps({"t": float(t), "value": float(v)}) + "\n")
-        written.append(small_path)
+                                    eps=args.eps, grid_step=args.grid_step)
+        jobs.append((write_grid_path,
+                     out.with_name(out.stem + ".small" + out.suffix), grid))
 
-    for w in written:
-        print(w)
+    for write, target, path_obj in jobs:
+        with open(target, "w") as fp:
+            write(path_obj, fp, extra_meta=meta)
+        print(target)
     return EXIT_OK
 
 
@@ -259,20 +215,18 @@ def _cmd_diagnose(args) -> int:
                             ("pruitt", args.pruitt),
                             ("growth", args.growth)) if v]
     if len(modes) != 1:
-        raise UsageError("pick exactly one of --envelope, --moment-scan, "
+        raise ValueError("pick exactly one of --envelope, --moment-scan, "
                          "--pruitt, --growth")
     mode = modes[0]
 
     if mode == "envelope":
         if not args.infiles:
-            raise UsageError("--envelope needs at least one --in path file")
+            raise ValueError("--envelope needs at least one --in path file")
         env = parse_envelope(args.envelope)
         paths = _load_paths(args.infiles)
         report = build_exceedance_report(paths, env, burn_in=args.burn_in)
         quantiles = report.last_exceedance_quantiles()
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "exceedance_report",
+        return _emit(args, "exceedance_report", {
             "envelope": env.describe(),
             "burn_in": report.burn_in,
             "horizon": report.horizon,
@@ -293,26 +247,18 @@ def _cmd_diagnose(args) -> int:
                     None if quantiles is None
                     else {f"{q:g}": v for q, v in quantiles.items()},
             },
-            "manifest": _manifest("diagnose",
-                                  {"mode": "envelope",
-                                   "envelope": env.describe(),
-                                   "burn_in": args.burn_in,
-                                   "in": list(map(str, args.infiles))}),
-        }
-        _write_json(doc, args.json_out)
-        return EXIT_OK
+        }, _manifest("diagnose", {"mode": "envelope",
+                                  "envelope": env.describe(),
+                                  "burn_in": args.burn_in,
+                                  "in": list(map(str, args.infiles))}))
 
     if mode == "moment-scan":
         if args.alpha is None:
-            raise UsageError("--moment-scan needs --alpha")
-        parsed = _parse_keyed_lists(args.moment_scan, ("eta", "caps"))
-        if len(parsed["eta"]) != 1:
-            raise UsageError("exactly one eta, please")
-        params = KAlphaParams(args.alpha)
-        scan = moment_scan(params, parsed["eta"][0], parsed["caps"])
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "moment_scan",
+            raise ValueError("--moment-scan needs --alpha")
+        fields = _required_fields(args.moment_scan, ("eta", "caps"),
+                                  lists=("caps",))
+        scan = moment_scan(KAlphaParams(args.alpha), fields["eta"], fields["caps"])
+        return _emit(args, "moment_scan", {
             "alpha": args.alpha,
             "eta": scan.eta,
             "caps": list(scan.caps),
@@ -320,25 +266,18 @@ def _cmd_diagnose(args) -> int:
             "growth_ratios": list(scan.growth_ratios),
             "divergence_flagged": scan.divergence_flagged,
             "status": scan.status,
-            "manifest": _manifest("diagnose", {"mode": "moment-scan",
-                                               "alpha": args.alpha,
-                                               "descriptor": args.moment_scan}),
-        }
-        _write_json(doc, args.json_out)
-        if args.plot_data:
-            rows = [(c, v) for c, v in zip(scan.caps, scan.values)]
-            _write_plot_data(rows, ("cap", "moment"), args.plot_data)
-        return EXIT_OK
+        }, _manifest("diagnose", {"mode": "moment-scan", "alpha": args.alpha,
+                                  "descriptor": args.moment_scan}),
+            plot=(("cap", "moment"), zip(scan.caps, scan.values)))
 
     if mode == "pruitt":
         if args.alpha is None:
-            raise UsageError("--pruitt needs --alpha")
-        parsed = _parse_keyed_lists(args.pruitt, ("etas", "rs"))
-        params = KAlphaParams(args.alpha)
-        report = pruitt_slope(params, parsed["etas"], parsed["rs"])
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "pruitt_slope",
+            raise ValueError("--pruitt needs --alpha")
+        fields = _required_fields(args.pruitt, ("etas", "rs"),
+                                  lists=("etas", "rs"))
+        report = pruitt_slope(KAlphaParams(args.alpha), fields["etas"],
+                              fields["rs"])
+        return _emit(args, "pruitt_slope", {
             "alpha": args.alpha,
             "etas": list(report.etas),
             "r_grid": list(report.r_grid),
@@ -347,88 +286,54 @@ def _cmd_diagnose(args) -> int:
             "tail_increasing": {f"{eta:g}": report.tail_increasing[eta]
                                 for eta in report.etas},
             "beta_estimate": report.beta_estimate,
-            "manifest": _manifest("diagnose", {"mode": "pruitt",
-                                               "alpha": args.alpha,
-                                               "descriptor": args.pruitt}),
-        }
-        _write_json(doc, args.json_out)
-        if args.plot_data:
-            rows = [(eta, r, v) for eta in report.etas
-                    for r, v in zip(report.r_grid, report.values[eta])]
-            _write_plot_data(rows, ("eta", "r", "value"), args.plot_data)
-        return EXIT_OK
+        }, _manifest("diagnose", {"mode": "pruitt", "alpha": args.alpha,
+                                  "descriptor": args.pruitt}),
+            plot=(("eta", "r", "value"),
+                  [(eta, r, v) for eta in report.etas
+                   for r, v in zip(report.r_grid, report.values[eta])]))
 
     # growth scan over stored paths
     if not args.infiles:
-        raise UsageError("--growth needs at least one --in path file")
-    parsed = _parse_keyed_lists(args.growth, ("eta",))
-    if len(parsed["eta"]) != 1:
-        raise UsageError("exactly one eta, please")
-    eta = parsed["eta"][0]
+        raise ValueError("--growth needs at least one --in path file")
+    eta = _required_fields(args.growth, ("eta",))["eta"]
     paths = _load_paths(args.infiles)
-    rows = growth_scan(paths, eta)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "growth_scan",
+    rows = [(t, lvl.sign, lvl.logmag) for t, lvl in growth_scan(paths, eta)]
+    return _emit(args, "growth_scan", {
         "alpha": paths[0].params.alpha,
         "eta": eta,
-        "rows": [{"t": t, "sign": lvl.sign, "log_stat": lvl.logmag}
-                 for t, lvl in rows],
-        "manifest": _manifest("diagnose", {"mode": "growth", "eta": eta,
-                                           "in": list(map(str, args.infiles))}),
-    }
-    _write_json(doc, args.json_out)
-    if args.plot_data:
-        _write_plot_data([(t, lvl.sign, lvl.logmag) for t, lvl in rows],
-                         ("t", "sign", "log_stat"), args.plot_data)
-    return EXIT_OK
+        "rows": [{"t": t, "sign": sign, "log_stat": log_stat}
+                 for t, sign, log_stat in rows],
+    }, _manifest("diagnose", {"mode": "growth", "eta": eta,
+                              "in": list(map(str, args.infiles))}),
+        plot=(("t", "sign", "log_stat"), rows))
 
 
 def _cmd_classify(args) -> int:
     params = KAlphaParams(args.alpha)
-    try:
-        betas = [float(b) for b in args.betas.split(",") if b.strip()]
-    except ValueError:
-        raise UsageError(f"bad --betas list {args.betas!r}")
-    if not betas:
-        raise UsageError("need at least one beta")
+    betas = _required_fields(f"betas={args.betas}", ("betas",),
+                             lists=("betas",))["betas"]
     verdict = classify_support(params, betas)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "support_verdict",
+    return _emit(args, "support_verdict", {
         "alpha": verdict.alpha,
         "in_S_prime": verdict.in_S_prime,
         "in_K_prime": verdict.in_K_prime,
         "in_K_beta": {f"{b:g}": v for b, v in verdict.in_K_beta.items()},
         "reasons": verdict.reasons,
-        "manifest": _manifest("classify", {"alpha": args.alpha,
-                                           "betas": betas}),
-    }
-    _write_json(doc, args.json_out)
-    return EXIT_OK
+    }, _manifest("classify", {"alpha": args.alpha, "betas": betas}))
 
 
 def _cmd_pair(args) -> int:
-    try:
-        phi = parse_test_function(args.phi)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    phi = parse_test_function(args.phi)
     with open(args.infile) as fp:
         path = read_event_path(fp)
     result = pair_white_noise(path, phi)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "pairing",
+    return _emit(args, "pairing", {
         "phi": phi.describe(),
         "value_sign": result.value.sign,
         "value_logmag": result.value.logmag if not result.value.is_zero else -math.inf,
         "crosscheck_rel_err": result.rel_err,
         "truncation_warning": result.truncation_warning,
-        "manifest": _manifest("pair", {"phi": args.phi,
-                                       "in": str(args.infile)}),
-    }
-    _write_json(doc, args.json_out)
-    return EXIT_OK
+    }, _manifest("pair", {"phi": args.phi, "in": str(args.infile)}))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +403,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

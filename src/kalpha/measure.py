@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .numerics import LN2, QuadResult, adaptive_quad
 
@@ -30,12 +31,11 @@ class KAlphaParams:
     trunc_mass is the total two-sided mass of the large-jump part,
     2/(alpha ln^alpha 2); small_var is the variance rate of the
     small-jump part, 2 * integral of (e^u - 1)^2 u^-(1+alpha) over
-    (0, ln 2].
+    (0, ln 2], computed on first use.
     """
 
     alpha: float
     trunc_mass: float = field(init=False)
-    small_var: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
@@ -43,10 +43,19 @@ class KAlphaParams:
                 f"alpha must lie in the open interval (0, 2), got {self.alpha!r}")
         a = self.alpha
         object.__setattr__(self, "trunc_mass", 2.0 / (a * LN2 ** a))
-        sv = 2.0 * adaptive_quad(
-            lambda u: math.expm1(u) ** 2 * u ** (-1.0 - a),
-            0.0, LN2, tol=1e-13).value
-        object.__setattr__(self, "small_var", sv)
+
+    @cached_property
+    def small_var(self) -> float:
+        return 2.0 * jump_moment_integral(2, 0.0, LN2, self.alpha, tol=1e-13)
+
+
+def jump_moment_integral(eta, lo: float, hi: float, alpha: float,
+                         tol: float) -> float:
+    """Integral over [lo, hi] of (e^u - 1)^eta u^-(1+alpha) du: the
+    one-sided eta-th absolute moment of the jumps with ln(1+|x|) in
+    [lo, hi]."""
+    return adaptive_quad(lambda u: math.expm1(u) ** eta * u ** (-1.0 - alpha),
+                         lo, hi, tol=tol).value
 
 
 def levy_density(x: float, p: KAlphaParams) -> float:
@@ -94,10 +103,7 @@ def truncated_moment(eta: float, X: float, p: KAlphaParams,
         raise ValueError("cap X must be >= 1")
     if X == 1.0:
         return 0.0
-    a = p.alpha
-    res = adaptive_quad(lambda u: math.expm1(u) ** eta * u ** (-1.0 - a),
-                        LN2, math.log1p(X), tol=tol)
-    return 2.0 * res.value
+    return 2.0 * jump_moment_integral(eta, LN2, math.log1p(X), p.alpha, tol)
 
 
 def solve_crossover(eta: float, p: KAlphaParams) -> float | None:
@@ -149,12 +155,9 @@ def pruitt_index(r: float, p: KAlphaParams) -> float:
     """
     if r < 1.0:
         raise ValueError(f"index defined for r >= 1, got {r!r}")
-    a = p.alpha
     total = 2.0 * tail_one_sided(r, p)
     if r > 1.0:
-        second = adaptive_quad(
-            lambda u: math.expm1(u) ** 2 * u ** (-1.0 - a),
-            LN2, math.log1p(r), tol=1e-12).value
+        second = jump_moment_integral(2, LN2, math.log1p(r), p.alpha, tol=1e-12)
         total += 2.0 * second / r ** 2
     return total
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import KAlphaParams
-from .numerics import LN2, SLV_ZERO, SignedLogValue, adaptive_quad
+from .measure import KAlphaParams, jump_moment_integral
+from .numerics import LN2, SLV_ZERO, SignedLogValue
 
 RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
@@ -76,10 +76,15 @@ class EventPath:
 
     def __post_init__(self):
         t = _readonly(np.asarray(self.times, dtype=float))
-        s = _readonly(np.asarray(self.signs, dtype=np.int64))
+        s = np.asarray(self.signs)
         m = _readonly(np.asarray(self.log1p_mags, dtype=float))
         if not (len(t) == len(s) == len(m)):
             raise ValueError("event arrays must have equal length")
+        if not np.all((s == 1) | (s == -1)):
+            raise ValueError("event signs must be -1 or +1")
+        s = _readonly(s.astype(np.int64))
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
+            raise ValueError("event times and magnitudes must be finite")
         if len(t) and not np.all(np.diff(t) > 0):
             raise ValueError("event times must be strictly increasing")
         if len(t) and (t[0] < 0.0 or t[-1] > self.horizon):
@@ -171,10 +176,8 @@ def band_variance(params: KAlphaParams, eps: float) -> float:
     """Variance rate of the Brownian surrogate for jumps with |x| <= eps."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    a = params.alpha
-    return 2.0 * adaptive_quad(
-        lambda u: math.expm1(u) ** 2 * u ** (-1.0 - a),
-        0.0, math.log1p(eps), tol=1e-13).value
+    return 2.0 * jump_moment_integral(2, 0.0, math.log1p(eps), params.alpha,
+                                      tol=1e-13)
 
 
 def simulate_small_jumps(params: KAlphaParams, horizon: float, seed: int,
@@ -285,18 +288,21 @@ def simulate_many(params: KAlphaParams, horizon: float, seed: int,
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def event_path_metadata(path: EventPath) -> dict:
+def _header(path: EventPath | GridPath, component: str, *extras) -> str:
+    """The metadata line that opens every path file."""
     meta = {
         "format_version": FORMAT_VERSION,
         "alpha": path.params.alpha,
         "horizon": path.horizon,
         "seed": path.seed,
         "rng_name": path.rng_name,
-        "component": "large",
+        "component": component,
     }
     if path.spawn_key:
         meta["spawn_key"] = list(path.spawn_key)
-    return meta
+    for extra in extras:
+        meta.update(extra or {})
+    return json.dumps(meta) + "\n"
 
 
 def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
@@ -304,13 +310,19 @@ def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> Non
 
     Floats go through repr, which round-trips bit for bit.
     """
-    meta = event_path_metadata(path)
-    if extra_meta:
-        meta.update(extra_meta)
-    fp.write(json.dumps(meta) + "\n")
+    fp.write(_header(path, "large", extra_meta))
     for t, s, m in zip(path.times, path.signs, path.log1p_mags):
         fp.write(json.dumps({"t": float(t), "sign": int(s),
                              "log1p_mag": float(m)}) + "\n")
+
+
+def write_grid_path(path: GridPath, fp, extra_meta: dict | None = None) -> None:
+    """Write a small-jump grid path as JSONL: one metadata record, then
+    one {"t", "value"} record per grid point."""
+    fp.write(_header(path, "small",
+                     {"eps": path.eps, "grid_step": path.grid_step}, extra_meta))
+    for t, v in zip(path.times, path.values):
+        fp.write(json.dumps({"t": float(t), "value": float(v)}) + "\n")
 
 
 def read_event_path(fp) -> EventPath:
@@ -318,22 +330,29 @@ def read_event_path(fp) -> EventPath:
     if not header:
         raise ValueError("empty path file")
     meta = json.loads(header)
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {meta.get('format_version')!r}")
+    if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unsupported path header {header.strip()[:80]!r}")
     if meta.get("component") != "large":
         raise ValueError("expected a large-jump component file")
+    missing = [k for k in ("alpha", "horizon", "seed") if k not in meta]
+    if missing:
+        raise ValueError(f"path header lacks {', '.join(missing)}")
     times, signs, mags = [], [], []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        times.append(rec["t"])
-        signs.append(rec["sign"])
-        mags.append(rec["log1p_mag"])
+    try:
+        for lineno, line in enumerate(fp, 2):
+            line = line.strip()
+            if not line:
+                continue
+            rec = json.loads(line)
+            times.append(rec["t"])
+            signs.append(rec["sign"])
+            mags.append(rec["log1p_mag"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"line {lineno}: an event record needs t, sign and "
+                         f"log1p_mag ({type(exc).__name__}: {exc})") from None
     return EventPath(params=KAlphaParams(meta["alpha"]),
                      horizon=meta["horizon"], seed=meta["seed"],
-                     times=np.array(times), signs=np.array(signs, dtype=np.int64),
+                     times=np.array(times), signs=np.array(signs),
                      log1p_mags=np.array(mags),
                      spawn_key=tuple(meta.get("spawn_key", ())),
                      rng_name=meta.get("rng_name", RNG_NAME))

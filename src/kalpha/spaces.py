@@ -488,20 +488,58 @@ _FAMILIES = {
 }
 
 
+def parse_descriptor(text: str, keys: dict, lists=()) -> tuple[str, dict]:
+    """Read a descriptor like "name:key=v,key2=v,v" into (name, fields).
+
+    keys maps each accepted name to the keys it accepts; the name ""
+    stands for a descriptor without a "name:" prefix.  Names match
+    case-insensitively.  A key named in lists maps to a list of one or
+    more values, every other key to exactly one value.  Values must be
+    finite numbers; unknown or repeated keys and values before the
+    first key are refused with ValueError.
+    """
+    name, colon, body = text.partition(":")
+    if not colon and "" in keys:
+        name, body = "", text
+    name = name.strip().lower()
+    if name not in keys:
+        known = ", ".join(sorted(n for n in keys if n)) or "no name prefix"
+        raise ValueError(f"unknown name {name!r} in {text!r} (expected {known})")
+    fields: dict[str, list[float]] = {}
+    current = None
+    for token in body.split(","):
+        key, eq, token = token.rpartition("=")
+        key, token = key.strip(), token.strip()
+        if eq:
+            if key not in keys[name]:
+                raise ValueError(f"unknown key {key!r} in {text!r} "
+                                 f"(expected one of {', '.join(keys[name])})")
+            if key in fields:
+                raise ValueError(f"repeated key {key!r} in {text!r}")
+            current = fields[key] = []
+        if not token:
+            continue
+        if current is None:
+            raise ValueError(f"value {token!r} before any key in {text!r}")
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {token!r} in {text!r}")
+        current.append(value)
+    for key, values in fields.items():
+        if not values or (key not in lists and len(values) > 1):
+            raise ValueError(f"key {key!r} takes "
+                             f"{'one or more values' if key in lists else 'one value'}"
+                             f" in {text!r}")
+    return name, {k: v if k in lists else v[0] for k, v in fields.items()}
+
+
 def parse_test_function(descriptor: str) -> TestFunction:
     """Build a test function from text like "gaussian:center=0,scale=1"."""
-    name, _, rest = descriptor.partition(":")
-    name = name.strip().lower()
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown test-function family {name!r} "
-                         f"(known: {', '.join(sorted(_FAMILIES))})")
+    name, fields = parse_descriptor(
+        descriptor, {name: tuple(defaults)
+                     for name, (_, defaults) in _FAMILIES.items()})
     cls, defaults = _FAMILIES[name]
-    kwargs = dict(defaults)
-    if rest.strip():
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip()
-            if not eq or key not in kwargs:
-                raise ValueError(f"bad parameter {item!r} for family {name!r}")
-            kwargs[key] = float(val)
-    return cls(**kwargs)
+    return cls(**{**defaults, **fields})

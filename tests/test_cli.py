@@ -223,14 +223,70 @@ class TestPair:
                     "--phi", "wavelet:k=1"]) == EXIT_USAGE
 
 
+REPORT_COMMANDS = {
+    "exceedance_report": ["diagnose", "--in", "{path}", "--envelope", "exp:c=1.0"],
+    "moment_scan": ["diagnose", "--alpha", "1.5",
+                    "--moment-scan", "eta=0.25,caps=10,100,1000"],
+    "pruitt_slope": ["diagnose", "--alpha", "1.0",
+                     "--pruitt", "etas=0.5,rs=10,100,1000"],
+    "growth_scan": ["diagnose", "--in", "{path}", "--growth", "eta=0.5"],
+    "support_verdict": ["classify", "--alpha", "1.5", "--betas", "2"],
+    "pairing": ["pair", "--in", "{path}", "--phi", "bump:center=5,width=2"],
+}
+
+
 class TestDeterminism:
-    def test_reports_identical_modulo_timestamp(self, sample_path_file, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(REPORT_COMMANDS))
+    def test_reports_identical_modulo_timestamp(self, kind, sample_path_file,
+                                                tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["diagnose", "--in", str(sample_path_file),
-                "--envelope", "exp:c=1.0"]
+        args = [arg.format(path=sample_path_file) for arg in REPORT_COMMANDS[kind]]
         assert run(args + ["--json", str(a)]) == EXIT_OK
         assert run(args + ["--json", str(b)]) == EXIT_OK
+        assert json.loads(a.read_text())["kind"] == kind
         assert strip_timestamps(a.read_text()) == strip_timestamps(b.read_text())
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["diagnose", "--alpha", "1.0", "--pruitt", "etas=nan,0.1,rs=10,100"],
+        ["diagnose", "--alpha", "1.0", "--moment-scan", "eta=nan,caps=10,100,1000"],
+        ["diagnose", "--in", "{path}", "--growth", "eta=0.5,eta=0.7"],
+        ["diagnose", "--in", "{path}", "--envelope", "pow:beta=inf"],
+        ["classify", "--alpha", "1.0", "--betas", "inf,2"],
+        ["diagnose", "--in", "{path}", "--envelope", "exp:c=1",
+         "--plot-data", "{out}/x.csv"],
+    ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
+            "envelope-inf", "betas-inf", "plot-data-without-table"])
+    def test_rejected_without_output(self, args, sample_path_file, tmp_path,
+                                     capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(path=sample_path_file, out=out) for a in args]
+        assert run(argv + ["--json", str(out / "r.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("mangle", [
+        lambda meta, rec: rec.pop("sign"),
+        lambda meta, rec: meta.pop("alpha"),
+        lambda meta, rec: rec.update(log1p_mag=float("nan")),
+        lambda meta, rec: rec.update(sign=1.5),
+    ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
+            "fractional-sign"])
+    def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
+                                 capsys):
+        lines = sample_path_file.read_text().splitlines()
+        meta, rec = json.loads(lines[0]), json.loads(lines[1])
+        mangle(meta, rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(meta), json.dumps(rec)]
+                                 + lines[2:]) + "\n")
+        assert run(["diagnose", "--in", str(bad),
+                    "--envelope", "exp:c=1.0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestHelpers:

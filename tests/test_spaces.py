@@ -267,6 +267,7 @@ class TestDescriptors:
         assert (phi.center, phi.scale) == (0.0, 1.0)
 
     def test_bad_descriptors(self):
-        for text in ("mexican_hat", "gaussian:sigma=1", "bump:center"):
+        for text in ("mexican_hat", "gaussian:sigma=1", "bump:center",
+                     "gaussian:center=nan", "gaussian:scale=1,scale=2"):
             with pytest.raises(ValueError):
                 parse_test_function(text)
