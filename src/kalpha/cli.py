@@ -340,6 +340,17 @@ def _cmd_pair(args) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: finite numbers only."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kalpha",
@@ -349,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write a large-jump path as JSONL")
-    sim.add_argument("--alpha", type=float, required=True)
-    sim.add_argument("--horizon", type=float, required=True)
+    sim.add_argument("--alpha", type=_finite_float, required=True)
+    sim.add_argument("--horizon", type=_finite_float, required=True)
     sim.add_argument("--seed", type=int, default=None,
                      help="defaults to env KALPHA_SEED")
     sim.add_argument("--out", required=True)
@@ -359,16 +370,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--small", action="store_true",
                      help="also write the small-jump grid component")
-    sim.add_argument("--eps", type=float, default=1e-3)
-    sim.add_argument("--grid-step", type=float, default=None)
+    sim.add_argument("--eps", type=_finite_float, default=1e-3)
+    sim.add_argument("--grid-step", type=_finite_float, default=None)
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")
     diag.add_argument("--in", dest="infiles", nargs="*", default=[])
     diag.add_argument("--envelope", default=None,
                       help='e.g. "exp:c=1.0", "pow:beta=2"')
-    diag.add_argument("--burn-in", type=float, default=DEFAULT_BURN_IN)
-    diag.add_argument("--alpha", type=float, default=None)
+    diag.add_argument("--burn-in", type=_finite_float, default=DEFAULT_BURN_IN)
+    diag.add_argument("--alpha", type=_finite_float, default=None)
     diag.add_argument("--moment-scan", default=None,
                       help='e.g. "eta=0.25,caps=10,100,1000"')
     diag.add_argument("--pruitt", default=None,
@@ -380,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=_cmd_diagnose)
 
     cls = sub.add_parser("classify", help="support verdict for an index")
-    cls.add_argument("--alpha", type=float, required=True)
+    cls.add_argument("--alpha", type=_finite_float, required=True)
     cls.add_argument("--betas", required=True, help="comma list, each > 1")
     cls.add_argument("--json", dest="json_out", default=None)
     cls.set_defaults(func=_cmd_classify)

@@ -99,10 +99,6 @@ class EventPath:
     def n_events(self) -> int:
         return len(self.times)
 
-    def events(self):
-        for t, s, m in zip(self.times, self.signs, self.log1p_mags):
-            yield JumpEvent(float(t), int(s), float(m))
-
     def jump_values(self):
         """Signed jump sizes as log-domain values, in time order."""
         for t, s, m in zip(self.times, self.signs, self.log1p_mags):
@@ -337,6 +333,12 @@ def read_event_path(fp) -> EventPath:
     missing = [k for k in ("alpha", "horizon", "seed") if k not in meta]
     if missing:
         raise ValueError(f"path header lacks {', '.join(missing)}")
+    for key in ("alpha", "horizon"):
+        v = meta[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"path header {key} must be a finite number, got {v!r}")
+    if isinstance(meta["seed"], bool) or not isinstance(meta["seed"], int):
+        raise ValueError(f"path header seed must be an integer, got {meta['seed']!r}")
     times, signs, mags = [], [], []
     try:
         for lineno, line in enumerate(fp, 2):

@@ -9,8 +9,12 @@ wandering search.
 
 The pairing of a path's distributional derivative with a test function
 integrates -K(t) phi'(t) exactly over the constancy segments of the
-large-jump path, in log-domain arithmetic; a summation-by-parts form
-over the jumps themselves serves as an independent cross-check.
+large-jump path.  The segment sum is regrouped on the max-Cartesian tree
+of the jump sizes, whose levels one O(n) stack pass builds as plain
+floats scaled by each node's own jump; the terms are then rescaled and
+summed exactly with math.fsum.  A summation-by-parts form over the
+jumps themselves, summed the same way, serves as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .numerics import SLV_ZERO, SignedLogValue, slv_sum
+from .numerics import SLV_ZERO, SignedLogValue
 from .paths import EventPath, GridPath
 
 _GRID_POINTS = 1 << 16
@@ -202,11 +206,10 @@ class ExpPoly(TestFunction):
     def __init__(self, rate=1.0, degree=4):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        degree = int(degree)
         if degree < 2 or degree % 2:
-            raise ValueError("degree must be an even integer >= 2")
+            raise ValueError(f"degree must be an even integer >= 2, got {degree!r}")
         self.rate = float(rate)
-        self.degree = degree
+        self.degree = int(degree)
         self._q_polys = [Polynomial([1.0])]
 
     def _q(self, n):
@@ -384,7 +387,7 @@ def kbeta_norm(phi: TestFunction, p: int, beta: float) -> float:
 class PairingResult:
     """Pairing of the path's distributional derivative with phi.
 
-    value is the segment-sum evaluation of -integral K(t) phi'(t) dt;
+    value is the regrouped segment sum for -integral K(t) phi'(t) dt;
     crosscheck is the independent summation-by-parts form (jump sizes
     times phi at the jump times, minus the horizon boundary term).
     rel_err compares the two, and truncation_warning marks pairings
@@ -399,27 +402,55 @@ class PairingResult:
     truncation_warning: bool
 
 
-def _segment_sum(jumps, phi_at, lo, hi, phi_right) -> SignedLogValue:
-    """sum over i in [lo, hi) of (K_i - K_lo-entry) * (phi_i - phi_next).
+def _scaled_fsum(lj: np.ndarray, coef: np.ndarray) -> SignedLogValue:
+    """sum_i e^lj_i * coef_i in log-domain form, coef being plain floats.
 
-    Exact regrouping of the flat segment sum: the range's dominant jump
-    is split out with its phi difference telescoped in native floats,
-    then the sub-ranges recurse relative to their own entry level.  A
-    flat log-domain fold would lose the deep cancellations that occur
-    when a huge jump lands where phi is small but phi peaks later; the
-    regrouping keeps every multiplication at its own moderate scale.
+    Terms are scaled by the largest e^lj among those that matter and
+    summed exactly by math.fsum, so the only rounding is one product
+    per term.  A term more than e^650 below the largest one cannot
+    move the sum and is dropped, which keeps every scale factor <= 1.
     """
-    if lo >= hi:
+    live = coef != 0.0
+    if not live.any():
         return SLV_ZERO
-    m = lo
-    for i in range(lo + 1, hi):
-        if jumps[i].logmag > jumps[m].logmag:
-            m = i
-    level = slv_sum(jumps[lo:m + 1])
-    left = _segment_sum(jumps, phi_at, lo, m, phi_at[m])
-    bulk = level * SignedLogValue.encode(phi_at[m] - phi_right)
-    right = _segment_sum(jumps, phi_at, m + 1, hi, phi_right)
-    return left + bulk + right
+    lj, coef = lj[live], coef[live]
+    log_term = lj + np.log(np.abs(coef))
+    keep = log_term > log_term.max() - 650.0
+    lj, coef = lj[keep], coef[keep]
+    ref = float(lj.max())
+    total = math.fsum(coef * np.exp(lj - ref))
+    if total == 0.0:
+        return SLV_ZERO
+    return SignedLogValue(1 if total > 0 else -1, ref + math.log(abs(total)))
+
+
+def _segment_levels(lj: list, signs: list) -> tuple[list, list]:
+    """Segment levels of the regrouped pairing sum, in one stack pass.
+
+    Node i of the max-Cartesian tree of the jump sizes (ties: the
+    leftmost index is the ancestor) covers the events from just after
+    its previous jump at least as large up to, not including, its next
+    strictly larger jump hi[i] (n past the last event).  Its level, the
+    sum of the jumps from the start of that range to i, is returned
+    scaled by its own jump: a[i] = level / e^lj[i], a plain float of
+    magnitude at most the subtree size.  Popping every smaller entry
+    when i arrives both closes their ranges at i and hands their levels
+    to i, so each event is pushed and popped once.
+    """
+    n = len(lj)
+    a = [0.0] * n
+    hi = [n] * n
+    stack: list[int] = []
+    exp = math.exp
+    for i, (x, s) in enumerate(zip(lj, signs)):
+        acc = float(s)
+        while stack and lj[stack[-1]] < x:
+            p = stack.pop()
+            hi[p] = i
+            acc += a[p] * exp(lj[p] - x)
+        a[i] = acc
+        stack.append(i)
+    return a, hi
 
 
 def pair_white_noise(path: EventPath, phi: TestFunction,
@@ -428,29 +459,37 @@ def pair_white_noise(path: EventPath, phi: TestFunction,
 
     The path is constant between events, so -integral K phi' over
     [0, horizon] equals -sum_i K_i (phi(t_{i+1}) - phi(t_i)) over
-    constancy segments, evaluated in log-domain arithmetic with the
-    dominant jump of each (sub)range telescoped exactly (see
-    _segment_sum).  The cross-check is the summation-by-parts form of
-    the same truncated integral, sum_j jump_j * phi(t_j) minus the
-    boundary term K(horizon) * phi(horizon); the boundary piece cannot
-    be dropped here because a huge jump makes it significant even when
-    phi(horizon) is tiny.  With a small-jump grid path supplied, its
-    (ordinary, finite) contribution is added to both forms by
-    trapezoidal quadrature; rel_err is computed from the jump parts
-    alone, which is where the two algorithms differ.
+    constancy segments.  That flat sum is regrouped on the max-Cartesian
+    tree of the jump sizes: each jump i contributes its segment level
+    times phi(t_i) - phi(t_hi(i)), where hi(i) is its next strictly
+    larger jump (the horizon if none), so the phi differences telescope
+    in native floats and no product is formed at a scale beyond its
+    own.  The levels come from one O(n) stack pass (_segment_levels);
+    the terms are summed exactly after rescaling.  The cross-check is
+    the summation-by-parts form of the same truncated integral,
+    sum_j jump_j * phi(t_j) minus the boundary term
+    K(horizon) * phi(horizon), summed the same way but sharing nothing
+    with the stack pass; the boundary piece cannot be dropped because
+    a huge jump makes it significant even when phi(horizon) is tiny.
+    With a small-jump grid path supplied, its (ordinary, finite)
+    contribution is added to both forms by trapezoidal quadrature;
+    rel_err is computed from the jump parts alone, which is where the
+    two algorithms differ.
     """
-    times = list(map(float, path.times))
-    phi_at = [float(phi.deriv(0, t)) for t in times]
+    m = path.log1p_mags
+    lj = m + np.log1p(-np.exp(-m))           # ln |jump| = ln(e^m - 1)
+    signs = path.signs.astype(float)
+    phi_at = np.asarray(phi.deriv(0, path.times), dtype=float)
     phi_end = float(phi.deriv(0, path.horizon))
 
-    jumps = list(path.jump_values())
-    k_end = slv_sum(jumps)
+    # int signs: -1 and +1 are shared objects, so that list allocates no
+    # per-event floats
+    a, hi = _segment_levels(lj.tolist(), path.signs.tolist())
+    phi_next = np.append(phi_at, phi_end)[np.asarray(hi, dtype=np.intp)]
+    value = _scaled_fsum(lj, np.asarray(a) * (phi_at - phi_next))
 
-    value = _segment_sum(jumps, phi_at, 0, len(jumps), phi_end)
-
-    cross = slv_sum(j * SignedLogValue.encode(pv)
-                    for j, pv in zip(jumps, phi_at))
-    cross = cross - k_end * SignedLogValue.encode(phi_end)
+    cross = _scaled_fsum(np.concatenate([lj, lj]),
+                         np.concatenate([signs * phi_at, -signs * phi_end]))
 
     diff = value - cross
     if diff.is_zero:
@@ -460,7 +499,8 @@ def pair_white_noise(path: EventPath, phi: TestFunction,
         rel_err = math.inf if ref == -math.inf else math.exp(diff.logmag - ref)
 
     warn = False
-    if jumps and phi_end != 0.0 and not k_end.is_zero:
+    k_end = _scaled_fsum(lj, signs) if phi_end != 0.0 else SLV_ZERO
+    if not k_end.is_zero:
         boundary_log = k_end.logmag + math.log(abs(phi_end))
         ref_log = value.logmag if not value.is_zero else 0.0
         warn = boundary_log > ref_log + math.log(1e-9)

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
-from kalpha.measure import EnvelopeSpec
+from kalpha.measure import EnvelopeSpec, KAlphaParams
+from kalpha.paths import EventPath, write_event_path
 
 
 def run(args):
@@ -218,6 +220,23 @@ class TestPair:
         assert doc["value_sign"] in (-1, 0, 1)
         assert isinstance(doc["truncation_warning"], bool)
 
+    def test_monotone_magnitudes_exit_0(self, tmp_path, capsys):
+        # every event outgrows all before it, so the max-Cartesian tree of
+        # the jump sizes is a single chain as long as the path
+        n = 10_000
+        path = EventPath(params=KAlphaParams(1.5), horizon=10.0, seed=0,
+                         times=np.linspace(0.0, 10.0, n, endpoint=False),
+                         signs=np.ones(n, dtype=np.int64),
+                         log1p_mags=np.linspace(1.0, 50.0, n))
+        infile = tmp_path / "monotone.jsonl"
+        with open(infile, "w") as fp:
+            write_event_path(path, fp)
+        assert run(["pair", "--in", str(infile),
+                    "--phi", "bump:center=5,width=4"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["crosscheck_rel_err"] < 1e-9
+        assert doc["truncation_warning"] is False
+
     def test_bad_phi_exit_2(self, sample_path_file):
         assert run(["pair", "--in", str(sample_path_file),
                     "--phi", "wavelet:k=1"]) == EXIT_USAGE
@@ -273,8 +292,11 @@ class TestBadInput:
         lambda meta, rec: meta.pop("alpha"),
         lambda meta, rec: rec.update(log1p_mag=float("nan")),
         lambda meta, rec: rec.update(sign=1.5),
+        lambda meta, rec: meta.update(horizon=float("nan")),
+        lambda meta, rec: meta.update(alpha="x"),
+        lambda meta, rec: meta.update(horizon="x"),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
-            "fractional-sign"])
+            "fractional-sign", "nan-horizon", "string-alpha", "string-horizon"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()
@@ -287,6 +309,33 @@ class TestBadInput:
                     "--envelope", "exp:c=1.0"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--alpha", "{v}", "--horizon", "10", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
+        ["simulate", "--alpha", "1.5", "--horizon", "{v}", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
+        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
+         "--small", "--eps", "{v}", "--out", "{out}/p.jsonl"],
+        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
+         "--small", "--grid-step", "{v}", "--out", "{out}/p.jsonl"],
+        ["diagnose", "--in", "{path}", "--envelope", "exp:c=1",
+         "--burn-in", "{v}", "--json", "{out}/r.json"],
+        ["diagnose", "--alpha", "{v}", "--moment-scan", "eta=0.25,caps=10,100",
+         "--json", "{out}/r.json"],
+        ["classify", "--alpha", "{v}", "--betas", "2", "--json", "{out}/r.json"],
+    ], ids=["simulate-alpha", "simulate-horizon", "simulate-eps",
+            "simulate-grid-step", "diagnose-burn-in", "diagnose-alpha",
+            "classify-alpha"])
+    def test_non_finite_float_option(self, args, value, sample_path_file,
+                                     tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(path=sample_path_file, out=out, v=value) for a in args]
+        assert run(argv) == EXIT_USAGE
+        assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestHelpers:

@@ -1,13 +1,25 @@
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from kalpha.measure import KAlphaParams
+from kalpha.numerics import LN2
 from kalpha.paths import EventPath, simulate_large_jumps
 from kalpha.paths import simulate_small_jumps
 from kalpha.spaces import (Bump, ExpPoly, Gaussian, k_norm, kbeta_norm,
                            pair_white_noise, parse_test_function, s_norm)
+
+# database=None turns the example database off, but hypothesis still caches
+# the constants it reads from the source when tests are collected; keep that
+# cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 def manual_path(alpha=1.0, horizon=10.0, times=(), signs=(), mags=()):
@@ -252,6 +264,66 @@ class TestPairing:
         assert d1.decode() == pytest.approx(d2.decode(), rel=1e-9)
 
 
+def reference_pairing(path, phi) -> Fraction:
+    """-integral K phi' by the dominant-jump regrouping, in exact rationals.
+
+    sum over i in [lo, hi) of (K_i - K_lo-entry) * (phi_i - phi_next):
+    the range's first largest jump m splits it, the level of the jumps
+    lo..m multiplies the telescoped phi_m - phi_right, and the
+    sub-ranges on either side recurse relative to their own entry.
+    """
+    mags = path.log1p_mags.tolist()
+    jumps = [Fraction(s * math.expm1(m)) for s, m in zip(path.signs.tolist(), mags)]
+    prefix = [Fraction(0)]
+    for j in jumps:
+        prefix.append(prefix[-1] + j)
+    phis = [Fraction(phi(t)) for t in path.times.tolist()]
+
+    def segment(lo, hi, phi_right):
+        if lo >= hi:
+            return Fraction(0)
+        m = max(range(lo, hi), key=mags.__getitem__)   # first largest
+        return (segment(lo, m, phis[m])
+                + (prefix[m + 1] - prefix[lo]) * (phis[m] - phi_right)
+                + segment(m + 1, hi, phi_right))
+
+    return segment(0, len(jumps), Fraction(phi(path.horizon)))
+
+
+@st.composite
+def adversarial_pairings(draw):
+    """Paths of up to 200 events with repeated magnitudes and sorted
+    orders, and a test function alive somewhere inside the horizon."""
+    n = draw(st.integers(0, 200))
+    mag = st.floats(min_value=LN2, max_value=40.0)
+    pool = draw(st.lists(mag, min_size=1, max_size=6))
+    mags = draw(st.lists(st.one_of(st.sampled_from(pool), mag),
+                         min_size=n, max_size=n))
+    order = draw(st.sampled_from(["drawn", "increasing", "decreasing"]))
+    if order != "drawn":
+        mags.sort(reverse=order == "decreasing")
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    center = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        phi = Gaussian(center, draw(st.floats(0.3, 5.0)))
+    else:
+        phi = Bump(center, draw(st.floats(0.3, 8.0)))
+    path = manual_path(times=(np.arange(n) + 0.5) * (10.0 / max(n, 1)),
+                       signs=signs, mags=mags)
+    return path, phi
+
+
+class TestPairingKernel:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(adversarial_pairings())
+    def test_matches_reference_recursion(self, case):
+        path, phi = case
+        ref = float(reference_pairing(path, phi))
+        res = pair_white_noise(path, phi)
+        got = res.value.decode()
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 class TestDescriptors:
     def test_parse_round_trip(self):
         phi = parse_test_function("bump:center=5,width=2")
@@ -268,6 +340,7 @@ class TestDescriptors:
 
     def test_bad_descriptors(self):
         for text in ("mexican_hat", "gaussian:sigma=1", "bump:center",
-                     "gaussian:center=nan", "gaussian:scale=1,scale=2"):
+                     "gaussian:center=nan", "gaussian:scale=1,scale=2",
+                     "exppoly:degree=4.5"):
             with pytest.raises(ValueError):
                 parse_test_function(text)
