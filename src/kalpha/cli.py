@@ -34,9 +34,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-# published report shapes: kind -> {field: type}; None means nullable
+# published report shapes: kind -> {field: type}; (type, None) means nullable
 SCHEMAS = {
     "exceedance_report": {
         "format_version": int, "kind": str, "envelope": str, "burn_in": float,
@@ -62,7 +62,7 @@ SCHEMAS = {
     },
     "pairing": {
         "format_version": int, "kind": str, "phi": str, "value_sign": int,
-        "value_logmag": float, "crosscheck_rel_err": float,
+        "value_logmag": (float, None), "crosscheck_rel_err": float,
         "truncation_warning": bool, "manifest": dict,
     },
 }
@@ -77,12 +77,11 @@ def validate_document(doc: dict) -> None:
         if name not in doc:
             raise ValueError(f"{kind} document missing field {name!r}")
         val = doc[name]
-        if typ is float:
-            ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-        elif typ is int:
-            ok = isinstance(val, int) and not isinstance(val, bool)
-        else:
-            ok = isinstance(val, typ)
+        nullable = isinstance(typ, tuple)
+        typ = typ[0] if nullable else typ
+        ok = (val is None and nullable) or (
+            isinstance(val, (int, float) if typ is float else typ)
+            and (typ is bool or not isinstance(val, bool)))
         if not ok:
             raise ValueError(f"{kind} field {name!r} has wrong type "
                              f"{type(val).__name__}")
@@ -140,6 +139,8 @@ def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
 
     plot is (header, rows) for the kinds that have a table; asking for
     --plot-data of any other kind is refused before anything is written.
+    So is a report holding NaN or an infinity (a ValueError from json),
+    which would not be valid JSON.
     """
     plot_out = getattr(args, "plot_data", None)
     if plot_out and plot is None:
@@ -147,7 +148,7 @@ def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
     doc = {"format_version": FORMAT_VERSION, "kind": kind, **fields,
            "manifest": manifest}
     validate_document(doc)
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.json_out:
         Path(args.json_out).write_text(text)
     else:
@@ -301,7 +302,7 @@ def _cmd_diagnose(args) -> int:
     return _emit(args, "growth_scan", {
         "alpha": paths[0].params.alpha,
         "eta": eta,
-        "rows": [{"t": t, "sign": sign, "log_stat": log_stat}
+        "rows": [{"t": t, "sign": sign, "log_stat": log_stat if sign else None}
                  for t, sign, log_stat in rows],
     }, _manifest("diagnose", {"mode": "growth", "eta": eta,
                               "in": list(map(str, args.infiles))}),
@@ -330,7 +331,7 @@ def _cmd_pair(args) -> int:
     return _emit(args, "pairing", {
         "phi": phi.describe(),
         "value_sign": result.value.sign,
-        "value_logmag": result.value.logmag if not result.value.is_zero else -math.inf,
+        "value_logmag": None if result.value.is_zero else result.value.logmag,
         "crosscheck_rel_err": result.rel_err,
         "truncation_warning": result.truncation_warning,
     }, _manifest("pair", {"phi": args.phi, "in": str(args.infile)}))

@@ -10,7 +10,6 @@ domain, no decoded magnitude is ever materialised.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +30,18 @@ def envelope_exceedances(path: EventPath, env: EnvelopeSpec) -> list[tuple[float
     end time is computed from the level's log magnitude.  Intervals
     are disjoint, time ordered and clipped to [1, horizon].
     """
-    sup = running_sup(path)
+    times, levels = running_sup(path)
     horizon = path.horizon
+    # a run of equal levels is one interval; it ends at the next rise
+    rises = np.flatnonzero(levels[1:] > levels[:-1]) + 1
+    ends = np.append(times[rises[1:]], horizon)
     out: list[list[float]] = []
-    for i, (t0, level) in enumerate(sup):
-        t1 = sup[i + 1][0] if i + 1 < len(sup) else horizon
-        if level.sign == 0:
-            continue
+    for t0, t1, level in zip(times[rises].tolist(), ends.tolist(),
+                             levels[rises].tolist()):
         a = max(t0, 1.0)
         if a >= t1 or a >= horizon:
             continue
-        end = min(t1, env.crossing_time(level.logmag), horizon)
+        end = min(t1, env.crossing_time(level), horizon)
         if end <= a:
             continue
         if out and out[-1][1] == a:
@@ -129,19 +129,16 @@ def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
     while t <= horizon:
         ts.append(t)
         t *= 2.0
-    sups = [running_sup(p) for p in paths]
-    rows = []
-    for t in ts:
-        weight = SignedLogValue.from_log(1, -math.log(t) / eta)
-        best = SignedLogValue.from_log(0, 0.0)
-        for sup in sups:
-            times = [pt for pt, _ in sup]
-            level = sup[bisect_right(times, t) - 1][1]
-            cand = weight * level
-            if cand.logmag > best.logmag:
-                best = cand
-        rows.append((t, best))
-    return rows
+    # best sup level at each t over the paths; rounding is monotone, so
+    # adding the weight's log to the best equals the best of the sums
+    best = np.full(len(ts), -math.inf)
+    for p in paths:
+        times, levels = running_sup(p)
+        np.maximum(best, levels[np.searchsorted(times, ts, side="right") - 1],
+                   out=best)
+    return [(t, SignedLogValue.from_log(int(lvl > -math.inf),
+                                        -math.log(t) / eta + lvl))
+            for t, lvl in zip(ts, best.tolist())]
 
 
 @dataclass(frozen=True)
@@ -211,7 +208,11 @@ def pruitt_slope(params: KAlphaParams, etas, r_grid) -> PruittSlopeReport:
     tail_up = {}
     still_falling = []
     for eta in etas:
-        seq = tuple(r ** eta * h for r, h in zip(r_grid, hbar))
+        try:
+            seq = tuple(r ** eta * h for r, h in zip(r_grid, hbar))
+        except OverflowError:
+            raise ValueError(f"r^eta overflows a float at eta={eta:g}, "
+                             f"r={r_grid[-1]:g}") from None
         values[eta] = seq
         tail_up[eta] = seq[-1] > seq[-2]
         if seq[-1] < seq[-2]:

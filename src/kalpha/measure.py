@@ -155,6 +155,8 @@ def pruitt_index(r: float, p: KAlphaParams) -> float:
     """
     if r < 1.0:
         raise ValueError(f"index defined for r >= 1, got {r!r}")
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r!r} too large: r^2 overflows a float")
     total = 2.0 * tail_one_sided(r, p)
     if r > 1.0:
         second = jump_moment_integral(2, LN2, math.log1p(r), p.alpha, tol=1e-12)

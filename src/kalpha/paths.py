@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import KAlphaParams, jump_moment_integral
-from .numerics import LN2, SLV_ZERO, SignedLogValue
+from .numerics import LN2, SignedLogValue
 
 RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
@@ -28,26 +28,6 @@ FORMAT_VERSION = 1
 def derive_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seed=ss))
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One large jump: time, sign, and ell = ln(1 + |jump|) >= ln 2."""
-
-    t: float
-    sign: int
-    log1p_mag: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("jump sign must be -1 or +1")
-        if self.log1p_mag < LN2 - 1e-15:
-            raise ValueError("large jumps have magnitude > 1, so log1p_mag >= ln 2")
-
-    def value(self) -> SignedLogValue:
-        """The signed jump size e^ell - 1 as a log-domain value."""
-        ell = self.log1p_mag
-        return SignedLogValue.from_log(self.sign, ell + math.log1p(-math.exp(-ell)))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -99,10 +79,11 @@ class EventPath:
     def n_events(self) -> int:
         return len(self.times)
 
-    def jump_values(self):
-        """Signed jump sizes as log-domain values, in time order."""
-        for t, s, m in zip(self.times, self.signs, self.log1p_mags):
-            yield SignedLogValue.from_log(int(s), float(m) + math.log1p(-math.exp(-float(m))))
+    @property
+    def log_jumps(self) -> np.ndarray:
+        """ln |jump| = ln(e^m - 1) for each event's log1p magnitude m."""
+        m = self.log1p_mags
+        return m + np.log1p(-np.exp(-m))
 
 
 @dataclass(frozen=True)
@@ -226,22 +207,39 @@ def simulate_small_jumps(params: KAlphaParams, horizon: float, seed: int,
                     times=times, values=values, spawn_key=tuple(spawn_key))
 
 
-def running_sup(path: EventPath) -> list[tuple[float, SignedLogValue]]:
+def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, ln |K_i|) for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n.
+
+    Terms are scaled by the running maximum of lj, so they stay floats
+    of magnitude at most 1.  The events split at each new record of that
+    maximum; a segment is one cumsum, whose first addend is the previous
+    segment's total rescaled to the new record (the online-normaliser
+    rescaling of Milakov & Gimelshein, arXiv:1805.02867).  The loop runs
+    once per record, about ln n times for i.i.d. sizes.  A prefix that
+    cancels exactly has sign 0 and ln |K| = -inf; a term more than e^745
+    below the current record underflows to zero.
+    """
+    ref = np.maximum.accumulate(lj)
+    scaled = signs * np.exp(lj - ref)
+    starts = np.flatnonzero(ref[1:] > ref[:-1]) + 1
+    for a, b in zip([0, *starts], [*starts, len(lj)]):
+        if a:
+            scaled[a] += scaled[a - 1] * math.exp(ref[a - 1] - ref[a])
+        np.cumsum(scaled[a:b], out=scaled[a:b])
+    with np.errstate(divide="ignore"):
+        logmag = ref + np.log(np.abs(scaled))
+    return np.append(0, np.sign(scaled).astype(np.int64)), np.append(-math.inf, logmag)
+
+
+def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
     """Running maximum of |path value|, which changes only at event times.
 
-    Returns (time, level) pairs starting with (0, zero); the level at
-    any t is the entry with the largest time <= t.
+    Returns (times, log_levels): times[0] = 0 with log level -inf (the
+    path starts at zero), then one entry per event; the sup at any t is
+    e^log_levels[i] for the largest times[i] <= t.
     """
-    out: list[tuple[float, SignedLogValue]] = [(0.0, SLV_ZERO)]
-    total = SLV_ZERO
-    best = SLV_ZERO
-    for t, jump in zip(path.times, path.jump_values()):
-        total = total + jump
-        mag = abs(total)
-        if mag.logmag > best.logmag:
-            best = mag
-        out.append((float(t), best))
-    return out
+    _, logmag = _log_prefix_sums(path.log_jumps, path.signs)
+    return np.append(0.0, path.times), np.maximum.accumulate(logmag)
 
 
 def compose(large: EventPath, small: GridPath) -> list[tuple[float, SignedLogValue]]:
@@ -250,16 +248,12 @@ def compose(large: EventPath, small: GridPath) -> list[tuple[float, SignedLogVal
         raise ValueError("components were simulated with different alpha")
     if large.horizon != small.horizon:
         raise ValueError("components were simulated with different horizons")
-    out = []
-    prefix = SLV_ZERO
-    j = 0
-    jumps = list(large.jump_values())
-    for t, v in zip(small.times, small.values):
-        while j < large.n_events and large.times[j] <= t:
-            prefix = prefix + jumps[j]
-            j += 1
-        out.append((float(t), prefix + SignedLogValue.encode(float(v))))
-    return out
+    sign, logmag = _log_prefix_sums(large.log_jumps, large.signs)
+    # K after the events at or before each grid time
+    idx = np.searchsorted(large.times, small.times, side="right")
+    return [(float(t), SignedLogValue.from_log(int(sign[i]), float(logmag[i]))
+             + SignedLogValue.encode(float(v)))
+            for t, i, v in zip(small.times, idx, small.values)]
 
 
 def simulate_many(params: KAlphaParams, horizon: float, seed: int,

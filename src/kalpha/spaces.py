@@ -476,8 +476,7 @@ def pair_white_noise(path: EventPath, phi: TestFunction,
     rel_err is computed from the jump parts alone, which is where the
     two algorithms differ.
     """
-    m = path.log1p_mags
-    lj = m + np.log1p(-np.exp(-m))           # ln |jump| = ln(e^m - 1)
+    lj = path.log_jumps
     signs = path.signs.astype(float)
     phi_at = np.asarray(phi.deriv(0, path.times), dtype=float)
     phi_end = float(phi.deriv(0, path.horizon))

@@ -26,6 +26,10 @@ def strip_timestamps(text: str) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 class TestSimulate:
     def test_writes_manifest_and_events(self, tmp_path):
         out = tmp_path / "p.jsonl"
@@ -154,6 +158,22 @@ class TestDiagnose:
         assert doc["divergence_flagged"] is True
         assert doc["status"] == "divergent"
 
+    def test_growth_scan_zero_rows_are_null(self, tmp_path, capsys):
+        # no event before t = 2, so the statistic at t = 1 is zero
+        path = EventPath(params=KAlphaParams(1.5), horizon=4.0, seed=0,
+                         times=np.array([2.0]), signs=np.array([1]),
+                         log1p_mags=np.array([3.0]))
+        infile = tmp_path / "late.jsonl"
+        with open(infile, "w") as fp:
+            write_event_path(path, fp)
+        assert run(["diagnose", "--in", str(infile),
+                    "--growth", "eta=0.5"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=reject_constant)
+        assert [(r["t"], r["sign"]) for r in doc["rows"]] == \
+               [(1.0, 0), (2.0, 1), (4.0, 1)]
+        assert doc["rows"][0]["log_stat"] is None
+
     def test_growth_scan_with_plot_data(self, sample_path_file, tmp_path):
         rpt = tmp_path / "g.json"
         csv_out = tmp_path / "g.csv"
@@ -237,6 +257,19 @@ class TestPair:
         assert doc["crosscheck_rel_err"] < 1e-9
         assert doc["truncation_warning"] is False
 
+    def test_zero_pairing_is_valid_json(self, tmp_path, capsys):
+        # the bump lives on [18, 22], beyond the horizon, so the pairing is 0
+        infile = tmp_path / "z.jsonl"
+        assert run(["simulate", "--alpha", "1", "--horizon", "10",
+                    "--seed", "5", "--out", str(infile)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["pair", "--in", str(infile),
+                    "--phi", "bump:center=20,width=2"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out,
+                         parse_constant=reject_constant)
+        validate_document(doc)
+        assert (doc["value_sign"], doc["value_logmag"]) == (0, None)
+
     def test_bad_phi_exit_2(self, sample_path_file):
         assert run(["pair", "--in", str(sample_path_file),
                     "--phi", "wavelet:k=1"]) == EXIT_USAGE
@@ -275,8 +308,11 @@ class TestBadInput:
         ["classify", "--alpha", "1.0", "--betas", "inf,2"],
         ["diagnose", "--in", "{path}", "--envelope", "exp:c=1",
          "--plot-data", "{out}/x.csv"],
+        ["diagnose", "--alpha", "1.5", "--pruitt", "etas=0.1,rs=1e100,1e200"],
+        ["diagnose", "--alpha", "1.5", "--pruitt", "etas=4,rs=1e100,1e120"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
-            "envelope-inf", "betas-inf", "plot-data-without-table"])
+            "envelope-inf", "betas-inf", "plot-data-without-table",
+            "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -351,6 +387,17 @@ class TestHelpers:
             validate_document({"kind": "nonsense"})
         with pytest.raises(ValueError):
             validate_document({"kind": "pairing", "format_version": 1})
+
+    def test_validate_document_nullable(self):
+        doc = {"format_version": 2, "kind": "pairing", "phi": "gaussian",
+               "value_sign": 0, "value_logmag": None,
+               "crosscheck_rel_err": 0.0, "truncation_warning": False,
+               "manifest": {}}
+        validate_document(doc)
+        with pytest.raises(ValueError):
+            validate_document(dict(doc, crosscheck_rel_err=None))
+        with pytest.raises(ValueError):
+            validate_document(dict(doc, value_logmag=True))
 
     def test_json_numbers_round_trip(self, sample_path_file):
         # repr-based float serialisation is bit-faithful

@@ -1,16 +1,25 @@
 import io
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from kalpha.measure import KAlphaParams
-from kalpha.numerics import LN2, SLV_ZERO
-from kalpha.paths import (EventPath, GridPath, JumpEvent, band_rate,
-                          band_variance, compose, read_event_path,
-                          running_sup, simulate_large_jumps, simulate_many,
+from kalpha.numerics import LN2, LOG_FLOAT_MAX
+from kalpha.paths import (EventPath, GridPath, band_rate, band_variance,
+                          compose, read_event_path, running_sup,
+                          simulate_large_jumps, simulate_many,
                           simulate_small_jumps, write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
+
+# keep hypothesis's source-constants cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 def small_path(alpha=1.0, horizon=10.0, times=(), signs=(), mags=()):
@@ -123,26 +132,59 @@ class TestSimulateSmall:
                 simulate_small_jumps(p, 1.0, 1, eps=eps)
 
 
+def exact_prefix_sups(signs, log1p_mags) -> list[Fraction]:
+    """Running max of |prefix sums| in exact rationals."""
+    total = best = Fraction(0)
+    out = []
+    for s, m in zip(signs, log1p_mags):
+        total += Fraction(s * math.expm1(m))
+        best = max(best, abs(total))
+        out.append(best)
+    return out
+
+
+@st.composite
+def adversarial_paths(draw):
+    """Paths of up to 200 events with repeated magnitudes, sorted orders,
+    and retraced halves that undo each jump, back to exactly zero."""
+    n = draw(st.integers(0, 200))
+    mag = st.floats(min_value=LN2, max_value=40.0)
+    pool = draw(st.lists(mag, min_size=1, max_size=6))
+    mags = draw(st.lists(st.one_of(st.sampled_from(pool), mag),
+                         min_size=n, max_size=n))
+    order = draw(st.sampled_from(["drawn", "increasing", "decreasing"]))
+    if order != "drawn":
+        mags.sort(reverse=order == "decreasing")
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        half = n // 2
+        mags = mags[:half] + mags[:half][::-1]
+        signs = signs[:half] + [-s for s in reversed(signs[:half])]
+    return small_path(times=(np.arange(len(mags)) + 0.5) * (10.0 / max(n, 1)),
+                      signs=signs, mags=mags)
+
+
 class TestRunningSup:
     def test_empty_path(self):
-        sup = running_sup(small_path())
-        assert sup == [(0.0, SLV_ZERO)]
+        times, levels = running_sup(small_path())
+        assert times.tolist() == [0.0]
+        assert levels.tolist() == [-math.inf]
 
     def test_single_event(self):
         ell = 1.2
-        sup = running_sup(small_path(times=[1.0], signs=[1], mags=[ell]))
-        assert sup[0] == (0.0, SLV_ZERO)
-        t, lvl = sup[1]
-        assert t == 1.0
-        assert lvl.decode() == pytest.approx(math.expm1(ell), rel=1e-12)
+        times, levels = running_sup(small_path(times=[1.0], signs=[1],
+                                               mags=[ell]))
+        assert times.tolist() == [0.0, 1.0]
+        assert levels[0] == -math.inf
+        assert math.exp(levels[1]) == pytest.approx(math.expm1(ell), rel=1e-12)
 
     def test_cancellation_then_new_max(self):
         # second jump overshoots: running max becomes |J1 - J2|
         j1, j2 = 2.0, 5.0
-        sup = running_sup(small_path(times=[1.0, 2.0], signs=[1, -1],
-                                     mags=[math.log1p(j1), math.log1p(j2)]))
-        levels = [lvl.decode() for _, lvl in sup]
-        assert levels == pytest.approx([0.0, j1, j2 - j1], rel=1e-12)
+        _, levels = running_sup(small_path(times=[1.0, 2.0], signs=[1, -1],
+                                           mags=[math.log1p(j1), math.log1p(j2)]))
+        assert np.exp(levels).tolist() == pytest.approx([0.0, j1, j2 - j1],
+                                                        rel=1e-12)
 
     def test_matches_native_oracle(self):
         rng = np.random.default_rng(17)
@@ -153,27 +195,48 @@ class TestRunningSup:
             signs = rng.choice([-1, 1], len(times))
             mags = rng.uniform(LN2, 3.0, len(times))
             path = small_path(times=times, signs=signs, mags=mags)
-            got = [lvl.decode() for _, lvl in running_sup(path)[1:]]
+            got = np.exp(running_sup(path)[1][1:])
             want = native_prefix_sups(signs, mags)
-            assert got == pytest.approx(list(want), rel=1e-11)
+            assert list(got) == pytest.approx(list(want), rel=1e-11)
 
     def test_nondecreasing_and_sign_flip_invariant(self):
         p = KAlphaParams(1.5)
         path = simulate_large_jumps(p, 30.0, 4)
-        sup = running_sup(path)
-        logs = [lvl.logmag for _, lvl in sup]
-        assert all(b >= a for a, b in zip(logs, logs[1:]))
+        times, levels = running_sup(path)
+        assert np.all(np.diff(levels) >= 0)
         flipped = EventPath(params=path.params, horizon=path.horizon,
                             seed=path.seed, times=path.times,
                             signs=-path.signs, log1p_mags=path.log1p_mags)
-        assert [lvl for _, lvl in running_sup(flipped)] == \
-               [lvl for _, lvl in sup]
+        flipped_times, flipped_levels = running_sup(flipped)
+        assert np.array_equal(flipped_times, times)
+        assert np.array_equal(flipped_levels, levels)
 
     def test_huge_magnitudes_stay_in_log_domain(self):
         path = small_path(times=[1.0, 2.0], signs=[1, 1], mags=[4000.0, 5000.0])
-        sup = running_sup(path)
-        assert sup[-1][1].logmag > 4999.0
-        assert sup[-1][1].decode() is None   # far beyond native floats
+        _, levels = running_sup(path)
+        assert levels[-1] > 4999.0
+        assert levels[-1] > LOG_FLOAT_MAX   # far beyond native floats
+
+    def test_dynamic_range_e5000(self):
+        # at these magnitudes ln|jump| = log1p_mag to the last bit, so the
+        # levels are e - 1, e^5000 (the small jump is far below its ulp),
+        # 3 e^5000 (e^5000 + 2 e^5000), and 3 e^5000 again
+        path = small_path(times=[1.0, 2.0, 3.0, 4.0], signs=[1, 1, 1, -1],
+                          mags=[1.0, 5000.0, 5000.0 + LN2, 2.0])
+        _, levels = running_sup(path)
+        want = [math.log(math.e - 1.0), 5000.0, 5000.0 + math.log(3.0),
+                5000.0 + math.log(3.0)]
+        # an absolute error in ln(level) is a relative error in the level;
+        # the ulp of 5000 is 9.1e-13
+        assert levels[1:].tolist() == pytest.approx(want, rel=0.0, abs=1e-11)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(adversarial_paths())
+    def test_matches_exact_rational_sups(self, path):
+        want = exact_prefix_sups(path.signs.tolist(), path.log1p_mags.tolist())
+        _, levels = running_sup(path)
+        got = np.exp(levels[1:]).tolist()
+        assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0.0)
 
 
 class TestCompose:
@@ -279,15 +342,3 @@ class TestEnsembles:
         ens = simulate_many(p, 5.0, 42, 2)
         assert ens[0].spawn_key == (0,)
         assert ens[1].spawn_key == (1,)
-
-
-class TestJumpEvent:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JumpEvent(1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            JumpEvent(1.0, 1, 0.1)
-
-    def test_value(self):
-        ev = JumpEvent(1.0, -1, math.log1p(3.0))
-        assert ev.value().decode() == pytest.approx(-3.0, rel=1e-12)

@@ -47,12 +47,9 @@ def grid_exceedance_indicator(path, env, n_grid=10_000):
     """(ts, indicator) of sup-level > envelope on a dense grid, log domain."""
     from kalpha.paths import running_sup
 
-    sup = running_sup(path)
-    times = [t for t, _ in sup]
-    levels = [lvl for _, lvl in sup]
+    times, levels = running_sup(path)
     ts = np.linspace(1.0, path.horizon, n_grid)
-    idx = np.searchsorted(times, ts, side="right") - 1
-    log_levels = np.array([levels[i].logmag for i in idx])
+    log_levels = levels[np.searchsorted(times, ts, side="right") - 1]
     log_env = np.array([env.log_value(t) for t in ts])
     return ts, log_levels > log_env
 
