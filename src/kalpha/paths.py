@@ -11,6 +11,7 @@ across workers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,8 @@ from .numerics import LN2, SignedLogValue
 
 RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
+BLOCK = 8192                      # event lines written or read at a time
+EVENT_FIELDS = ("t", "sign", "log1p_mag")
 
 
 def derive_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -130,9 +133,10 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
     times = np.sort(rng.random(n) * horizon)
     # sorted uniforms tie with probability ~0; nudge upward so the
     # strictly-increasing invariant holds
-    for i in range(1, n):
-        if times[i] <= times[i - 1]:
-            times[i] = np.nextafter(times[i - 1], np.inf)
+    if np.any(np.diff(times) <= 0):
+        for i in range(1, n):
+            if times[i] <= times[i - 1]:
+                times[i] = np.nextafter(times[i - 1], np.inf)
     signs = rng.integers(0, 2, n) * 2 - 1
     u = 1.0 - rng.random(n)            # uniform on (0, 1]
     mags = LN2 * u ** (-1.0 / params.alpha)
@@ -296,14 +300,19 @@ def _header(path: EventPath | GridPath, component: str, *extras) -> str:
 
 
 def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
-    """Write a path as JSONL: one metadata record, then one record per event.
+    """Write a path as JSONL: one metadata record, then one record per event,
+    each exactly {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape).
 
-    Floats go through repr, which round-trips bit for bit.
+    Floats go through repr, as in json.dumps, which round-trips bit for bit.
     """
     fp.write(_header(path, "large", extra_meta))
-    for t, s, m in zip(path.times, path.signs, path.log1p_mags):
-        fp.write(json.dumps({"t": float(t), "sign": int(s),
-                             "log1p_mag": float(m)}) + "\n")
+    for b in range(0, path.n_events, BLOCK):
+        block = slice(b, b + BLOCK)
+        fp.write("".join(
+            f'{{"t": {t!r}, "sign": {s!r}, "log1p_mag": {m!r}}}\n'
+            for t, s, m in zip(path.times[block].tolist(),
+                               path.signs[block].tolist(),
+                               path.log1p_mags[block].tolist())))
 
 
 def write_grid_path(path: GridPath, fp, extra_meta: dict | None = None) -> None:
@@ -315,11 +324,89 @@ def write_grid_path(path: GridPath, fp, extra_meta: dict | None = None) -> None:
         fp.write(json.dumps({"t": float(t), "value": float(v)}) + "\n")
 
 
+# The writer's event line is {"t": T, "sign": S, "log1p_mag": M}\n.  With
+# every [0-9.eE+-] deleted it reads _SKELETON; _KEYS are its exact key
+# literals.  _TO_LIST then turns a checked block, once its log1p_mag key
+# (which holds a 1) is replaced by a comma, into the body of a JSON list.
+_SKELETON = '{"t": , "sign": , "logp_mag": }\n'
+_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
+_KEYS = ('{"t": ', ', "sign": ', ', "log1p_mag": ')
+_TO_LIST = str.maketrans({c: None for c in '{"t:sign}'} | {"\n": ","})
+
+
+def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
+    """(times, signs, log1p_mags) as float arrays for a block of event lines
+    that all have the writer's exact record shape, else None.
+
+    One json.loads parses every number in the block, so the number
+    grammar and the int/float types are exactly JSON's; anything it
+    refuses, or an integer too large for a float, also gives None.
+    """
+    text = "".join(lines)
+    n = len(lines)
+    if (text.translate(_NUMBER_CHARS) != _SKELETON * n
+            or any(text.count(key) != n for key in _KEYS)):
+        return None
+    body = text.replace(_KEYS[2], ",").translate(_TO_LIST)
+    try:
+        values = json.loads(f"[{body[:-1]}]")
+        return tuple(np.array(values[i::3], dtype=float) for i in range(3))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _json_line(line: str, lineno: int):
+    """json.loads for one line of a path file; errors name the line."""
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
+
+
+def _parse_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, ...]:
+    """(times, signs, log1p_mags) as float arrays, one record at a time.
+
+    Accepts any JSON object per line that has the three fields as
+    numbers (ints or floats, not bools), in any key order, spacing or
+    with extra keys; blank lines are skipped.  Errors name the line.
+    """
+    rows = []
+    for lineno, line in enumerate(lines, first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        rec = _json_line(line, lineno)
+        try:
+            values = [rec[key] for key in EVENT_FIELDS]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"line {lineno}: an event record needs t, sign and "
+                             f"log1p_mag ({type(exc).__name__}: {exc})") from None
+        row = []
+        for key, v in zip(EVENT_FIELDS, values):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"line {lineno}: {key} must be a number, "
+                                 f"got {v!r:.40}")
+            try:
+                row.append(float(v))
+            except OverflowError:
+                raise ValueError(f"line {lineno}: {key} is too large for a "
+                                 f"float") from None
+        rows.append(row)
+    return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
+
+
 def read_event_path(fp) -> EventPath:
+    """Read a path file written by write_event_path.
+
+    Event lines are read BLOCK at a time.  A block in the writer's exact
+    record shape is parsed in one piece; any other block goes through
+    the per-line validator, so every JSONL shape with numeric t, sign and
+    log1p_mag fields is accepted.
+    """
     header = fp.readline()
     if not header:
         raise ValueError("empty path file")
-    meta = json.loads(header)
+    meta = _json_line(header, 1)
     if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported path header {header.strip()[:80]!r}")
     if meta.get("component") != "large":
@@ -333,22 +420,15 @@ def read_event_path(fp) -> EventPath:
             raise ValueError(f"path header {key} must be a finite number, got {v!r}")
     if isinstance(meta["seed"], bool) or not isinstance(meta["seed"], int):
         raise ValueError(f"path header seed must be an integer, got {meta['seed']!r}")
-    times, signs, mags = [], [], []
-    try:
-        for lineno, line in enumerate(fp, 2):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            times.append(rec["t"])
-            signs.append(rec["sign"])
-            mags.append(rec["log1p_mag"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"line {lineno}: an event record needs t, sign and "
-                         f"log1p_mag ({type(exc).__name__}: {exc})") from None
+    blocks = [(np.empty(0),) * 3]
+    for first_lineno in itertools.count(2, BLOCK):
+        lines = list(itertools.islice(fp, BLOCK))
+        if not lines:
+            break
+        blocks.append(_parse_block(lines) or _parse_lines(lines, first_lineno))
+    times, signs, mags = (np.concatenate(col) for col in zip(*blocks))
     return EventPath(params=KAlphaParams(meta["alpha"]),
                      horizon=meta["horizon"], seed=meta["seed"],
-                     times=np.array(times), signs=np.array(signs),
-                     log1p_mags=np.array(mags),
+                     times=times, signs=signs, log1p_mags=mags,
                      spawn_key=tuple(meta.get("spawn_key", ())),
                      rng_name=meta.get("rng_name", RNG_NAME))

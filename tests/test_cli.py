@@ -331,8 +331,18 @@ class TestBadInput:
         lambda meta, rec: meta.update(horizon=float("nan")),
         lambda meta, rec: meta.update(alpha="x"),
         lambda meta, rec: meta.update(horizon="x"),
+        lambda meta, rec: rec.update(log1p_mag="0.9"),
+        lambda meta, rec: rec.update(t=str(rec["t"])),
+        lambda meta, rec: rec.update(sign=True),
+        lambda meta, rec: rec.update(t=True),
+        lambda meta, rec: rec.update(log1p_mag=10 ** 400),
+        lambda meta, rec: rec.update(t=None),
+        lambda meta, rec: rec.update(sign=[1]),
+        lambda meta, rec: rec.update(log1p_mag={"value": 0.9}),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
-            "fractional-sign", "nan-horizon", "string-alpha", "string-horizon"])
+            "fractional-sign", "nan-horizon", "string-alpha", "string-horizon",
+            "string-magnitude", "string-time", "bool-sign", "bool-time",
+            "int-magnitude-beyond-float", "null-time", "list-sign", "object-magnitude"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()
@@ -345,6 +355,22 @@ class TestBadInput:
                     "--envelope", "exp:c=1.0"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mangle", [
+        lambda meta, rec: rec.update(sign=float(rec["sign"])),
+        lambda meta, rec: rec.update(log1p_mag=10 ** 299),
+    ], ids=["float-sign", "300-digit-magnitude"])
+    def test_other_numeric_forms_accepted(self, mangle, sample_path_file,
+                                          tmp_path, capsys):
+        lines = sample_path_file.read_text().splitlines()
+        meta, rec = json.loads(lines[0]), json.loads(lines[1])
+        mangle(meta, rec)
+        odd = tmp_path / "odd.jsonl"
+        odd.write_text("\n".join([json.dumps(meta), json.dumps(rec)]
+                                 + lines[2:]) + "\n")
+        assert run(["diagnose", "--in", str(odd),
+                    "--envelope", "exp:c=1.0"]) == EXIT_OK
+        json.loads(capsys.readouterr().out, parse_constant=reject_constant)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("args", [

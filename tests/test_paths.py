@@ -1,4 +1,6 @@
+import contextlib
 import io
+import json
 import math
 import tempfile
 from fractions import Fraction
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
-from kalpha.paths import (EventPath, GridPath, band_rate, band_variance,
-                          compose, read_event_path, running_sup,
-                          simulate_large_jumps, simulate_many,
+from kalpha.paths import (BLOCK, EVENT_FIELDS, EventPath, GridPath,
+                          _parse_block, _parse_lines, band_rate,
+                          band_variance, compose, read_event_path,
+                          running_sup, simulate_large_jumps, simulate_many,
                           simulate_small_jumps, write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
@@ -311,6 +315,60 @@ class TestPersistence:
         assert meta["rng_name"] == "philox4x64"
         assert meta["spawn_key"] == [2]
 
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_round_trip_at_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        path = small_path(horizon=float(n + 1),
+                          times=np.arange(n) + rng.random(n),
+                          signs=rng.choice([-1, 1], n),
+                          mags=LN2 + rng.exponential(5.0, n))
+        buf = io.StringIO()
+        write_event_path(path, buf)
+        assert buf.getvalue().count("\n") == n + 1
+        buf.seek(0)
+        back = read_event_path(buf)
+        for field in ("times", "signs", "log1p_mags"):
+            a, b = getattr(back, field), getattr(path, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_writer_matches_json_dumps_per_event(self):
+        # exponent-form reprs included: 5e-324, 1e-05 and 1e+16
+        times = [5e-324, 1e-05, 0.1, 1.0, 1e+16]
+        mags = [LN2, 1e-05 + 1.0, 1e+16, 1.7976931348623157e+308, 2.5]
+        path = small_path(horizon=1e+17, times=times, signs=[1, -1, 1, 1, -1],
+                          mags=mags)
+        buf = io.StringIO()
+        write_event_path(path, buf)
+        events = buf.getvalue().splitlines(keepends=True)[1:]
+        assert events == [json.dumps({"t": float(t), "sign": int(s),
+                                      "log1p_mag": float(m)}) + "\n"
+                          for t, s, m in zip(path.times, path.signs,
+                                             path.log1p_mags)]
+
+    def test_malformed_line_in_second_block_names_its_line(self):
+        path = small_path(horizon=float(BLOCK + 10),
+                          times=np.arange(BLOCK + 5) + 0.5,
+                          signs=np.ones(BLOCK + 5, dtype=np.int64),
+                          mags=np.full(BLOCK + 5, 1.0))
+        buf = io.StringIO()
+        write_event_path(path, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        bad = BLOCK + 4           # header is line 1, so event BLOCK + 2
+        lines[bad - 1] = lines[bad - 1].replace('"sign"', '"sgn"')
+        with pytest.raises(ValueError, match=f"^line {bad}: "):
+            read_event_path(io.StringIO("".join(lines)))
+
+    def test_deeply_nested_line_is_a_value_error(self):
+        path = small_path(times=[1.0], signs=[1], mags=[1.0])
+        buf = io.StringIO()
+        write_event_path(path, buf)
+        header, event = buf.getvalue().splitlines(keepends=True)
+        nested = "[" * 100_000 + "\n"
+        for text, lineno in ((nested, 1), (header + nested, 2),
+                             (header + event + nested, 3)):
+            with pytest.raises(ValueError, match=f"^line {lineno}: invalid JSON"):
+                read_event_path(io.StringIO(text))
+
     def test_rejects_foreign_files(self):
         with pytest.raises(ValueError):
             read_event_path(io.StringIO(""))
@@ -342,3 +400,111 @@ class TestEnsembles:
         ens = simulate_many(p, 5.0, 42, 2)
         assert ens[0].spawn_key == (0,)
         assert ens[1].spawn_key == (1,)
+
+
+# Block texts for the differential fuzz of the event-line codec: valid
+# records in the writer's shape, with a few lines bent into other valid
+# or invalid JSONL shapes.
+ODD_TOKENS = ["+1.5", "01.5", "1e5", "1E+5", "-0", "-0.0", "1.0", "1", "NaN",
+              "Infinity", "-Infinity", "true", "false", "null", '"0.9"',
+              "[1.5]", '{"v": 1.5}', "1" + "0" * 400, "", ".5", "1.", "1e",
+              "1.5.5", "--1", "0x10", "5e-324", "1e400"]
+ODD_KEYS = ["t1", "1t", "T", "si1gn", "sign ", "log1p_mag1", "lo1gp_mag",
+            "logp_mag", "log1p-mag"]
+MUTATIONS = ["value", "exponent", "float-sign", "reorder", "rename", "extra",
+             "spacing", "blank"]
+
+
+@st.composite
+def event_blocks(draw):
+    """(text, canonical): up to 12 event lines, canonical when every line
+    is exactly what write_event_path writes."""
+    n = draw(st.integers(0, 12))
+    mags = draw(st.lists(st.floats(min_value=LN2, max_value=50.0),
+                         min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    rows = [{"keys": list(EVENT_FIELDS), "values": [0.5 * (i + 1), s, m],
+             "tokens": [repr(0.5 * (i + 1)), repr(s), repr(m)],
+             "colon": ": ", "comma": ", ", "extra": "", "blank": False}
+            for i, (s, m) in enumerate(zip(signs, mags))]
+    canonical = True
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        j = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(MUTATIONS))
+        canonical = False
+        if kind == "value":
+            row["tokens"][j] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "exponent":
+            row["tokens"][j] = f"{row['values'][j]:e}"
+        elif kind == "float-sign":
+            row["tokens"][1] += ".0"
+        elif kind == "reorder":
+            order = draw(st.permutations([0, 1, 2]))
+            row["keys"] = [row["keys"][k] for k in order]
+            row["tokens"] = [row["tokens"][k] for k in order]
+        elif kind == "rename":
+            row["keys"][j] = draw(st.sampled_from(ODD_KEYS))
+        elif kind == "extra":
+            row["extra"] = draw(st.sampled_from([', "x": 1', ', "t2": 5',
+                                                 ', "note": "a"']))
+        elif kind == "spacing":
+            row["colon"], row["comma"] = draw(st.sampled_from(
+                [(":", ","), (":  ", ", "), (": ", " , "), (":\t", ",\t")]))
+        else:
+            row["blank"] = True
+    lines = []
+    for row in rows:
+        if row["blank"]:
+            lines.append(draw(st.sampled_from(["", "   "])))
+        fields = row["comma"].join(f'"{k}"{row["colon"]}{v}'
+                                   for k, v in zip(row["keys"], row["tokens"]))
+        lines.append("{" + fields + row["extra"] + "}")
+    text = "".join(line + "\n" for line in lines)
+    if text and draw(st.booleans()):
+        text, canonical = text[:-1], False
+    return text, canonical
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+class TestBlockCodec:
+    HEADER = json.dumps({"format_version": 1, "alpha": 1.5, "horizon": 1000.0,
+                         "seed": 0, "rng_name": "philox4x64",
+                         "component": "large"}) + "\n"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(event_blocks())
+    def test_fast_block_parse_matches_per_line_reference(self, block):
+        text, canonical = block
+        lines = io.StringIO(text).readlines()
+        fast = _parse_block(lines)
+        try:
+            ref = _parse_lines(lines, 2)
+        except ValueError:
+            ref = None
+        if canonical:
+            assert fast is not None
+        if fast is not None:
+            assert ref is not None
+            for a, b in zip(fast, ref):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(event_blocks())
+    def test_cli_exit_codes_and_strict_json(self, block):
+        text, _ = block
+        with tempfile.TemporaryDirectory() as tmp:
+            infile = Path(tmp) / "p.jsonl"
+            infile.write_text(self.HEADER + text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["diagnose", "--in", str(infile),
+                           "--envelope", "exp:c=1"])
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert err.getvalue().startswith("error: ")
