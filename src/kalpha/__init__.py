@@ -21,10 +21,8 @@ from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
 from .numerics import (LN2, QuadratureError, QuadResult, SignedLogValue,
                        SLV_ZERO, SubdivisionLimitError, adaptive_quad,
                        slv_sum)
-from .paths import (EventPath, GridPath, band_rate, band_variance, compose,
-                    read_event_path, running_sup, simulate_large_jumps,
-                    simulate_many, simulate_small_jumps, write_event_path,
-                    write_grid_path)
+from .paths import (EventPath, read_event_path, running_sup,
+                    simulate_large_jumps, simulate_many, write_event_path)
 from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
                      k_norm, kbeta_norm, pair_white_noise, parse_descriptor,
                      parse_test_function, s_norm)
@@ -37,10 +35,8 @@ __all__ = [
     "ConsistencyError", "levy_density", "tail_one_sided", "log_mag_survival",
     "inverse_tail", "truncated_moment", "solve_crossover", "pruitt_index",
     "laplace_exponent", "upper_function_integral", "classify_support",
-    "EventPath", "GridPath", "simulate_large_jumps",
-    "simulate_small_jumps", "simulate_many", "band_rate", "band_variance",
-    "running_sup", "compose", "write_event_path", "write_grid_path",
-    "read_event_path",
+    "EventPath", "simulate_large_jumps", "simulate_many", "running_sup",
+    "write_event_path", "read_event_path",
     "ExceedanceReport", "MomentScan", "PruittSlopeReport",
     "envelope_exceedances", "build_exceedance_report", "growth_scan",
     "moment_scan", "pruitt_slope",

@@ -25,8 +25,7 @@ from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                       classify_support)
 from .numerics import QuadratureError
 from .paths import (RNG_NAME, read_event_path, simulate_large_jumps,
-                    simulate_many, simulate_small_jumps, write_event_path,
-                    write_grid_path)
+                    simulate_many, write_event_path)
 from .spaces import pair_white_noise, parse_descriptor, parse_test_function
 
 EXIT_OK = 0
@@ -173,31 +172,25 @@ def _cmd_simulate(args) -> int:
         raise ValueError("horizon must be positive")
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
-                       "paths": args.paths, "small": bool(args.small),
-                       "eps": args.eps, "grid_step": args.grid_step}
+                       "paths": args.paths}
     meta = {"manifest": _manifest("simulate", manifest_params, seed)}
 
     out = Path(args.out)
     if args.paths == 1:
-        jobs = [(write_event_path, out,
-                 simulate_large_jumps(params, args.horizon, seed))]
+        jobs = [(out, simulate_large_jumps(params, args.horizon, seed))]
     else:
         ensemble = simulate_many(params, args.horizon, seed, args.paths,
                                  workers=args.workers)
-        jobs = [(write_event_path,
-                 out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
+        jobs = [(out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
                 for i, path_obj in enumerate(ensemble)]
-    if args.small:
-        grid = simulate_small_jumps(params, args.horizon, seed,
-                                    eps=args.eps, grid_step=args.grid_step)
-        jobs.append((write_grid_path,
-                     out.with_name(out.stem + ".small" + out.suffix), grid))
 
-    for write, target, path_obj in jobs:
+    for target, path_obj in jobs:
         with open(target, "w") as fp:
-            write(path_obj, fp, extra_meta=meta)
+            write_event_path(path_obj, fp, extra_meta=meta)
         print(target)
     return EXIT_OK
 
@@ -369,10 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, default=1,
                      help="write this many paths with derived seeds")
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--small", action="store_true",
-                     help="also write the small-jump grid component")
-    sim.add_argument("--eps", type=_finite_float, default=1e-3)
-    sim.add_argument("--grid-step", type=_finite_float, default=None)
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .numerics import LN2, QuadResult, adaptive_quad
 
@@ -28,10 +27,8 @@ class ConsistencyError(Exception):
 class KAlphaParams:
     """Process index plus the derived constants used everywhere else.
 
-    trunc_mass is the total two-sided mass of the large-jump part,
-    2/(alpha ln^alpha 2); small_var is the variance rate of the
-    small-jump part, 2 * integral of (e^u - 1)^2 u^-(1+alpha) over
-    (0, ln 2], computed on first use.
+    trunc_mass is the total two-sided mass of the large-jump part
+    (|x| > 1), 2/(alpha ln^alpha 2), the rate of the simulated paths.
     """
 
     alpha: float
@@ -43,10 +40,6 @@ class KAlphaParams:
                 f"alpha must lie in the open interval (0, 2), got {self.alpha!r}")
         a = self.alpha
         object.__setattr__(self, "trunc_mass", 2.0 / (a * LN2 ** a))
-
-    @cached_property
-    def small_var(self) -> float:
-        return 2.0 * jump_moment_integral(2, 0.0, LN2, self.alpha, tol=1e-13)
 
 
 def jump_moment_integral(eta, lo: float, hi: float, alpha: float,
@@ -169,8 +162,11 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
     against the truncated measure on (1, inf).
 
     Zero at lam = 0, nondecreasing and concave, saturating at
-    tail_one_sided(1).  The exponential factor switches to its
-    asymptotic value 1 once lam*x > 745 to avoid underflow churn.
+    tail_one_sided(1).  On the saturated plateau (lam from about 40 up)
+    computed values may drop by a few ulp between neighbouring lam,
+    within the quadrature tolerance tol=1e-13.  The exponential factor
+    switches to its asymptotic value 1 once lam*x > 745 to avoid
+    underflow churn.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")

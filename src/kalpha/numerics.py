@@ -46,7 +46,7 @@ class SignedLogValue:
 
     sign is -1, 0 or +1.  Zero is canonicalised to (0, -inf) so that
     fieldwise equality works and magnitude comparison reduces to
-    comparing logmag.  Addition and multiplication never overflow,
+    comparing logmag.  Addition and subtraction never overflow,
     whatever the magnitude.
     """
 
@@ -114,11 +114,6 @@ class SignedLogValue:
 
     def __sub__(self, other: "SignedLogValue") -> "SignedLogValue":
         return self + (-other)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SLV_ZERO
-        return SignedLogValue(self.sign * other.sign, self.logmag + other.logmag)
 
 
 SLV_ZERO = SignedLogValue(0, -math.inf)

@@ -1,5 +1,9 @@
-"""Sample path synthesis: exact large-jump event lists, the variance-matched
-small-jump component on a grid, running suprema, and JSONL persistence.
+"""Sample path synthesis: exact large-jump event lists, running suprema,
+and JSONL persistence.
+
+Only the jumps with |x| > 1 are simulated.  The rest of the process has
+every exponential moment, so it lies in S' (Dalang & Humeau, Ann.
+Probab. 45, 2017) and cannot change any support verdict.
 
 The large-jump component is compound Poisson with rate trunc_mass; jump
 magnitudes are never materialised as native floats because ell = ln(1+|x|)
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import KAlphaParams, jump_moment_integral
-from .numerics import LN2, SignedLogValue
+from .measure import KAlphaParams
+from .numerics import LN2
 
 RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
@@ -89,34 +93,6 @@ class EventPath:
         return m + np.log1p(-np.exp(-m))
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """Small-jump component sampled on a uniform grid (native floats,
-    every jump in this component has magnitude at most 1)."""
-
-    params: KAlphaParams
-    horizon: float
-    seed: int
-    eps: float
-    grid_step: float
-    times: np.ndarray
-    values: np.ndarray
-    spawn_key: tuple[int, ...] = ()
-    rng_name: str = RNG_NAME
-
-    def __post_init__(self):
-        t = _readonly(np.asarray(self.times, dtype=float))
-        v = _readonly(np.asarray(self.values, dtype=float))
-        if len(t) != len(v) or len(t) < 1:
-            raise ValueError("grid arrays must be nonempty and of equal length")
-        if v[0] != 0.0:
-            raise ValueError("grid path must start at zero")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid path values must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-
 def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
                          spawn_key: tuple[int, ...] = ()) -> EventPath:
     """Compound Poisson large-jump path on [0, horizon].
@@ -143,72 +119,6 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
     return EventPath(params=params, horizon=float(horizon), seed=int(seed),
                      times=times, signs=signs, log1p_mags=mags,
                      spawn_key=tuple(spawn_key))
-
-
-def band_rate(params: KAlphaParams, eps: float) -> float:
-    """Poisson rate of the exactly-simulated jumps with magnitude in (eps, 1]."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    a = params.alpha
-    return (2.0 / a) * (math.log1p(eps) ** (-a) - LN2 ** (-a))
-
-
-def band_variance(params: KAlphaParams, eps: float) -> float:
-    """Variance rate of the Brownian surrogate for jumps with |x| <= eps."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    return 2.0 * jump_moment_integral(2, 0.0, math.log1p(eps), params.alpha,
-                                      tol=1e-13)
-
-
-def simulate_small_jumps(params: KAlphaParams, horizon: float, seed: int,
-                         eps: float = 1e-3, grid_step: float | None = None,
-                         spawn_key: tuple[int, ...] = ()) -> GridPath:
-    """Small-jump component on a uniform grid.
-
-    Jumps with magnitude in (eps, 1] are simulated exactly as compound
-    Poisson (no drift compensation is needed: the measure is symmetric,
-    so the compensator vanishes).  The remainder below eps is replaced
-    by a Brownian surrogate whose variance rate matches the replaced
-    jumps exactly; its fidelity beyond second moments is not claimed.
-    Draw order: band event count, band times, band signs, band
-    magnitudes, then the grid of standard normals.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if grid_step is None:
-        grid_step = horizon / 1024.0
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    n_cells = max(1, round(horizon / grid_step))
-    times = np.linspace(0.0, horizon, n_cells + 1)
-
-    rng = derive_rng(seed, spawn_key)
-    a = params.alpha
-    rate = band_rate(params, eps)
-    n_band = int(rng.poisson(rate * horizon))
-    band_t = np.sort(rng.random(n_band) * horizon)
-    band_sign = rng.integers(0, 2, n_band) * 2 - 1
-    v = rng.random(n_band)
-    lo_a = math.log1p(eps) ** (-a)
-    hi_a = LN2 ** (-a)
-    ells = (lo_a + v * (hi_a - lo_a)) ** (-1.0 / a)
-    band_x = band_sign * np.expm1(ells)
-
-    sigma2 = band_variance(params, eps)
-    dt = np.diff(times)
-    increments = rng.standard_normal(n_cells) * np.sqrt(sigma2 * dt)
-    brownian = np.concatenate(([0.0], np.cumsum(increments)))
-
-    # add each band jump to every grid point at or after its event time
-    jump_cum = np.concatenate(([0.0], np.cumsum(band_x)))
-    idx = np.searchsorted(band_t, times, side="right")
-    values = brownian + jump_cum[idx]
-    values[0] = 0.0
-
-    return GridPath(params=params, horizon=float(horizon), seed=int(seed),
-                    eps=float(eps), grid_step=float(grid_step),
-                    times=times, values=values, spawn_key=tuple(spawn_key))
 
 
 def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,20 +156,6 @@ def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
     return np.append(0.0, path.times), np.maximum.accumulate(logmag)
 
 
-def compose(large: EventPath, small: GridPath) -> list[tuple[float, SignedLogValue]]:
-    """Full path (small + large) sampled on the small path's grid."""
-    if large.params.alpha != small.params.alpha:
-        raise ValueError("components were simulated with different alpha")
-    if large.horizon != small.horizon:
-        raise ValueError("components were simulated with different horizons")
-    sign, logmag = _log_prefix_sums(large.log_jumps, large.signs)
-    # K after the events at or before each grid time
-    idx = np.searchsorted(large.times, small.times, side="right")
-    return [(float(t), SignedLogValue.from_log(int(sign[i]), float(logmag[i]))
-             + SignedLogValue.encode(float(v)))
-            for t, i, v in zip(small.times, idx, small.values)]
-
-
 def simulate_many(params: KAlphaParams, horizon: float, seed: int,
                   n_paths: int, workers: int = 1) -> list[EventPath]:
     """n_paths independent large-jump paths with derived seeds.
@@ -282,30 +178,24 @@ def simulate_many(params: KAlphaParams, horizon: float, seed: int,
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def _header(path: EventPath | GridPath, component: str, *extras) -> str:
-    """The metadata line that opens every path file."""
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "alpha": path.params.alpha,
-        "horizon": path.horizon,
-        "seed": path.seed,
-        "rng_name": path.rng_name,
-        "component": component,
-    }
-    if path.spawn_key:
-        meta["spawn_key"] = list(path.spawn_key)
-    for extra in extras:
-        meta.update(extra or {})
-    return json.dumps(meta) + "\n"
-
-
 def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
     """Write a path as JSONL: one metadata record, then one record per event,
     each exactly {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape).
 
     Floats go through repr, as in json.dumps, which round-trips bit for bit.
     """
-    fp.write(_header(path, "large", extra_meta))
+    meta = {
+        "format_version": FORMAT_VERSION,
+        "alpha": path.params.alpha,
+        "horizon": path.horizon,
+        "seed": path.seed,
+        "rng_name": path.rng_name,
+        "component": "large",
+    }
+    if path.spawn_key:
+        meta["spawn_key"] = list(path.spawn_key)
+    meta.update(extra_meta or {})
+    fp.write(json.dumps(meta) + "\n")
     for b in range(0, path.n_events, BLOCK):
         block = slice(b, b + BLOCK)
         fp.write("".join(
@@ -313,15 +203,6 @@ def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> Non
             for t, s, m in zip(path.times[block].tolist(),
                                path.signs[block].tolist(),
                                path.log1p_mags[block].tolist())))
-
-
-def write_grid_path(path: GridPath, fp, extra_meta: dict | None = None) -> None:
-    """Write a small-jump grid path as JSONL: one metadata record, then
-    one {"t", "value"} record per grid point."""
-    fp.write(_header(path, "small",
-                     {"eps": path.eps, "grid_step": path.grid_step}, extra_meta))
-    for t, v in zip(path.times, path.values):
-        fp.write(json.dumps({"t": float(t), "value": float(v)}) + "\n")
 
 
 # The writer's event line is {"t": T, "sign": S, "log1p_mag": M}\n.  With
@@ -420,6 +301,14 @@ def read_event_path(fp) -> EventPath:
             raise ValueError(f"path header {key} must be a finite number, got {v!r}")
     if isinstance(meta["seed"], bool) or not isinstance(meta["seed"], int):
         raise ValueError(f"path header seed must be an integer, got {meta['seed']!r}")
+    spawn_key = meta.get("spawn_key", [])
+    if not (isinstance(spawn_key, list)
+            and all(type(k) is int and k >= 0 for k in spawn_key)):
+        raise ValueError("path header spawn_key must be a list of non-negative "
+                         f"integers, got {spawn_key!r:.40}")
+    rng_name = meta.get("rng_name", RNG_NAME)
+    if not isinstance(rng_name, str):
+        raise ValueError(f"path header rng_name must be a string, got {rng_name!r:.40}")
     blocks = [(np.empty(0),) * 3]
     for first_lineno in itertools.count(2, BLOCK):
         lines = list(itertools.islice(fp, BLOCK))
@@ -430,5 +319,4 @@ def read_event_path(fp) -> EventPath:
     return EventPath(params=KAlphaParams(meta["alpha"]),
                      horizon=meta["horizon"], seed=meta["seed"],
                      times=times, signs=signs, log1p_mags=mags,
-                     spawn_key=tuple(meta.get("spawn_key", ())),
-                     rng_name=meta.get("rng_name", RNG_NAME))
+                     spawn_key=tuple(spawn_key), rng_name=rng_name)

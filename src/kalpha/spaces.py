@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .numerics import SLV_ZERO, SignedLogValue
-from .paths import EventPath, GridPath
+from .paths import EventPath
 
 _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
@@ -453,8 +453,7 @@ def _segment_levels(lj: list, signs: list) -> tuple[list, list]:
     return a, hi
 
 
-def pair_white_noise(path: EventPath, phi: TestFunction,
-                     small: GridPath | None = None) -> PairingResult:
+def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
     """Exact pairing for the piecewise-constant large-jump path.
 
     The path is constant between events, so -integral K phi' over
@@ -471,10 +470,8 @@ def pair_white_noise(path: EventPath, phi: TestFunction,
     K(horizon) * phi(horizon), summed the same way but sharing nothing
     with the stack pass; the boundary piece cannot be dropped because
     a huge jump makes it significant even when phi(horizon) is tiny.
-    With a small-jump grid path supplied, its (ordinary, finite)
-    contribution is added to both forms by trapezoidal quadrature;
-    rel_err is computed from the jump parts alone, which is where the
-    two algorithms differ.
+    Only the jumps with |x| > 1 are paired: the rest of the process lies
+    in S' and cannot change whether the pairing is bounded.
     """
     lj = path.log_jumps
     signs = path.signs.astype(float)
@@ -503,14 +500,6 @@ def pair_white_noise(path: EventPath, phi: TestFunction,
         boundary_log = k_end.logmag + math.log(abs(phi_end))
         ref_log = value.logmag if not value.is_zero else 0.0
         warn = boundary_log > ref_log + math.log(1e-9)
-
-    if small is not None:
-        grid_term = -float(np.trapezoid(
-            small.values * np.asarray(phi.deriv(1, small.times), dtype=float),
-            small.times))
-        add = SignedLogValue.encode(grid_term)
-        value = value + add
-        cross = cross + add
 
     return PairingResult(value=value, crosscheck=cross,
                          rel_err=rel_err, truncation_warning=warn)

@@ -73,20 +73,6 @@ class TestSimulate:
             b = (tmp_path / f"t-p{i:03d}.jsonl").read_text().splitlines()[1:]
             assert a == b
 
-    def test_small_component_file(self, tmp_path):
-        out = tmp_path / "p.jsonl"
-        assert run(["simulate", "--alpha", "1.0", "--horizon", "4",
-                    "--seed", "3", "--out", str(out), "--small",
-                    "--eps", "0.1", "--grid-step", "0.5"]) == EXIT_OK
-        small = tmp_path / "p.small.jsonl"
-        lines = small.read_text().splitlines()
-        meta = json.loads(lines[0])
-        assert meta["component"] == "small"
-        assert meta["eps"] == 0.1
-        recs = [json.loads(l) for l in lines[1:]]
-        assert recs[0]["value"] == 0.0
-        assert len(recs) == 9
-
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out1 = tmp_path / "e.jsonl"
         out2 = tmp_path / "f.jsonl"
@@ -310,18 +296,36 @@ class TestBadInput:
          "--plot-data", "{out}/x.csv"],
         ["diagnose", "--alpha", "1.5", "--pruitt", "etas=0.1,rs=1e100,1e200"],
         ["diagnose", "--alpha", "1.5", "--pruitt", "etas=4,rs=1e100,1e120"],
+        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
+         "--paths", "2", "--workers", "0", "--out", "{out}/p.jsonl"],
+        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
+         "--workers", "-3", "--out", "{out}/p.jsonl"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
-            "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows"])
+            "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
+            "workers-zero", "workers-negative"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
         out.mkdir()
         argv = [a.format(path=sample_path_file, out=out) for a in args]
-        assert run(argv + ["--json", str(out / "r.json")]) == EXIT_USAGE
+        if argv[0] != "simulate":       # simulate writes paths, not a report
+            argv += ["--json", str(out / "r.json")]
+        assert run(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("option", [["--small"], ["--eps", "0.1"],
+                                        ["--grid-step", "0.5"]],
+                             ids=["small", "eps", "grid-step"])
+    def test_removed_simulate_option(self, option, tmp_path, capsys):
+        out = tmp_path / "p.jsonl"
+        assert run(["simulate", "--alpha", "1.0", "--horizon", "4", "--seed",
+                    "3", "--out", str(out), *option]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "p.small.jsonl").exists()
 
     @pytest.mark.parametrize("mangle", [
         lambda meta, rec: rec.pop("sign"),
@@ -339,10 +343,21 @@ class TestBadInput:
         lambda meta, rec: rec.update(t=None),
         lambda meta, rec: rec.update(sign=[1]),
         lambda meta, rec: rec.update(log1p_mag={"value": 0.9}),
+        lambda meta, rec: meta.update(spawn_key=5),
+        lambda meta, rec: meta.update(spawn_key=["a"]),
+        lambda meta, rec: meta.update(spawn_key={"x": 1}),
+        lambda meta, rec: meta.update(spawn_key=[-1]),
+        lambda meta, rec: meta.update(spawn_key="ab"),
+        lambda meta, rec: meta.update(spawn_key=[True]),
+        lambda meta, rec: meta.update(rng_name=5),
+        lambda meta, rec: meta.update(component="small"),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
             "fractional-sign", "nan-horizon", "string-alpha", "string-horizon",
             "string-magnitude", "string-time", "bool-sign", "bool-time",
-            "int-magnitude-beyond-float", "null-time", "list-sign", "object-magnitude"])
+            "int-magnitude-beyond-float", "null-time", "list-sign", "object-magnitude",
+            "spawn-key-int", "spawn-key-strings", "spawn-key-object",
+            "spawn-key-negative", "spawn-key-string", "spawn-key-bool",
+            "rng-name-int", "component-small"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()
@@ -378,18 +393,13 @@ class TestBadInput:
          "--out", "{out}/p.jsonl"],
         ["simulate", "--alpha", "1.5", "--horizon", "{v}", "--seed", "1",
          "--out", "{out}/p.jsonl"],
-        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
-         "--small", "--eps", "{v}", "--out", "{out}/p.jsonl"],
-        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
-         "--small", "--grid-step", "{v}", "--out", "{out}/p.jsonl"],
         ["diagnose", "--in", "{path}", "--envelope", "exp:c=1",
          "--burn-in", "{v}", "--json", "{out}/r.json"],
         ["diagnose", "--alpha", "{v}", "--moment-scan", "eta=0.25,caps=10,100",
          "--json", "{out}/r.json"],
         ["classify", "--alpha", "{v}", "--betas", "2", "--json", "{out}/r.json"],
-    ], ids=["simulate-alpha", "simulate-horizon", "simulate-eps",
-            "simulate-grid-step", "diagnose-burn-in", "diagnose-alpha",
-            "classify-alpha"])
+    ], ids=["simulate-alpha", "simulate-horizon", "diagnose-burn-in",
+            "diagnose-alpha", "classify-alpha"])
     def test_non_finite_float_option(self, args, value, sample_path_file,
                                      tmp_path, capsys):
         out = tmp_path / "out"

@@ -89,19 +89,6 @@ class TestSignedLogValue:
         spread = (max(results) - min(results)) / abs(np.mean(results))
         assert spread < 1e-9
 
-    def test_mul(self):
-        a = SignedLogValue.encode(-3.0)
-        b = SignedLogValue.encode(2.0)
-        assert (a * b).decode() == pytest.approx(-6.0, rel=1e-15)
-        assert (a * b) == (b * a)
-        assert (a * SLV_ZERO).sign == 0
-
-    def test_mul_associativity(self):
-        a, b, c = (SignedLogValue.encode(v) for v in (1.5, -2.25, 8.0))
-        left = ((a * b) * c).decode()
-        right = (a * (b * c)).decode()
-        assert left == pytest.approx(right, rel=1e-14)
-
     def test_neg_abs(self):
         v = SignedLogValue.encode(-4.0)
         assert (-v).decode() == 4.0

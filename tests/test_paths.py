@@ -15,11 +15,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
-from kalpha.paths import (BLOCK, EVENT_FIELDS, EventPath, GridPath,
-                          _parse_block, _parse_lines, band_rate,
-                          band_variance, compose, read_event_path,
-                          running_sup, simulate_large_jumps, simulate_many,
-                          simulate_small_jumps, write_event_path)
+from kalpha.paths import (BLOCK, EVENT_FIELDS, EventPath, _parse_block,
+                          _parse_lines, read_event_path, running_sup,
+                          simulate_large_jumps, simulate_many,
+                          write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
 # keep hypothesis's source-constants cache out of the working tree
@@ -87,53 +86,6 @@ class TestSimulateLarge:
         counts = [simulate_large_jumps(p, 1.0, 10_000 + s).n_events
                   for s in range(1000)]
         assert poisson_chi2_pvalue(counts, p.trunc_mass) > 0.001
-
-
-class TestSimulateSmall:
-    def test_grid_invariants(self):
-        p = KAlphaParams(1.0)
-        g = simulate_small_jumps(p, 1.0, 3)
-        assert g.values[0] == 0.0
-        assert np.all(np.isfinite(g.values))
-        assert g.times[0] == 0.0 and g.times[-1] == 1.0
-
-    def test_variance_matches_measure(self):
-        # coarse band cutoff keeps the run quick; the identity
-        # band variance + exact-band variance = small_var holds for any eps
-        p = KAlphaParams(1.0)
-        vals = np.array([simulate_small_jumps(p, 1.0, s, eps=0.1,
-                                              grid_step=1 / 64).values[-1]
-                         for s in range(10_000)])
-        v = np.var(vals)
-        m4 = np.mean((vals - vals.mean()) ** 4)
-        se = math.sqrt((m4 - v * v) / len(vals))
-        assert abs(v - p.small_var) < 3.0 * se
-
-    def test_mean_is_zero(self):
-        p = KAlphaParams(1.0)
-        vals = np.array([simulate_small_jumps(p, 1.0, s, eps=0.1,
-                                              grid_step=1 / 64).values[-1]
-                         for s in range(10_000)])
-        se = vals.std() / math.sqrt(len(vals))
-        assert abs(vals.mean()) < 3.0 * se
-
-    def test_band_rate_vanishes_near_one(self):
-        p = KAlphaParams(1.0)
-        assert band_rate(p, 1.0 - 1e-12) < 1e-9
-        g = simulate_small_jumps(p, 1.0, 5, eps=1.0 - 1e-12, grid_step=1 / 64)
-        assert np.all(np.isfinite(g.values))
-
-    def test_band_variance_partitions_small_var(self):
-        p = KAlphaParams(1.3)
-        for eps in (0.01, 0.1, 0.5):
-            below = band_variance(p, eps)
-            assert 0.0 < below < p.small_var
-
-    def test_eps_domain(self):
-        p = KAlphaParams(1.0)
-        for eps in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                simulate_small_jumps(p, 1.0, 1, eps=eps)
 
 
 def exact_prefix_sups(signs, log1p_mags) -> list[Fraction]:
@@ -241,49 +193,6 @@ class TestRunningSup:
         _, levels = running_sup(path)
         got = np.exp(levels[1:]).tolist()
         assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0.0)
-
-
-class TestCompose:
-    def test_empty_large_equals_small(self):
-        p = KAlphaParams(1.0)
-        g = simulate_small_jumps(p, 2.0, 8, eps=0.1, grid_step=0.25)
-        empty = small_path(horizon=2.0)
-        out = compose(empty, g)
-        assert [v.decode() for _, v in out] == pytest.approx(list(g.values),
-                                                             rel=1e-12)
-
-    def test_zero_small_equals_large_on_grid(self):
-        p = KAlphaParams(1.0)
-        large = small_path(times=[0.5, 1.2], signs=[1, -1], mags=[1.0, 0.8])
-        grid = GridPath(params=p, horizon=10.0, seed=0, eps=0.1, grid_step=0.5,
-                        times=np.linspace(0, 10, 21),
-                        values=np.zeros(21))
-        out = compose(large, grid)
-        xs = [1.0, 0.8]
-        j1 = math.expm1(xs[0])
-        j2 = -math.expm1(xs[1])
-        for t, v in out:
-            expect = (j1 if t >= 0.5 else 0.0) + (j2 if t >= 1.2 else 0.0)
-            assert v.decode() == pytest.approx(expect, rel=1e-12, abs=1e-300)
-
-    def test_both_nonzero_against_direct_summation(self):
-        p = KAlphaParams(1.0)
-        g = simulate_small_jumps(p, 2.0, 8, eps=0.1, grid_step=0.25)
-        large = small_path(horizon=2.0, times=[0.4, 1.1], signs=[1, -1],
-                           mags=[1.5, 0.9])
-        out = compose(large, g)
-        jump_vals = [math.expm1(1.5), -math.expm1(0.9)]
-        for (t, v), gv in zip(out, g.values):
-            direct = gv + sum(j for j, tt in zip(jump_vals, [0.4, 1.1]) if tt <= t)
-            assert v.decode() == pytest.approx(direct, rel=1e-11, abs=1e-14)
-
-    def test_mismatch_rejected(self):
-        p = KAlphaParams(1.0)
-        g = simulate_small_jumps(p, 2.0, 8, eps=0.1, grid_step=0.25)
-        with pytest.raises(ValueError):
-            compose(small_path(horizon=3.0), g)
-        with pytest.raises(ValueError):
-            compose(small_path(alpha=0.5, horizon=2.0), g)
 
 
 class TestPersistence:

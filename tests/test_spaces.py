@@ -12,7 +12,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2
 from kalpha.paths import EventPath, simulate_large_jumps
-from kalpha.paths import simulate_small_jumps
 from kalpha.spaces import (Bump, ExpPoly, Gaussian, k_norm, kbeta_norm,
                            pair_white_noise, parse_test_function, s_norm)
 
@@ -249,20 +248,6 @@ class TestPairing:
         path = simulate_large_jumps(p, 10.0, 5)
         res = pair_white_noise(path, Gaussian(10.0, 1.0))
         assert res.truncation_warning
-
-    def test_small_component_contribution(self):
-        p = KAlphaParams(1.0)
-        path = simulate_large_jumps(p, 10.0, 5)
-        grid = simulate_small_jumps(p, 10.0, 5, eps=0.1)
-        phi = Bump(5.0, 2.0)
-        with_small = pair_white_noise(path, phi, small=grid)
-        without = pair_white_noise(path, phi)
-        assert with_small.value != without.value
-        # the grid adds the same term to both forms
-        d1 = with_small.value - without.value
-        d2 = with_small.crosscheck - without.crosscheck
-        assert d1.decode() == pytest.approx(d2.decode(), rel=1e-9)
-
 
 def reference_pairing(path, phi) -> Fraction:
     """-integral K phi' by the dominant-jump regrouping, in exact rationals.
