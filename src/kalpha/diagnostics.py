@@ -136,8 +136,7 @@ def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
         times, levels = running_sup(p)
         np.maximum(best, levels[np.searchsorted(times, ts, side="right") - 1],
                    out=best)
-    return [(t, SignedLogValue.from_log(int(lvl > -math.inf),
-                                        -math.log(t) / eta + lvl))
+    return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
             for t, lvl in zip(ts, best.tolist())]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .numerics import LN2, QuadResult, adaptive_quad
+from .numerics import LN2, LOG_FLOAT_MAX, QuadResult, adaptive_quad
 
 
 class ConsistencyError(Exception):
@@ -46,7 +46,21 @@ def jump_moment_integral(eta, lo: float, hi: float, alpha: float,
                          tol: float) -> float:
     """Integral over [lo, hi] of (e^u - 1)^eta u^-(1+alpha) du: the
     one-sided eta-th absolute moment of the jumps with ln(1+|x|) in
-    [lo, hi]."""
+    [lo, hi].  Raises ValueError when the integrand would overflow a
+    float.  For lo = ln 2 the integral then stays in range as well: it
+    is at most (hi - lo) * max(f(lo), f(hi)) for the integrand f,
+    f(ln 2) is below 3, and (hi - lo) * f(hi) is below (e^hi - 1)^eta
+    once hi >= 1."""
+    def log_f(u):
+        return eta * math.log(math.expm1(u)) - (1.0 + alpha) * math.log(u)
+
+    # u * (log_f)'(u) increases, so log_f falls then rises and the
+    # integrand, like its increasing factor (e^u - 1)^eta, peaks at an
+    # end of [lo, hi]; the margin covers the rounding of the logs
+    log_peak = max(log_f(lo), log_f(hi), eta * math.log(math.expm1(hi)))
+    if log_peak > LOG_FLOAT_MAX - 1e-9:
+        raise ValueError(f"moment integrand overflows a float: eta={eta!r}, "
+                         f"ln(1 + cap)={hi!r}")
     return adaptive_quad(lambda u: math.expm1(u) ** eta * u ** (-1.0 - alpha),
                          lo, hi, tol=tol).value
 

@@ -2,11 +2,12 @@
 
 Jump magnitudes in this package routinely exceed the native float range
 (a single large jump can have ln(1+|x|) in the thousands), so all path
-arithmetic is carried as (sign, ln of magnitude) pairs.  The quadrature
-engine is a plain adaptive Gauss-Kronrod scheme with the two extras the
-measure integrals need: dyadic treatment of the power singularity at
-u = 0 and a geometric tail test for improper upper limits that can tell
-"converges slowly" apart from "diverges".
+arithmetic is carried as (sign, ln of magnitude) pairs, and signed sums
+of such numbers are formed exactly, in one array pass, by slv_sum.  The
+quadrature engine is a plain adaptive Gauss-Kronrod scheme with the two
+extras the measure integrals need: dyadic treatment of the power
+singularity at u = 0 and a geometric tail test for improper upper
+limits that can tell "converges slowly" apart from "diverges".
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 LN2 = math.log(2.0)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -46,8 +49,8 @@ class SignedLogValue:
 
     sign is -1, 0 or +1.  Zero is canonicalised to (0, -inf) so that
     fieldwise equality works and magnitude comparison reduces to
-    comparing logmag.  Addition and subtraction never overflow,
-    whatever the magnitude.
+    comparing logmag.  This is a result record; sums of such numbers
+    are formed by slv_sum.
     """
 
     sign: int
@@ -58,21 +61,6 @@ class SignedLogValue:
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
         if self.sign == 0 and self.logmag != -math.inf:
             object.__setattr__(self, "logmag", -math.inf)
-
-    @classmethod
-    def encode(cls, x: float) -> "SignedLogValue":
-        if x == 0:
-            return SLV_ZERO
-        if not math.isfinite(x):
-            raise ValueError(f"cannot encode non-finite value {x!r}")
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_log(cls, sign: int, logmag: float) -> "SignedLogValue":
-        """Build directly from a log magnitude (sign 0 ignores logmag)."""
-        if sign == 0:
-            return SLV_ZERO
-        return cls(sign, logmag)
 
     def decode(self) -> float | None:
         """Native float value, or None when the magnitude overflows."""
@@ -86,52 +74,33 @@ class SignedLogValue:
     def is_zero(self) -> bool:
         return self.sign == 0
 
-    def __neg__(self) -> "SignedLogValue":
-        if self.sign == 0:
-            return self
-        return SignedLogValue(-self.sign, self.logmag)
-
-    def __abs__(self) -> "SignedLogValue":
-        if self.sign == 0:
-            return self
-        return SignedLogValue(1, self.logmag)
-
-    def __add__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.logmag >= other.logmag:
-            hi, lo = self, other
-        else:
-            hi, lo = other, self
-        d = lo.logmag - hi.logmag  # <= 0
-        if self.sign == other.sign:
-            return SignedLogValue(hi.sign, hi.logmag + math.log1p(math.exp(d)))
-        if d == 0.0:
-            return SLV_ZERO  # exact cancellation
-        return SignedLogValue(hi.sign, hi.logmag + _log1mexp(d))
-
-    def __sub__(self, other: "SignedLogValue") -> "SignedLogValue":
-        return self + (-other)
-
 
 SLV_ZERO = SignedLogValue(0, -math.inf)
 
 
-def _log1mexp(d: float) -> float:
-    # ln(1 - e^d) for d < 0, accurate at both ends
-    if d < -LN2:
-        return math.log1p(-math.exp(d))
-    return math.log(-math.expm1(d))
+def slv_sum(logs, coefs) -> tuple[float, float]:
+    """sum_i coefs_i * e^logs_i as (ref, total), the sum being total * e^ref.
 
-
-def slv_sum(values) -> SignedLogValue:
-    """Left fold of + over an iterable of SignedLogValue."""
-    total = SLV_ZERO
-    for v in values:
-        total = total + v
-    return total
+    Terms are scaled by e^-ref, ref being the largest log among the
+    terms that matter, and summed exactly by math.fsum (Shewchuk's
+    adaptive-precision summation), so the only rounding is one product
+    per term and the total does not depend on the order of the terms.
+    A term more than e^650 below the largest one cannot move the sum
+    and is dropped, which keeps every scale factor <= 1.  A zero sum
+    (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0).
+    """
+    logs = np.asarray(logs, dtype=float)
+    coefs = np.asarray(coefs, dtype=float)
+    live = coefs != 0.0
+    if not live.any():
+        return -math.inf, 0.0
+    logs, coefs = logs[live], coefs[live]
+    log_term = logs + np.log(np.abs(coefs))
+    keep = log_term > log_term.max() - 650.0
+    logs, coefs = logs[keep], coefs[keep]
+    ref = float(logs.max())
+    total = math.fsum(coefs * np.exp(logs - ref))
+    return (ref, total) if total != 0.0 else (-math.inf, 0.0)
 
 
 # ---------------------------------------------------------------------------

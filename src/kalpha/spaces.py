@@ -11,8 +11,8 @@ The pairing of a path's distributional derivative with a test function
 integrates -K(t) phi'(t) exactly over the constancy segments of the
 large-jump path.  The segment sum is regrouped on the max-Cartesian tree
 of the jump sizes, whose levels one O(n) stack pass builds as plain
-floats scaled by each node's own jump; the terms are then rescaled and
-summed exactly with math.fsum.  A summation-by-parts form over the
+floats scaled by each node's own jump; the terms are then summed
+exactly by numerics.slv_sum.  A summation-by-parts form over the
 jumps themselves, summed the same way, serves as an independent
 cross-check.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .numerics import SLV_ZERO, SignedLogValue
+from .numerics import SLV_ZERO, SignedLogValue, slv_sum
 from .paths import EventPath
 
 _GRID_POINTS = 1 << 16
@@ -34,12 +34,13 @@ _LOG_FLOOR = -350.0           # effective support: where the log objective dies
 
 class TestFunction:
     """Base for the built-in families.  Subclasses provide exact
-    derivatives of any requested order (the bump family caps at 8)."""
+    derivatives of any requested order (the bump family caps at 8);
+    calling a test function evaluates its derivative of order 0."""
 
     max_order = None  # unlimited unless overridden
 
     def __call__(self, x):
-        raise NotImplementedError
+        return self.deriv(0, x)
 
     def deriv(self, n, x):
         raise NotImplementedError
@@ -87,11 +88,6 @@ class Gaussian(TestFunction):
         for k in range(1, n):
             h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
         return h
-
-    def __call__(self, x):
-        y = self._y(x)
-        out = np.exp(-y * y)
-        return out if out.ndim else float(out)
 
     def deriv(self, n, x):
         self._check_order(n)
@@ -151,14 +147,6 @@ class Bump(TestFunction):
 
     def _y(self, x):
         return (np.asarray(x, dtype=float) - self.center) / self.width
-
-    def __call__(self, x):
-        y = self._y(x)
-        out = np.zeros_like(y)
-        inside = np.abs(y) < 1.0
-        yi = y[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - yi * yi))
-        return out if out.ndim else float(out)
 
     def deriv(self, n, x):
         self._check_order(n)
@@ -223,11 +211,6 @@ class ExpPoly(TestFunction):
                 polys.append(polys[-1].deriv() - factor * polys[-1])
             self._q_polys = polys
         return polys[n]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-self.rate * x ** self.degree)
-        return out if out.ndim else float(out)
 
     def deriv(self, n, x):
         self._check_order(n)
@@ -390,7 +373,8 @@ class PairingResult:
     value is the regrouped segment sum for -integral K(t) phi'(t) dt;
     crosscheck is the independent summation-by-parts form (jump sizes
     times phi at the jump times, minus the horizon boundary term).
-    rel_err compares the two, and truncation_warning marks pairings
+    rel_err is |v - c| / max(|v|, |c|) for the two exact sums v and c,
+    before their logs are rounded, and truncation_warning marks pairings
     where phi has not died out by the path horizon, so the
     finite-horizon integral truncates the intended one over all of
     t >= 0.
@@ -402,23 +386,8 @@ class PairingResult:
     truncation_warning: bool
 
 
-def _scaled_fsum(lj: np.ndarray, coef: np.ndarray) -> SignedLogValue:
-    """sum_i e^lj_i * coef_i in log-domain form, coef being plain floats.
-
-    Terms are scaled by the largest e^lj among those that matter and
-    summed exactly by math.fsum, so the only rounding is one product
-    per term.  A term more than e^650 below the largest one cannot
-    move the sum and is dropped, which keeps every scale factor <= 1.
-    """
-    live = coef != 0.0
-    if not live.any():
-        return SLV_ZERO
-    lj, coef = lj[live], coef[live]
-    log_term = lj + np.log(np.abs(coef))
-    keep = log_term > log_term.max() - 650.0
-    lj, coef = lj[keep], coef[keep]
-    ref = float(lj.max())
-    total = math.fsum(coef * np.exp(lj - ref))
+def _record(ref: float, total: float) -> SignedLogValue:
+    """The sum total * e^ref that slv_sum hands back, as a log-domain record."""
     if total == 0.0:
         return SLV_ZERO
     return SignedLogValue(1 if total > 0 else -1, ref + math.log(abs(total)))
@@ -482,20 +451,22 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
     # per-event floats
     a, hi = _segment_levels(lj.tolist(), path.signs.tolist())
     phi_next = np.append(phi_at, phi_end)[np.asarray(hi, dtype=np.intp)]
-    value = _scaled_fsum(lj, np.asarray(a) * (phi_at - phi_next))
+    ref_v, tot_v = slv_sum(lj, np.asarray(a) * (phi_at - phi_next))
+    ref_c, tot_c = slv_sum(np.concatenate([lj, lj]),
+                           np.concatenate([signs * phi_at, -signs * phi_end]))
+    value, cross = _record(ref_v, tot_v), _record(ref_c, tot_c)
 
-    cross = _scaled_fsum(np.concatenate([lj, lj]),
-                         np.concatenate([signs * phi_at, -signs * phi_end]))
-
-    diff = value - cross
-    if diff.is_zero:
-        rel_err = 0.0
+    # compare the exact totals at one reference log, not the rounded logs
+    ref = max(ref_v, ref_c)
+    if ref == -math.inf:
+        rel_err = 0.0  # both sums are zero
     else:
-        ref = max(value.logmag, cross.logmag)
-        rel_err = math.inf if ref == -math.inf else math.exp(diff.logmag - ref)
+        tot_v *= math.exp(ref_v - ref)
+        tot_c *= math.exp(ref_c - ref)
+        rel_err = abs(tot_v - tot_c) / max(abs(tot_v), abs(tot_c))
 
     warn = False
-    k_end = _scaled_fsum(lj, signs) if phi_end != 0.0 else SLV_ZERO
+    k_end = _record(*slv_sum(lj, signs)) if phi_end != 0.0 else SLV_ZERO
     if not k_end.is_zero:
         boundary_log = k_end.logmag + math.log(abs(phi_end))
         ref_log = value.logmag if not value.is_zero else 0.0

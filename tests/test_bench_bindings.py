@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kalpha import diagnostics, paths
+from kalpha import diagnostics, paths, spaces
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +49,19 @@ def test_hooks_read_the_call_arguments():
     assert totals["paths.running_sup.calls"] == 2
     assert totals["paths.running_sup.events"] == 2 * path.n_events
     assert totals["paths.simulate_large_jumps.events"] == path.n_events
+
+
+def test_pairing_sums_through_slv_sum():
+    # value and crosscheck, plus the horizon boundary sum when phi is alive
+    # at the horizon, are each one numerics.slv_sum call
+    path = paths.simulate_large_jumps(KAlphaParams(1.5), 20.0, 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        spaces.pair_white_noise(path, spaces.Bump(5.0, 2.0))
+        spaces.pair_white_noise(path, spaces.Gaussian(20.0, 1.0))
+    finally:
+        tracer.uninstall()
+    totals = tracer.layer_totals()
+    assert totals["spaces.pair_white_noise.calls"] == 2
+    assert totals["numerics.slv_sum.calls"] == 5

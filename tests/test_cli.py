@@ -213,6 +213,16 @@ class TestClassify:
         monkeypatch.setattr(cli_mod, "classify_support", boom)
         assert run(["classify", "--alpha", "1.5", "--betas", "2"]) == EXIT_INTERNAL
 
+    @pytest.mark.parametrize("alpha, beta", [("1.0001", "3"), ("0.5", "2.0001")])
+    def test_boundary_exits_4_without_report(self, alpha, beta, tmp_path, capsys):
+        # this close to a regime boundary the quadrature tail test cannot
+        # settle; a documented limit, reported as exit 4 and no report
+        rpt = tmp_path / "r.json"
+        assert run(["classify", "--alpha", alpha, "--betas", beta,
+                    "--json", str(rpt)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal consistency error: ")
+        assert not rpt.exists()
+
 
 class TestPair:
     def test_pairing_report(self, sample_path_file, tmp_path):
@@ -300,10 +310,13 @@ class TestBadInput:
          "--paths", "2", "--workers", "0", "--out", "{out}/p.jsonl"],
         ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
          "--workers", "-3", "--out", "{out}/p.jsonl"],
+        ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=800,caps=10,100,1000"],
+        ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=2,caps=10,1e200"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
-            "workers-zero", "workers-negative"])
+            "workers-zero", "workers-negative", "moment-eta-overflows",
+            "moment-cap-overflows"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"

@@ -4,96 +4,57 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from kalpha.numerics import (LN2, SLV_ZERO, QuadratureError, SignedLogValue,
+from kalpha.numerics import (LN2, QuadratureError, SignedLogValue,
                              SubdivisionLimitError, adaptive_quad, slv_sum)
 
 
 class TestSignedLogValue:
-    def test_encode_zero(self):
-        v = SignedLogValue.encode(0.0)
-        assert v.sign == 0
-        assert v.decode() == 0.0
-
-    def test_encode_negative(self):
-        v = SignedLogValue.encode(-3.0)
-        assert v.sign == -1
-        assert v.logmag == pytest.approx(math.log(3.0), rel=1e-15)
-
     def test_decode_overflow_flag(self):
         # never returns infinity, returns the flag instead
         assert SignedLogValue(1, 1000.0).decode() is None
         assert SignedLogValue(-1, 710.0).decode() is None
 
-    def test_roundtrip_within_native_range(self):
-        # exp/log round trip costs about |ln x| ulps, well inside the
-        # documented 1e-12 per-operation tolerance
-        rng = np.random.default_rng(5)
-        xs = rng.normal(size=200) * np.exp(rng.uniform(-250, 250, 200))
-        for x in xs:
-            x = float(x)
-            assert SignedLogValue.encode(x).decode() == pytest.approx(x, rel=1e-12)
 
-    def test_encode_of_decode_is_identity(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            v = SignedLogValue(int(rng.choice([-1, 1])),
-                               float(rng.uniform(-600, 600)))
-            back = SignedLogValue.encode(v.decode())
-            assert back.sign == v.sign
-            assert back.logmag == pytest.approx(v.logmag, abs=1e-12)
+class TestSlvSum:
+    def test_exact_cancellation(self):
+        assert slv_sum([math.log(5.0), math.log(5.0)], [1.0, -1.0]) == (-math.inf, 0.0)
+        assert slv_sum([3000.0, 3000.0, 2.0], [2.5, -2.5, 0.0]) == (-math.inf, 0.0)
 
-    def test_encode_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            SignedLogValue.encode(math.inf)
-        with pytest.raises(ValueError):
-            SignedLogValue.encode(math.nan)
-
-    def test_add_two_plus_two(self):
-        v = SignedLogValue.encode(2.0) + SignedLogValue.encode(2.0)
-        assert v.sign == 1
-        assert v.logmag == pytest.approx(math.log(4.0), rel=1e-15)
-
-    def test_add_exact_cancellation(self):
-        v = SignedLogValue.encode(5.0) + SignedLogValue.encode(-5.0)
-        assert v.sign == 0
-        assert v == SLV_ZERO
-
-    def test_add_absorbs_tiny_term(self):
-        # adding 1 to e^700 perturbs the log magnitude by less than 1e-300
-        v = SignedLogValue(1, 700.0) + SignedLogValue(1, 0.0)
-        assert v.sign == 1
-        assert v.logmag == 700.0          # perturbation exp(-700) ~ 1e-304 absorbed
-        assert math.exp(-700.0) < 1e-300
-
-    def test_add_matches_native(self):
+    def test_matches_native(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=10_000) * np.exp(rng.uniform(-30, 30, 10_000))
-        b = rng.normal(size=10_000) * np.exp(rng.uniform(-30, 30, 10_000))
-        for x, y in zip(a, b):
-            native = float(x) + float(y)
-            got = (SignedLogValue.encode(float(x))
-                   + SignedLogValue.encode(float(y))).decode()
-            if native == 0.0:
-                assert abs(got) < 1e-250
-            else:
-                assert got == pytest.approx(native, rel=1e-12)
+        for size in (1, 2, 3, 10, 1000):
+            for _ in range(200 if size < 1000 else 20):
+                xs = rng.normal(size=size) * np.exp(rng.uniform(-30, 30, size))
+                ref, total = slv_sum(np.log(np.abs(xs)), np.sign(xs))
+                assert total * math.exp(ref) == pytest.approx(math.fsum(xs),
+                                                              rel=1e-12)
 
-    def test_sum_permutation_drift(self):
+    def test_permutation_is_bit_identical(self):
+        # math.fsum is exact, so the order of the terms cannot show
         rng = np.random.default_rng(23)
-        xs = [float(v) for v in rng.normal(size=1000) * np.exp(rng.uniform(-8, 8, 1000))]
-        results = []
-        for k in range(20):
-            perm = rng.permutation(len(xs))
-            total = slv_sum(SignedLogValue.encode(xs[i]) for i in perm)
-            results.append(total.decode())
-        spread = (max(results) - min(results)) / abs(np.mean(results))
-        assert spread < 1e-9
+        logs = rng.uniform(-8.0, 8.0, 1000)
+        coefs = rng.normal(size=1000)
+        first = slv_sum(logs, coefs)
+        for _ in range(20):
+            perm = rng.permutation(len(logs))
+            assert slv_sum(logs[perm], coefs[perm]) == first
 
-    def test_neg_abs(self):
-        v = SignedLogValue.encode(-4.0)
-        assert (-v).decode() == 4.0
-        assert abs(v).decode() == 4.0
-        assert (-SLV_ZERO) == SLV_ZERO
+    def test_absorbs_tiny_term(self):
+        # adding 1 to e^700 perturbs the total by e^-700, below its last bit
+        assert slv_sum([700.0, 0.0], [1.0, 1.0]) == (700.0, 1.0)
+
+    def test_far_beyond_float_range(self):
+        ref, total = slv_sum([5000.0, 5000.0 + math.log(3.0), -5000.0],
+                             [-1.0, 1.0, 1.0])
+        assert ref == 5000.0 + math.log(3.0)
+        assert total == pytest.approx(2.0 / 3.0, rel=1e-15)
+        ref, total = slv_sum([-5000.0, -5000.0], [1.5, 2.5])
+        assert (ref, total) == (-5000.0, 4.0)
+
+    @pytest.mark.parametrize("logs, coefs", [([], []), ([1.0, 900.0], [0.0, 0.0])],
+                             ids=["empty", "all-zero"])
+    def test_no_live_terms_is_zero(self, logs, coefs):
+        assert slv_sum(logs, coefs) == (-math.inf, 0.0)
 
 
 class TestAdaptiveQuad:

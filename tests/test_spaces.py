@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from kalpha.measure import KAlphaParams
-from kalpha.numerics import LN2
+from kalpha.numerics import LN2, slv_sum
 from kalpha.paths import EventPath, simulate_large_jumps
 from kalpha.spaces import (Bump, ExpPoly, Gaussian, k_norm, kbeta_norm,
                            pair_white_noise, parse_test_function, s_norm)
@@ -231,10 +231,19 @@ class TestPairing:
             signs=np.concatenate([a.signs, b.signs])[order],
             log1p_mags=np.concatenate([a.log1p_mags, b.log1p_mags])[order])
         phi = Gaussian(3.0, 2.0)
-        lhs = pair_white_noise(merged, phi).value
-        rhs = pair_white_noise(a, phi).value + pair_white_noise(b, phi).value
-        diff = lhs - rhs
-        assert diff.is_zero or diff.logmag - lhs.logmag < math.log(1e-11)
+        lhs, ra, rb = (pair_white_noise(x, phi).value for x in (merged, a, b))
+        ref, diff = slv_sum([lhs.logmag, ra.logmag, rb.logmag],
+                            [lhs.sign, -ra.sign, -rb.sign])
+        assert diff == 0.0 or ref + math.log(abs(diff)) - lhs.logmag < math.log(1e-11)
+
+    def test_rel_err_not_log_quantised(self):
+        # logs near 8e8 carry an ulp of about 1e-7, so comparing the rounded
+        # logs read 0 here; the exact totals differ in their last bits
+        path = manual_path(times=(4.0, 9.0), signs=(1, -1),
+                           mags=(8e8, 8e8 + 4.0))
+        res = pair_white_noise(path, Gaussian(5.0, 2.0))
+        assert res.value.logmag == res.crosscheck.logmag
+        assert 0.0 < res.rel_err < 1e-12
 
     def test_shifted_bump_beyond_horizon_gives_exact_zero(self):
         p = KAlphaParams(1.0)
