@@ -97,8 +97,7 @@ def inverse_tail(u: float, p: KAlphaParams) -> float:
     return LN2 * u ** (-1.0 / p.alpha)
 
 
-def truncated_moment(eta: float, X: float, p: KAlphaParams,
-                     tol: float = 1e-11) -> float:
+def truncated_moment(eta: float, X: float, p: KAlphaParams) -> float:
     """Two-sided eta-th absolute moment of the large jumps capped at X.
 
     Equals 2 * integral over [ln 2, ln(1+X)] of (e^u - 1)^eta u^-(1+alpha).
@@ -110,7 +109,8 @@ def truncated_moment(eta: float, X: float, p: KAlphaParams,
         raise ValueError("cap X must be >= 1")
     if X == 1.0:
         return 0.0
-    return 2.0 * jump_moment_integral(eta, LN2, math.log1p(X), p.alpha, tol)
+    return 2.0 * jump_moment_integral(eta, LN2, math.log1p(X), p.alpha,
+                                      tol=1e-11)
 
 
 def solve_crossover(eta: float, p: KAlphaParams) -> float | None:
@@ -301,8 +301,7 @@ class UpperFunctionResult:
     quad: QuadResult
 
 
-def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams,
-                            tol: float = 1e-9) -> UpperFunctionResult:
+def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunctionResult:
     """Convergence status and value of the tail integral
     I(f) = integral over [1, inf) of the one-sided tail evaluated at f(x).
 
@@ -319,7 +318,7 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams,
         return math.exp(-log_alpha - a * _log_tail_argument(env, x))
 
     analytic = _analytic_convergent(env, a)
-    res = adaptive_quad(integrand, 1.0, math.inf, tol=tol)
+    res = adaptive_quad(integrand, 1.0, math.inf, tol=1e-9)
     numeric = not res.diverged
     if numeric != analytic:
         raise ConsistencyError(

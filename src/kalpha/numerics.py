@@ -4,10 +4,11 @@ Jump magnitudes in this package routinely exceed the native float range
 (a single large jump can have ln(1+|x|) in the thousands), so all path
 arithmetic is carried as (sign, ln of magnitude) pairs, and signed sums
 of such numbers are formed exactly, in one array pass, by slv_sum.  The
-quadrature engine is a plain adaptive Gauss-Kronrod scheme with the two
-extras the measure integrals need: dyadic treatment of the power
-singularity at u = 0 and a geometric tail test for improper upper
-limits that can tell "converges slowly" apart from "diverges".
+quadrature engine is a plain adaptive Gauss-Kronrod scheme over a
+positive lower limit (every measure integral starts at u = ln 2 or
+x = 1, away from the u = 0 pole of the jump density), with one extra
+for improper upper limits: a geometric tail test that can tell
+"converges slowly" apart from "diverges".
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ _DIVERGENCE_STREAK = 8
 # predecessor.  1 - 1e-6 keeps tail exponents down to ~3e-6 on the
 # convergent side while still catching the log-free divergences in scope.
 _NO_DECAY_RATIO = 1.0 - 1e-6
+# Gauss-Kronrod panels one adaptive_quad call may evaluate.
+_MAX_PANELS = 100_000
 
 
 class QuadratureError(Exception):
@@ -184,14 +187,13 @@ def _adaptive(f, a: float, b: float, tol: float, budget: int) -> tuple[float, fl
     return total_val, total_err, panels
 
 
-def _block_series(f, blocks, tol: float, budget: int):
-    """Sum f over a geometric sequence of blocks with tail extrapolation.
+def _block_series(f, a0: float, tol: float, budget: int):
+    """Sum f over the doubling blocks [a0, 2a0], [2a0, 4a0], ... with
+    tail extrapolation.
 
-    blocks yields (a, b) pairs whose widths change by a factor 2 each
-    step (growing toward +inf, or shrinking toward an endpoint).  Once
-    consecutive block integrals settle into a stable ratio r < 1 the
-    remaining tail is summed geometrically; if they fail to decay for
-    _DIVERGENCE_STREAK consecutive blocks the series is declared
+    Once consecutive block integrals settle into a stable ratio r < 1
+    the remaining tail is summed geometrically; if they fail to decay
+    for _DIVERGENCE_STREAK consecutive blocks the series is declared
     divergent.  Returns (value, err, panels, diverged).
     """
     partial = 0.0
@@ -204,7 +206,9 @@ def _block_series(f, blocks, tol: float, budget: int):
     zero_run = 0
     prev_est = None
     settled = 0
-    for a, b in blocks:
+    b = a0
+    for _ in range(900):
+        a, b = b, b * 2.0
         block_tol = max(tol / 16.0, abs(partial) * 1e-15, 1e-300)
         v, e, n = _adaptive(f, a, b, block_tol, max(256, budget - panels))
         panels += n
@@ -248,77 +252,30 @@ def _block_series(f, blocks, tol: float, budget: int):
     raise SubdivisionLimitError("geometric block sequence exhausted")
 
 
-def _shrinking_blocks(s0: float):
-    hi = s0
-    for _ in range(1200):
-        lo = hi * 0.5
-        if lo <= 0.0 or lo == hi:
-            return
-        yield lo, hi
-        hi = lo
+def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> QuadResult:
+    """Integrate f over (lo, hi) for 0 < lo < hi; hi may be math.inf.
 
-
-def _growing_blocks(a0: float):
-    lo = a0
-    for _ in range(900):
-        hi = lo * 2.0
-        yield lo, hi
-        lo = hi
-
-
-def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10,
-                  max_subdiv: int = 100_000) -> QuadResult:
-    """Integrate f over (lo, hi), hi may be math.inf.
-
-    A power singularity of integrable type at lo == 0 is handled by
-    splitting at u = 1e-3 and summing dyadic blocks toward 0 with
-    geometric tail acceleration; the same block scheme runs toward an
-    infinite upper limit.  Divergence (at either end) is reported via
-    the result flag, never as a large finite number; failure to
-    converge within the subdivision cap raises SubdivisionLimitError.
+    An infinite upper limit is reached by summing doubling blocks from
+    max(lo, 1) with geometric tail acceleration.  Divergence there is
+    reported via the result flag, never as a large finite number;
+    failure to converge within _MAX_PANELS panels raises
+    SubdivisionLimitError.
     """
-    if not math.isfinite(lo):
-        raise ValueError("lower limit must be finite")
+    if not (math.isfinite(lo) and lo > 0.0):
+        raise ValueError(f"lower limit must be finite and positive, got {lo!r}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isinf(hi):
+        return QuadResult(*_adaptive(f, lo, hi, tol / 2.0, _MAX_PANELS))
 
-    total_val = 0.0
-    total_err = 0.0
-    panels = 0
-
-    if lo == 0.0:
-        s0 = min(1e-3, hi)
-        v, e, n, diverged = _block_series(f, _shrinking_blocks(s0),
-                                          tol / 2.0, max_subdiv)
-        panels += n
-        if diverged:
-            return QuadResult(math.nan, math.inf, panels, diverged=True)
-        total_val += v
-        total_err += e
-        if hi == s0:
-            return QuadResult(total_val, total_err, panels)
-        lo = s0
-
-    if math.isinf(hi):
-        a0 = max(lo, 1.0)
-        if a0 > lo:
-            v, e, n = _adaptive(f, lo, a0, tol / 2.0, max_subdiv - panels)
-            total_val += v
-            total_err += e
-            panels += n
-        v, e, n, diverged = _block_series(f, _growing_blocks(a0),
-                                          tol / 2.0, max_subdiv - panels)
-        panels += n
-        if diverged:
-            return QuadResult(math.nan, math.inf, panels, diverged=True)
-        total_val += v
-        total_err += e
-    else:
-        v, e, n = _adaptive(f, lo, hi, tol / 2.0, max_subdiv - panels)
-        total_val += v
-        total_err += e
-        panels += n
-
-    return QuadResult(total_val, total_err, panels)
+    a0 = max(lo, 1.0)
+    head_val, head_err, head_panels = 0.0, 0.0, 0
+    if a0 > lo:
+        head_val, head_err, head_panels = _adaptive(f, lo, a0, tol / 2.0,
+                                                    _MAX_PANELS)
+    v, e, n, diverged = _block_series(f, a0, tol / 2.0, _MAX_PANELS - head_panels)
+    if diverged:
+        return QuadResult(math.nan, math.inf, head_panels + n, diverged=True)
+    return QuadResult(head_val + v, head_err + e, head_panels + n)

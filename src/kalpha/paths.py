@@ -115,7 +115,13 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
                 times[i] = np.nextafter(times[i - 1], np.inf)
     signs = rng.integers(0, 2, n) * 2 - 1
     u = 1.0 - rng.random(n)            # uniform on (0, 1]
-    mags = LN2 * u ** (-1.0 / params.alpha)
+    with np.errstate(over="ignore"):
+        mags = LN2 * u ** (-1.0 / params.alpha)
+    if np.isinf(mags).any():
+        raise ValueError(
+            f"a sampled log magnitude ln(1+|x|) exceeds the float range "
+            f"at alpha={params.alpha!r}; a smaller alpha or a longer "
+            f"horizon makes such draws likelier")
     return EventPath(params=params, horizon=float(horizon), seed=int(seed),
                      times=times, signs=signs, log1p_mags=mags,
                      spawn_key=tuple(spawn_key))

@@ -32,6 +32,17 @@ _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
 
 
+def _decaying(y, at_infinity, fn):
+    """fn(y) elementwise, except at_infinity where |y| is infinite: the
+    limit of a decaying family, which fn would give as inf * 0 = NaN.
+    A log of a vanishing derivative is -inf, without a warning."""
+    y = np.asarray(y, dtype=float)
+    far = np.isinf(y)
+    with np.errstate(divide="ignore"):
+        out = np.where(far, at_infinity, fn(np.where(far, 0.0, y)))
+    return out if out.ndim else float(out)
+
+
 class TestFunction:
     """Base for the built-in families.  Subclasses provide exact
     derivatives of any requested order (the bump family caps at 8);
@@ -91,18 +102,15 @@ class Gaussian(TestFunction):
 
     def deriv(self, n, x):
         self._check_order(n)
-        y = self._y(x)
         sign = -1.0 if n % 2 else 1.0
-        out = sign * self.scale ** (-n) * self._hermite(n, y) * np.exp(-y * y)
-        return out if out.ndim else float(out)
+        return _decaying(self._y(x), 0.0, lambda y: sign * self.scale ** (-n)
+                         * self._hermite(n, y) * np.exp(-y * y))
 
     def log_abs_deriv(self, n, x):
         self._check_order(n)
-        y = self._y(x)
-        h = np.abs(self._hermite(n, y))
-        with np.errstate(divide="ignore"):
-            out = np.log(h) - y * y - n * math.log(self.scale)
-        return out if out.ndim else float(out)
+        return _decaying(self._y(x), -np.inf,
+                         lambda y: np.log(np.abs(self._hermite(n, y))) - y * y
+                         - n * math.log(self.scale))
 
     def support(self):
         return None
@@ -214,16 +222,15 @@ class ExpPoly(TestFunction):
 
     def deriv(self, n, x):
         self._check_order(n)
-        x = np.asarray(x, dtype=float)
-        out = self._q(n)(x) * np.exp(-self.rate * x ** self.degree)
-        return out if out.ndim else float(out)
+        q = self._q(n)
+        return _decaying(x, 0.0,
+                         lambda y: q(y) * np.exp(-self.rate * y ** self.degree))
 
     def log_abs_deriv(self, n, x):
         self._check_order(n)
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.abs(self._q(n)(x))) - self.rate * x ** self.degree
-        return out if out.ndim else float(out)
+        q = self._q(n)
+        return _decaying(x, -np.inf,
+                         lambda y: np.log(np.abs(q(y))) - self.rate * y ** self.degree)
 
     def support(self):
         return None

@@ -312,11 +312,14 @@ class TestBadInput:
          "--workers", "-3", "--out", "{out}/p.jsonl"],
         ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=800,caps=10,100,1000"],
         ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=2,caps=10,1e200"],
+        # 1.6 EiB of event times exceeds any 64-bit user address space
+        ["simulate", "--alpha", "1.5", "--horizon", "1e17", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
             "workers-zero", "workers-negative", "moment-eta-overflows",
-            "moment-cap-overflows"])
+            "moment-cap-overflows", "simulate-horizon-beyond-memory"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -328,6 +331,16 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    def test_log_magnitude_beyond_float_range(self, tmp_path, capsys):
+        # about 1.6 expected draws of ln(1+|x|) > 1.8e308 at alpha 0.01
+        out = tmp_path / "p.jsonl"
+        assert run(["simulate", "--alpha", "0.01", "--horizon", "10",
+                    "--seed", "1", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sampled log magnitude ln(1+|x|) "
+                              "exceeds the float range at alpha=0.01")
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", [["--small"], ["--eps", "0.1"],
                                         ["--grid-step", "0.5"]],

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,18 @@ class TestFamilies:
             back = np.exp(logs)
             mask = direct > 0
             assert np.allclose(back[mask], direct[mask], rtol=1e-10)
+
+    @pytest.mark.parametrize("phi", [Gaussian(0.0, 1.0), Bump(0.0, 2.0),
+                                     ExpPoly(1.0, 4)],
+                             ids=["gaussian", "bump", "exppoly"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_derivatives_vanish_at_infinity(self, phi, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (math.inf, -math.inf):
+                assert phi.deriv(n, x) == 0.0
+                assert phi.log_abs_deriv(n, x) == -math.inf
+            assert phi.deriv(n, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
 
 
 class TestSNorm:
