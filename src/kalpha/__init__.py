@@ -21,8 +21,9 @@ from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
 from .numerics import (LN2, QuadratureError, QuadResult, SignedLogValue,
                        SLV_ZERO, SubdivisionLimitError, adaptive_quad,
                        slv_sum)
-from .paths import (EventPath, read_event_path, running_sup,
-                    simulate_large_jumps, simulate_many, write_event_path)
+from .paths import (EventPath, load_event_file, read_event_path, running_sup,
+                    save_event_file, simulate_large_jumps, simulate_many,
+                    write_event_path)
 from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
                      k_norm, kbeta_norm, pair_white_noise, parse_descriptor,
                      parse_test_function, s_norm)
@@ -36,7 +37,7 @@ __all__ = [
     "inverse_tail", "truncated_moment", "solve_crossover", "pruitt_index",
     "laplace_exponent", "upper_function_integral", "classify_support",
     "EventPath", "simulate_large_jumps", "simulate_many", "running_sup",
-    "write_event_path", "read_event_path",
+    "write_event_path", "read_event_path", "save_event_file", "load_event_file",
     "ExceedanceReport", "MomentScan", "PruittSlopeReport",
     "envelope_exceedances", "build_exceedance_report", "growth_scan",
     "moment_scan", "pruitt_slope",

@@ -24,8 +24,8 @@ from .diagnostics import (DEFAULT_BURN_IN, build_exceedance_report,
 from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                       classify_support)
 from .numerics import QuadratureError
-from .paths import (RNG_NAME, read_event_path, simulate_large_jumps,
-                    simulate_many, write_event_path)
+from .paths import (RNG_NAME, load_event_file, save_event_file,
+                    simulate_large_jumps, simulate_many)
 from .spaces import pair_white_noise, parse_descriptor, parse_test_function
 
 EXIT_OK = 0
@@ -189,18 +189,9 @@ def _cmd_simulate(args) -> int:
                 for i, path_obj in enumerate(ensemble)]
 
     for target, path_obj in jobs:
-        with open(target, "w") as fp:
-            write_event_path(path_obj, fp, extra_meta=meta)
+        save_event_file(target, path_obj, meta)
         print(target)
     return EXIT_OK
-
-
-def _load_paths(files) -> list:
-    loaded = []
-    for name in files:
-        with open(name) as fp:
-            loaded.append(read_event_path(fp))
-    return loaded
 
 
 def _cmd_diagnose(args) -> int:
@@ -217,7 +208,7 @@ def _cmd_diagnose(args) -> int:
         if not args.infiles:
             raise ValueError("--envelope needs at least one --in path file")
         env = parse_envelope(args.envelope)
-        paths = _load_paths(args.infiles)
+        paths = [load_event_file(f) for f in args.infiles]
         report = build_exceedance_report(paths, env, burn_in=args.burn_in)
         quantiles = report.last_exceedance_quantiles()
         return _emit(args, "exceedance_report", {
@@ -290,7 +281,7 @@ def _cmd_diagnose(args) -> int:
     if not args.infiles:
         raise ValueError("--growth needs at least one --in path file")
     eta = _required_fields(args.growth, ("eta",))["eta"]
-    paths = _load_paths(args.infiles)
+    paths = [load_event_file(f) for f in args.infiles]
     rows = [(t, lvl.sign, lvl.logmag) for t, lvl in growth_scan(paths, eta)]
     return _emit(args, "growth_scan", {
         "alpha": paths[0].params.alpha,
@@ -318,9 +309,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_pair(args) -> int:
     phi = parse_test_function(args.phi)
-    with open(args.infile) as fp:
-        path = read_event_path(fp)
-    result = pair_white_noise(path, phi)
+    result = pair_white_noise(load_event_file(args.infile), phi)
     return _emit(args, "pairing", {
         "phi": phi.describe(),
         "value_sign": result.value.sign,

@@ -1,5 +1,5 @@
 """Sample path synthesis: exact large-jump event lists, running suprema,
-and JSONL persistence.
+and JSONL persistence with a binary sidecar.
 
 Only the jumps with |x| > 1 are simulated.  The rest of the process has
 every exponential moment, so it lies in S' (Dalang & Humeau, Ann.
@@ -11,10 +11,19 @@ can reach the thousands.  Everything is driven by numpy's Philox generator
 (counter based, 64-bit) keyed through SeedSequence(entropy=seed,
 spawn_key=...), so paths are reproducible one at a time or fanned out
 across workers.
+
+JSONL is the one path format users read and write.  save_event_file
+also writes <file>.events beside it: the SHA-256 of the JSONL bytes,
+then the (3, n) float64 array of times, signs and log1p magnitudes in
+.npy form.  load_event_file takes the arrays from the sidecar only when
+the digest matches the JSONL, the payload is that array (no pickle) and
+it passes every EventPath check; otherwise it parses the JSONL.  A read
+never writes a sidecar.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -30,6 +39,7 @@ RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
 BLOCK = 8192                      # event lines written or read at a time
 EVENT_FIELDS = ("t", "sign", "log1p_mag")
+SIDECAR_SUFFIX = ".events"
 
 
 def derive_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -62,6 +72,8 @@ class EventPath:
     rng_name: str = RNG_NAME
 
     def __post_init__(self):
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         t = _readonly(np.asarray(self.times, dtype=float))
         s = np.asarray(self.signs)
         m = _readonly(np.asarray(self.log1p_mags, dtype=float))
@@ -282,14 +294,9 @@ def _parse_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
-def read_event_path(fp) -> EventPath:
-    """Read a path file written by write_event_path.
-
-    Event lines are read BLOCK at a time.  A block in the writer's exact
-    record shape is parsed in one piece; any other block goes through
-    the per-line validator, so every JSONL shape with numeric t, sign and
-    log1p_mag fields is accepted.
-    """
+def _read_header(fp) -> dict:
+    """The EventPath fields that line 1 of a path file gives, as keyword
+    arguments; errors say what is wrong."""
     header = fp.readline()
     if not header:
         raise ValueError("empty path file")
@@ -315,6 +322,20 @@ def read_event_path(fp) -> EventPath:
     rng_name = meta.get("rng_name", RNG_NAME)
     if not isinstance(rng_name, str):
         raise ValueError(f"path header rng_name must be a string, got {rng_name!r:.40}")
+    return {"params": KAlphaParams(meta["alpha"]), "horizon": meta["horizon"],
+            "seed": meta["seed"], "spawn_key": tuple(spawn_key),
+            "rng_name": rng_name}
+
+
+def read_event_path(fp) -> EventPath:
+    """Read a path file written by write_event_path.
+
+    Event lines are read BLOCK at a time.  A block in the writer's exact
+    record shape is parsed in one piece; any other block goes through
+    the per-line validator, so every JSONL shape with numeric t, sign and
+    log1p_mag fields is accepted.
+    """
+    header = _read_header(fp)
     blocks = [(np.empty(0),) * 3]
     for first_lineno in itertools.count(2, BLOCK):
         lines = list(itertools.islice(fp, BLOCK))
@@ -322,7 +343,63 @@ def read_event_path(fp) -> EventPath:
             break
         blocks.append(_parse_block(lines) or _parse_lines(lines, first_lineno))
     times, signs, mags = (np.concatenate(col) for col in zip(*blocks))
-    return EventPath(params=KAlphaParams(meta["alpha"]),
-                     horizon=meta["horizon"], seed=meta["seed"],
-                     times=times, signs=signs, log1p_mags=mags,
-                     spawn_key=tuple(spawn_key), rng_name=rng_name)
+    return EventPath(**header, times=times, signs=signs, log1p_mags=mags)
+
+
+# ---------------------------------------------------------------------------
+# path files: JSONL plus a binary sidecar bound to its bytes
+# ---------------------------------------------------------------------------
+
+def _file_digest(name) -> bytes:
+    with open(name, "rb") as fp:
+        return hashlib.file_digest(fp, "sha256").digest()
+
+
+def save_event_file(target, path: EventPath, meta: dict | None = None) -> None:
+    """Write path to target as JSONL (write_event_path with meta as extra
+    header fields), then its sidecar target + SIDECAR_SUFFIX."""
+    with open(target, "w") as fp:
+        write_event_path(path, fp, extra_meta=meta)
+    events = np.stack((path.times, path.signs, path.log1p_mags), dtype=float)
+    with open(f"{target}{SIDECAR_SUFFIX}", "wb") as fp:
+        fp.write(_file_digest(target))
+        np.save(fp, events, allow_pickle=False)
+
+
+def _sidecar_events(name, digest: bytes) -> np.ndarray | None:
+    """The (3, n) float64 event array in name's sidecar, or None when
+    there is no sidecar, it holds another digest, or its payload is not
+    such an array in .npy form (pickled objects are never loaded)."""
+    try:
+        with open(f"{name}{SIDECAR_SUFFIX}", "rb") as fp:
+            if fp.read(len(digest)) != digest:
+                return None
+            events = np.lib.format.read_array(fp, allow_pickle=False)
+    except (OSError, ValueError, MemoryError):
+        # MemoryError: a forged .npy header can claim more elements than fit
+        return None
+    if events.dtype != np.float64 or events.ndim != 2 or events.shape[0] != 3:
+        return None
+    return events
+
+
+def load_event_file(name) -> EventPath:
+    """Read the path file name, from its sidecar when that is bound to
+    the file's bytes, else with read_event_path.
+
+    The header is always read from the JSONL and checked as
+    read_event_path checks it.  Arrays from a sidecar pass every
+    EventPath check; if they fail one, the JSONL is parsed instead.
+    """
+    events = _sidecar_events(name, _file_digest(name))
+    with open(name) as fp:
+        if events is not None:
+            header = _read_header(fp)
+            # one array per row, so a path does not keep the float signs
+            times, signs, mags = map(np.array, events)
+            try:
+                return EventPath(**header, times=times, signs=signs,
+                                 log1p_mags=mags)
+            except ValueError:
+                fp.seek(0)
+        return read_event_path(fp)

@@ -32,14 +32,22 @@ _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
 
 
-def _decaying(y, at_infinity, fn):
-    """fn(y) elementwise, except at_infinity where |y| is infinite: the
-    limit of a decaying family, which fn would give as inf * 0 = NaN.
+def _decaying(y, at_infinity, fn, exponent):
+    """fn(y) elementwise, where fn is a polynomial times exp(-exponent(y))
+    or the log of that product.  Where the exponential has underflowed
+    to 0, the polynomial may overflow and fn give inf * 0 = NaN or an
+    infinite log; there the value is at_infinity, the family's limit,
+    without a warning.  Elsewhere numpy's overflow warnings stand.
     A log of a vanishing derivative is -inf, without a warning."""
     y = np.asarray(y, dtype=float)
-    far = np.isinf(y)
+    with np.errstate(over="ignore"):
+        far = np.exp(-exponent(y)) == 0.0
+    out = np.empty_like(y)
     with np.errstate(divide="ignore"):
-        out = np.where(far, at_infinity, fn(np.where(far, 0.0, y)))
+        out[~far] = fn(y[~far])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tail = fn(y[far])
+    out[far] = np.where(np.isfinite(tail), tail, at_infinity)
     return out if out.ndim else float(out)
 
 
@@ -104,13 +112,13 @@ class Gaussian(TestFunction):
         self._check_order(n)
         sign = -1.0 if n % 2 else 1.0
         return _decaying(self._y(x), 0.0, lambda y: sign * self.scale ** (-n)
-                         * self._hermite(n, y) * np.exp(-y * y))
+                         * self._hermite(n, y) * np.exp(-y * y), np.square)
 
     def log_abs_deriv(self, n, x):
         self._check_order(n)
         return _decaying(self._y(x), -np.inf,
                          lambda y: np.log(np.abs(self._hermite(n, y))) - y * y
-                         - n * math.log(self.scale))
+                         - n * math.log(self.scale), np.square)
 
     def support(self):
         return None
@@ -223,14 +231,18 @@ class ExpPoly(TestFunction):
     def deriv(self, n, x):
         self._check_order(n)
         q = self._q(n)
-        return _decaying(x, 0.0,
-                         lambda y: q(y) * np.exp(-self.rate * y ** self.degree))
+        return _decaying(x, 0.0, lambda y: q(y) * np.exp(-self._exponent(y)),
+                         self._exponent)
 
     def log_abs_deriv(self, n, x):
         self._check_order(n)
         q = self._q(n)
         return _decaying(x, -np.inf,
-                         lambda y: np.log(np.abs(q(y))) - self.rate * y ** self.degree)
+                         lambda y: np.log(np.abs(q(y))) - self._exponent(y),
+                         self._exponent)
+
+    def _exponent(self, y):
+        return self.rate * y ** self.degree
 
     def support(self):
         return None

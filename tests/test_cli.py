@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
-from kalpha.paths import EventPath, write_event_path
+from kalpha.paths import SIDECAR_SUFFIX, EventPath, write_event_path
 
 
 def run(args):
@@ -84,6 +85,15 @@ class TestSimulate:
                     "--seed", "42", "--out", str(out2)]) == EXIT_OK
         assert out1.read_text().splitlines()[1:] == \
                out2.read_text().splitlines()[1:]
+
+    def test_prints_only_jsonl_names(self, tmp_path, capsys):
+        assert run(["simulate", "--alpha", "1.5", "--horizon", "20",
+                    "--seed", "3", "--paths", "3",
+                    "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
+        names = [str(tmp_path / f"s-p{i:03d}.jsonl") for i in range(3)]
+        assert capsys.readouterr().out.split() == names
+        assert sorted(map(str, tmp_path.iterdir())) == \
+               sorted(names + [n + SIDECAR_SUFFIX for n in names])
 
     def test_no_seed_anywhere_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("KALPHA_SEED", raising=False)
@@ -266,6 +276,18 @@ class TestPair:
         validate_document(doc)
         assert (doc["value_sign"], doc["value_logmag"]) == (0, None)
 
+    def test_tiny_gaussian_scale_is_quiet(self, tmp_path, capsys):
+        # (t - 5) / 1e-200 squared overflows; the derivative there is 0
+        infile = tmp_path / "g.jsonl"
+        assert run(["simulate", "--alpha", "1.5", "--horizon", "10",
+                    "--seed", "1", "--out", str(infile)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["pair", "--in", str(infile),
+                    "--phi", "gaussian:center=5,scale=1e-200"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        validate_document(json.loads(out, parse_constant=reject_constant))
+        assert err == ""
+
     def test_bad_phi_exit_2(self, sample_path_file):
         assert run(["pair", "--in", str(sample_path_file),
                     "--phi", "wavelet:k=1"]) == EXIT_USAGE
@@ -287,12 +309,16 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", sorted(REPORT_COMMANDS))
     def test_reports_identical_modulo_timestamp(self, kind, sample_path_file,
                                                 tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # the third run reads the path file without its sidecar
+        a, b, c = (tmp_path / f"{x}.json" for x in "abc")
         args = [arg.format(path=sample_path_file) for arg in REPORT_COMMANDS[kind]]
         assert run(args + ["--json", str(a)]) == EXIT_OK
         assert run(args + ["--json", str(b)]) == EXIT_OK
+        Path(f"{sample_path_file}{SIDECAR_SUFFIX}").unlink()
+        assert run(args + ["--json", str(c)]) == EXIT_OK
         assert json.loads(a.read_text())["kind"] == kind
         assert strip_timestamps(a.read_text()) == strip_timestamps(b.read_text())
+        assert strip_timestamps(a.read_text()) == strip_timestamps(c.read_text())
 
 
 class TestBadInput:
@@ -340,7 +366,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: a sampled log magnitude ln(1+|x|) "
                               "exceeds the float range at alpha=0.01")
-        assert not out.exists()
+        assert not any(tmp_path.iterdir())      # no JSONL and no sidecar
 
     @pytest.mark.parametrize("option", [["--small"], ["--eps", "0.1"],
                                         ["--grid-step", "0.5"]],
@@ -377,13 +403,16 @@ class TestBadInput:
         lambda meta, rec: meta.update(spawn_key=[True]),
         lambda meta, rec: meta.update(rng_name=5),
         lambda meta, rec: meta.update(component="small"),
+        lambda meta, rec: meta.update(horizon=0),
+        lambda meta, rec: meta.update(horizon=-5.0),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
             "fractional-sign", "nan-horizon", "string-alpha", "string-horizon",
             "string-magnitude", "string-time", "bool-sign", "bool-time",
             "int-magnitude-beyond-float", "null-time", "list-sign", "object-magnitude",
             "spawn-key-int", "spawn-key-strings", "spawn-key-object",
             "spawn-key-negative", "spawn-key-string", "spawn-key-bool",
-            "rng-name-int", "component-small"])
+            "rng-name-int", "component-small", "horizon-zero",
+            "horizon-negative"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()
@@ -396,6 +425,31 @@ class TestBadInput:
                     "--envelope", "exp:c=1.0"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("horizon", [0, -5.0])
+    @pytest.mark.parametrize("args", [
+        ["diagnose", "--envelope", "exp:c=1.0"],
+        ["diagnose", "--growth", "eta=0.5"],
+        ["pair", "--phi", "bump:center=5,width=2"],
+    ], ids=["envelope", "growth", "pair"])
+    def test_header_only_nonpositive_horizon(self, args, horizon,
+                                             sample_path_file, tmp_path,
+                                             capsys):
+        meta = json.loads(sample_path_file.read_text().splitlines()[0])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(dict(meta, horizon=horizon)) + "\n")
+        assert run([*args, "--in", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+               f"error: horizon must be positive, got {horizon!r}\n"
+
+    def test_in_place_edit_names_its_line(self, sample_path_file, capsys):
+        # the sidecar no longer matches, so the edited JSONL is parsed
+        lines = sample_path_file.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace('"sign"', '"sgn"')
+        sample_path_file.write_text("".join(lines))
+        assert run(["diagnose", "--in", str(sample_path_file),
+                    "--envelope", "exp:c=1.0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: line 3: ")
 
     @pytest.mark.parametrize("mangle", [
         lambda meta, rec: rec.update(sign=float(rec["sign"])),

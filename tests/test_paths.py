@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import kalpha.paths
 from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
-from kalpha.paths import (BLOCK, EVENT_FIELDS, EventPath, _parse_block,
-                          _parse_lines, read_event_path, running_sup,
+from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
+                          _parse_block, _parse_lines, load_event_file,
+                          read_event_path, running_sup, save_event_file,
                           simulate_large_jumps, simulate_many,
                           write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
@@ -63,6 +65,9 @@ class TestSimulateLarge:
     def test_horizon_domain(self):
         with pytest.raises(ValueError):
             simulate_large_jumps(KAlphaParams(1.0), 0.0, 1)
+        for horizon in (0.0, -5.0, math.nan):
+            with pytest.raises(ValueError, match="horizon must be positive"):
+                small_path(horizon=horizon)
 
     def test_event_invariants(self):
         p = KAlphaParams(0.5)
@@ -287,6 +292,147 @@ class TestPersistence:
             read_event_path(io.StringIO(
                 '{"format_version": 1, "component": "small", "alpha": 1.0,'
                 ' "horizon": 1.0, "seed": 0}\n'))
+
+
+def assert_same_path(a, b):
+    for field in ("times", "signs", "log1p_mags"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert (a.params.alpha, a.horizon, a.seed, a.spawn_key, a.rng_name) == \
+           (b.params.alpha, b.horizon, b.seed, b.spawn_key, b.rng_name)
+
+
+def parse_jsonl(name):
+    with open(name) as fp:
+        return read_event_path(fp)
+
+
+def npy_bytes(array, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Canary:
+    """Records in UNPICKLED if it is ever unpickled."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def npz_bytes(events):
+    buf = io.BytesIO()
+    np.savez(buf, events=events)
+    return buf.getvalue()
+
+
+def huge_header(digest, events):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (3, 10 ** 12)})
+    return digest + buf.getvalue() + events.tobytes()
+
+
+# (digest of the JSONL, its (3, n) event array) -> sidecar bytes
+BAD_SIDECARS = {
+    "empty": lambda d, e: b"",
+    "truncated-digest": lambda d, e: d[:10],
+    "truncated-payload": lambda d, e: (d + npy_bytes(e))[:-7],
+    "wrong-digest": lambda d, e: bytes([d[0] ^ 1]) + d[1:] + npy_bytes(e),
+    "wrong-shape": lambda d, e: d + npy_bytes(e[:2]),
+    "transposed": lambda d, e: d + npy_bytes(e.T.copy()),
+    "wrong-dtype": lambda d, e: d + npy_bytes(e.astype(np.float32)),
+    "pickled-object-array": lambda d, e: d + npy_bytes(
+        np.array([Canary(), None], dtype=object), allow_pickle=True),
+    "npz-payload": lambda d, e: d + npz_bytes(e),
+    "fails-event-checks": lambda d, e: d + npy_bytes(e[:, ::-1].copy()),
+    "shape-beyond-memory": huge_header,
+}
+
+
+@pytest.fixture()
+def jsonl_reads(monkeypatch):
+    """Every read_event_path call that load_event_file makes."""
+    calls = []
+
+    def counted(fp):
+        calls.append(fp)
+        return read_event_path(fp)
+
+    monkeypatch.setattr(kalpha.paths, "read_event_path", counted)
+    return calls
+
+
+class TestSidecar:
+    @staticmethod
+    def saved(tmp_path, n=4, **meta):
+        rng = np.random.default_rng(n)
+        path = EventPath(params=KAlphaParams(1.25), horizon=float(n + 1),
+                         seed=9, spawn_key=(3,),
+                         times=np.arange(n) + rng.random(n),
+                         signs=rng.choice([-1, 1], n),
+                         log1p_mags=LN2 + rng.exponential(5.0, n))
+        target = tmp_path / "p.jsonl"
+        save_event_file(target, path, meta)
+        return target, path
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_round_trip_matches_jsonl_parse(self, n, tmp_path, jsonl_reads):
+        target, path = self.saved(tmp_path, n, note="x")
+        assert sorted(f.name for f in tmp_path.iterdir()) == \
+               ["p.jsonl", "p.jsonl" + SIDECAR_SUFFIX]
+        loaded = load_event_file(target)
+        assert jsonl_reads == []
+        assert_same_path(loaded, parse_jsonl(target))
+        assert_same_path(loaded, path)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"log1p_mag": 3.5}', '"log1p_mag": 3.6}'),
+        ('"seed": 0', '"seed": 7'),
+    ], ids=["event-digit", "header-field"])
+    def test_jsonl_edited_in_place_is_parsed(self, old, new, tmp_path,
+                                             jsonl_reads):
+        path = small_path(times=[1.0, 2.0], signs=[1, -1], mags=[1.0, 3.5])
+        target = tmp_path / "p.jsonl"
+        save_event_file(target, path)
+        text = target.read_text()
+        assert text.count(old) == 1
+        target.write_text(text.replace(old, new))
+        loaded = load_event_file(target)
+        assert len(jsonl_reads) == 1
+        assert_same_path(loaded, parse_jsonl(target))
+        assert (loaded.seed, loaded.log1p_mags[1]) != (0, 3.5)
+
+    @pytest.mark.parametrize("kind", [None, *BAD_SIDECARS])
+    def test_unusable_sidecar_falls_back(self, kind, tmp_path, jsonl_reads):
+        target, path = self.saved(tmp_path, 5)
+        sidecar = Path(f"{target}{SIDECAR_SUFFIX}")
+        if kind is None:
+            sidecar.unlink()
+        else:
+            good = sidecar.read_bytes()
+            digest, events = good[:32], np.load(io.BytesIO(good[32:]))
+            sidecar.write_bytes(BAD_SIDECARS[kind](digest, events))
+        del UNPICKLED[:]
+        loaded = load_event_file(target)
+        assert UNPICKLED == []
+        assert len(jsonl_reads) == 1
+        assert_same_path(loaded, path)
+
+    def test_read_never_writes_a_sidecar(self, tmp_path):
+        path = small_path(times=[1.0], signs=[1], mags=[2.0])
+        target = tmp_path / "p.jsonl"
+        with open(target, "w") as fp:
+            write_event_path(path, fp)
+        assert_same_path(load_event_file(target), path)
+        assert [f.name for f in tmp_path.iterdir()] == ["p.jsonl"]
 
 
 class TestEnsembles:

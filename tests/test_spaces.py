@@ -95,10 +95,13 @@ class TestFamilies:
     def test_derivatives_vanish_at_infinity(self, phi, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (math.inf, -math.inf):
+            far = (math.inf, -math.inf, 1e200, -1e200, 1e308, -1e308)
+            for x in far:
                 assert phi.deriv(n, x) == 0.0
                 assert phi.log_abs_deriv(n, x) == -math.inf
-            assert phi.deriv(n, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+            assert phi.deriv(n, np.array(far)).tolist() == [0.0] * len(far)
+            assert phi.log_abs_deriv(n, np.array(far)).tolist() == \
+                   [-math.inf] * len(far)
 
 
 class TestSNorm:
