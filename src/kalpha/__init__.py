@@ -25,8 +25,8 @@ from .paths import (EventPath, load_event_file, read_event_path, running_sup,
                     save_event_file, simulate_large_jumps, simulate_many,
                     write_event_path)
 from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
-                     k_norm, kbeta_norm, pair_white_noise, parse_descriptor,
-                     parse_test_function, s_norm)
+                     log_k_norm, log_kbeta_norm, log_s_norm, pair_white_noise,
+                     parse_descriptor, parse_test_function)
 
 __all__ = [
     "__version__",
@@ -42,6 +42,6 @@ __all__ = [
     "envelope_exceedances", "build_exceedance_report", "growth_scan",
     "moment_scan", "pruitt_slope",
     "TestFunction", "Gaussian", "Bump", "ExpPoly", "PairingResult",
-    "s_norm", "k_norm", "kbeta_norm", "pair_white_noise",
+    "log_s_norm", "log_k_norm", "log_kbeta_norm", "pair_white_noise",
     "parse_descriptor", "parse_test_function",
 ]

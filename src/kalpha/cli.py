@@ -124,12 +124,16 @@ _ENVELOPE_ALIASES = {
     "exp": "exponential", "exponential": "exponential",
     "powexp": "power_exponential", "power_exponential": "power_exponential",
 }
+_ENVELOPE_KEYS = {"power": ("beta",), "exponential": ("c",),
+                  "power_exponential": ("beta", "c")}
 
 
 def parse_envelope(descriptor: str) -> EnvelopeSpec:
-    """Build an envelope from text like "exp:c=1.0" or "pow:beta=2"."""
+    """Build an envelope from text like "exp:c=1.0" or "pow:beta=2"; each
+    kind accepts only its own keys."""
     name, fields = parse_descriptor(
-        descriptor, dict.fromkeys(_ENVELOPE_ALIASES, ("beta", "c")))
+        descriptor, {alias: _ENVELOPE_KEYS[kind]
+                     for alias, kind in _ENVELOPE_ALIASES.items()})
     return EnvelopeSpec(_ENVELOPE_ALIASES[name], **fields)
 
 

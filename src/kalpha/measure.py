@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .numerics import LN2, LOG_FLOAT_MAX, QuadResult, adaptive_quad
 
 
@@ -87,14 +89,18 @@ def log_mag_survival(ell: float, p: KAlphaParams) -> float:
     return (LN2 / ell) ** p.alpha
 
 
-def inverse_tail(u: float, p: KAlphaParams) -> float:
+def inverse_tail(u, p: KAlphaParams):
     """Sampling transform: the ell = ln(1+x) whose normalised one-sided
-    survival equals u.  Returns the log of (1 + magnitude), never the
-    magnitude itself, because ell can exceed the float exponent range.
+    survival equals u, elementwise for an array u.  Returns the log of
+    (1 + magnitude), never the magnitude itself, because ell can exceed
+    the float exponent range.
     """
-    if not 0.0 < u <= 1.0:
-        raise ValueError(f"u must lie in (0, 1], got {u!r}")
-    return LN2 * u ** (-1.0 / p.alpha)
+    u = np.asarray(u, dtype=float)
+    inside = (u > 0.0) & (u <= 1.0)
+    if not inside.all():
+        raise ValueError(f"u must lie in (0, 1], got {float(u[~inside].flat[0])!r}")
+    ell = LN2 * u ** (-1.0 / p.alpha)
+    return ell if ell.ndim else float(ell)
 
 
 def truncated_moment(eta: float, X: float, p: KAlphaParams) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import KAlphaParams
+from .measure import KAlphaParams, inverse_tail
 from .numerics import LN2
 
 RNG_NAME = "philox4x64"
@@ -128,7 +128,7 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
     signs = rng.integers(0, 2, n) * 2 - 1
     u = 1.0 - rng.random(n)            # uniform on (0, 1]
     with np.errstate(over="ignore"):
-        mags = LN2 * u ** (-1.0 / params.alpha)
+        mags = inverse_tail(u, params)
     if np.isinf(mags).any():
         raise ValueError(
             f"a sampled log magnitude ln(1+|x|) exceeds the float range "

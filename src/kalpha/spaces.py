@@ -1,11 +1,13 @@
 """Test functions, weighted sup-norms, and the white-noise pairing.
 
-Three families of smooth decaying functions are built in, each with
-exact derivatives (polynomial recursions, no finite differences).
-Norm computation is a log-domain grid search over the effective
-support, refined by golden section; weighted sups that are infinite
-are detected analytically and reported as math.inf, never left to a
-wandering search.
+Three families of smooth decaying functions are built in.  Each states
+its exact n-th derivative once (polynomial recursions, no finite
+differences) as a sign and a log magnitude in its own coordinate
+y = (x - center) / scale.  The seminorms are returned as logs, so a norm
+beyond the float range stays finite: a grid search in y over the
+effective support, refined by golden section.  Weighted sups that are
+infinite are detected analytically and reported as math.inf, never left
+to a wandering search.
 
 The pairing of a path's distributional derivative with a test function
 integrates -K(t) phi'(t) exactly over the constancy segments of the
@@ -25,56 +27,77 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .numerics import SLV_ZERO, SignedLogValue, slv_sum
+from .numerics import LN2, SLV_ZERO, SignedLogValue, slv_sum
 from .paths import EventPath
 
 _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
 
 
-def _decaying(y, at_infinity, fn, exponent):
-    """fn(y) elementwise, where fn is a polynomial times exp(-exponent(y))
-    or the log of that product.  Where the exponential has underflowed
-    to 0, the polynomial may overflow and fn give inf * 0 = NaN or an
-    infinite log; there the value is at_infinity, the family's limit,
-    without a warning.  Elsewhere numpy's overflow warnings stand.
-    A log of a vanishing derivative is -inf, without a warning."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        far = np.exp(-exponent(y)) == 0.0
-    out = np.empty_like(y)
-    with np.errstate(divide="ignore"):
-        out[~far] = fn(y[~far])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        tail = fn(y[far])
-    out[far] = np.where(np.isfinite(tail), tail, at_infinity)
-    return out if out.ndim else float(out)
-
-
 class TestFunction:
-    """Base for the built-in families.  Subclasses provide exact
-    derivatives of any requested order (the bump family caps at 8);
-    calling a test function evaluates its derivative of order 0."""
+    """Base for the built-in families.
+
+    A family writes its n-th derivative in y = (x - center) / scale once,
+    as a sign and a log magnitude (_signed_log); values, logs, the
+    chain-rule factor scale^-n and the order check are written here.
+    Calling a test function evaluates its derivative of order 0.
+    """
 
     max_order = None  # unlimited unless overridden
+    center = 0.0
+    scale = 1.0
 
     def __call__(self, x):
         return self.deriv(0, x)
 
     def deriv(self, n, x):
-        raise NotImplementedError
+        sign, log = self._log_deriv(n, self._y(x))
+        out = sign * np.exp(log)
+        return out if out.ndim else float(out)
 
     def log_abs_deriv(self, n, x):
         """ln |phi^(n)(x)| elementwise, -inf where the derivative vanishes."""
-        raise NotImplementedError
+        out = self._log_deriv(n, self._y(x))[1]
+        return out if out.ndim else float(out)
 
     def support(self):
         """(lo, hi) for compactly supported families, else None."""
         return None
 
     def decay(self):
-        """(degree, rate) meaning |phi(x)| ~ exp(-rate * |x|^degree)."""
+        """(degree, rate) meaning |phi| ~ exp(-rate * |y|^degree)."""
         raise NotImplementedError
+
+    def _signed_log(self, n, y):
+        """(sign, ln |d^n phi / dy^n|) on the 1-d array y."""
+        raise NotImplementedError
+
+    def _y(self, x):
+        return (np.asarray(x, dtype=float) - self.center) / self.scale
+
+    def _log_deriv(self, n, y):
+        """(sign, ln |phi^(n)|) at the coordinates y, arrays of y's shape.
+
+        Where the family's exponential factor has underflowed to 0, its
+        polynomial factor may overflow; there the formula runs without
+        warnings and a non-finite log becomes -inf (sign 0).  Elsewhere
+        numpy's warnings stand.  A vanishing derivative has log -inf.
+        """
+        self._check_order(n)
+        y = np.asarray(y, dtype=float)
+        far = np.zeros(y.shape, dtype=bool)
+        if self.support() is None:
+            degree, rate = self.decay()
+            with np.errstate(over="ignore"):
+                far = np.exp(-rate * np.abs(y) ** degree) == 0.0
+        sign, log = np.empty_like(y), np.empty_like(y)
+        with np.errstate(divide="ignore"):
+            sign[~far], log[~far] = self._signed_log(n, y[~far])
+        with np.errstate(all="ignore"):
+            s, lg = self._signed_log(n, y[far])
+        dead = ~np.isfinite(lg)
+        sign[far], log[far] = np.where(dead, 0.0, s), np.where(dead, -np.inf, lg)
+        return sign, log - n * math.log(self.scale)
 
     def _check_order(self, n):
         if n < 0:
@@ -86,7 +109,8 @@ class TestFunction:
 
 
 class Gaussian(TestFunction):
-    """exp(-((x - center)/scale)^2); derivatives via the Hermite recursion."""
+    """exp(-y^2) with y = (x - center)/scale; derivatives via the Hermite
+    recursion, d^n/dy^n e^(-y^2) = (-1)^n H_n(y) e^(-y^2)."""
 
     def __init__(self, center=0.0, scale=1.0):
         if scale <= 0:
@@ -94,37 +118,29 @@ class Gaussian(TestFunction):
         self.center = float(center)
         self.scale = float(scale)
 
-    def _y(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.scale
-
     @staticmethod
     def _hermite(n, y):
-        # physicists' H_n by upward recursion
-        h_prev = np.ones_like(y)
-        if n == 0:
-            return h_prev
-        h = 2.0 * y
-        for k in range(1, n):
+        """sign and ln |H_n(y)| of the physicists' Hermite polynomial.
+
+        The upward recursion H_{k+1} = 2y H_k - 2k H_{k-1} is rescaled at
+        every step by a power of two, which is exact, and the exponents
+        are carried apart, so no order overflows for |y| below about 4e307.
+        """
+        h_prev, h = np.zeros_like(y), np.ones_like(y)
+        shift = np.zeros(y.shape, dtype=np.int64)
+        for k in range(n):
             h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-        return h
+            _, e = np.frexp(np.maximum(np.abs(h), np.abs(h_prev)))
+            h, h_prev = np.ldexp(h, -e), np.ldexp(h_prev, -e)
+            shift += e
+        return np.sign(h), np.log(np.abs(h)) + shift * LN2
 
-    def deriv(self, n, x):
-        self._check_order(n)
-        sign = -1.0 if n % 2 else 1.0
-        return _decaying(self._y(x), 0.0, lambda y: sign * self.scale ** (-n)
-                         * self._hermite(n, y) * np.exp(-y * y), np.square)
-
-    def log_abs_deriv(self, n, x):
-        self._check_order(n)
-        return _decaying(self._y(x), -np.inf,
-                         lambda y: np.log(np.abs(self._hermite(n, y))) - y * y
-                         - n * math.log(self.scale), np.square)
-
-    def support(self):
-        return None
+    def _signed_log(self, n, y):
+        sign, log_h = self._hermite(n, y)
+        return (-1) ** n * sign, log_h - y * y
 
     def decay(self):
-        return 2.0, 1.0 / self.scale ** 2
+        return 2.0, 1.0
 
     def describe(self):
         return f"gaussian:center={self.center:g},scale={self.scale:g}"
@@ -159,35 +175,18 @@ class Bump(TestFunction):
         if width <= 0:
             raise ValueError("width must be positive")
         self.center = float(center)
-        self.width = float(width)
+        self.scale = self.width = float(width)
 
-    def _y(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.width
-
-    def deriv(self, n, x):
-        self._check_order(n)
-        y = self._y(x)
-        out = np.zeros_like(y)
+    def _signed_log(self, n, y):
         inside = np.abs(y) < 1.0
         yi = y[inside]
         g = 1.0 - yi * yi
-        # combine the exponentials so the (1-y^2)^-2n pole cannot overflow
-        expo = -1.0 / g - 2.0 * n * np.log(g)
-        out[inside] = self._polys[n](yi) * np.exp(expo) * self.width ** (-n)
-        return out if out.ndim else float(out)
-
-    def log_abs_deriv(self, n, x):
-        self._check_order(n)
-        y = self._y(x)
-        out = np.full_like(y, -np.inf)
-        inside = np.abs(y) < 1.0
-        yi = y[inside]
-        g = 1.0 - yi * yi
-        with np.errstate(divide="ignore"):
-            out[inside] = (np.log(np.abs(self._polys[n](yi)))
-                           - 1.0 / g - 2.0 * n * np.log(g)
-                           - n * math.log(self.width))
-        return out if out.ndim else float(out)
+        p = self._polys[n](yi)
+        sign, log = np.zeros_like(y), np.full_like(y, -np.inf)
+        sign[inside] = np.sign(p)
+        # the exponential and the (1-y^2)^-2n pole combine as logs
+        log[inside] = np.log(np.abs(p)) - 1.0 / g - 2.0 * n * np.log(g)
+        return sign, log
 
     def support(self):
         return self.center - self.width, self.center + self.width
@@ -228,24 +227,9 @@ class ExpPoly(TestFunction):
             self._q_polys = polys
         return polys[n]
 
-    def deriv(self, n, x):
-        self._check_order(n)
-        q = self._q(n)
-        return _decaying(x, 0.0, lambda y: q(y) * np.exp(-self._exponent(y)),
-                         self._exponent)
-
-    def log_abs_deriv(self, n, x):
-        self._check_order(n)
-        q = self._q(n)
-        return _decaying(x, -np.inf,
-                         lambda y: np.log(np.abs(q(y))) - self._exponent(y),
-                         self._exponent)
-
-    def _exponent(self, y):
-        return self.rate * y ** self.degree
-
-    def support(self):
-        return None
+    def _signed_log(self, n, y):
+        q = self._q(n)(y)
+        return np.sign(q), np.log(np.abs(q)) - self.rate * y ** self.degree
 
     def decay(self):
         return float(self.degree), self.rate
@@ -255,15 +239,21 @@ class ExpPoly(TestFunction):
 
 
 # ---------------------------------------------------------------------------
-# weighted sup-norms
+# weighted sup-norms, as logs
 # ---------------------------------------------------------------------------
 
 def _weight_wins(phi: TestFunction, p: int, beta: float) -> bool:
-    """Does exp(p |x|^beta) beat the family's decay?  (Then the sup is inf.)"""
+    """Does exp(p |x|^beta) beat the family's decay?  (Then the sup is inf.)
+
+    At x = center + scale * y the weight grows like p scale^beta |y|^beta
+    against the decay rate |y|^degree; the coefficients are compared as
+    logs, so no scale overflows or divides.
+    """
     if p == 0 or phi.support() is not None:
         return False
     degree, rate = phi.decay()
-    return beta > degree or (beta == degree and p >= rate)
+    return beta > degree or (beta == degree and math.log(p)
+                             + beta * math.log(phi.scale) >= math.log(rate))
 
 
 def _golden_max(obj, a: float, b: float) -> float:
@@ -282,15 +272,15 @@ def _golden_max(obj, a: float, b: float) -> float:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = obj(d)
-    return max(fc, fd)
+    return float(max(fc, fd))
 
 
-def _search_bound(log_obj, start: float) -> float:
-    """Double outward until the log objective is dead and falling."""
-    b = max(1.0, start)
+def _search_bound(log_obj) -> float:
+    """Double outward in y until the log objective is dead and falling."""
+    b = 10.0
     for _ in range(80):
-        lo = max(log_obj(np.array([-b]))[0], log_obj(np.array([b]))[0])
-        lo2 = max(log_obj(np.array([-2 * b]))[0], log_obj(np.array([2 * b]))[0])
+        lo = max(log_obj(-b), log_obj(b))
+        lo2 = max(log_obj(-2 * b), log_obj(2 * b))
         if lo < _LOG_FLOOR and lo2 < lo:
             return 2 * b
         b *= 2.0
@@ -298,35 +288,30 @@ def _search_bound(log_obj, start: float) -> float:
 
 
 def _weighted_sup(phi: TestFunction, q: int, weight_log) -> float:
-    """sup over x of exp(weight_log(x)) * |phi^(q)(x)| via grid + golden."""
+    """ln sup over x of exp(weight_log(x)) * |phi^(q)(x)|, searched on a
+    grid in the family's coordinate y and refined by golden section."""
+
+    def log_obj(y):
+        return weight_log(phi.center + phi.scale * y) + phi._log_deriv(q, y)[1]
+
     sup_range = phi.support()
     if sup_range is not None:
-        lo, hi = sup_range
+        lo, hi = phi._y(sup_range)
     else:
-        def log_obj_arr(xs):
-            return weight_log(xs) + phi.log_abs_deriv(q, xs)
-        scale = getattr(phi, "scale", None) or getattr(phi, "width", 1.0)
-        center = getattr(phi, "center", 0.0)
-        bound = _search_bound(log_obj_arr, abs(center) + 10.0 * scale)
-        lo, hi = -bound, bound
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    vals = weight_log(xs) + phi.log_abs_deriv(q, xs)
+        hi = _search_bound(log_obj)
+        lo = -hi
+    ys = np.linspace(lo, hi, _GRID_POINTS)
+    vals = log_obj(ys)
     i = int(np.argmax(vals))
-    if not np.isfinite(vals[i]):
-        return 0.0
-
-    def obj(x):
-        xa = np.array([x])
-        return float(weight_log(xa)[0] + phi.log_abs_deriv(q, xa)[0])
-
-    a = xs[max(0, i - 1)]
-    b = xs[min(len(xs) - 1, i + 1)]
-    best = max(float(vals[i]), _golden_max(obj, float(a), float(b)))
-    return math.exp(best)
+    if vals[i] == -math.inf:
+        return -math.inf
+    a = ys[max(0, i - 1)]
+    b = ys[min(len(ys) - 1, i + 1)]
+    return max(float(vals[i]), _golden_max(log_obj, float(a), float(b)))
 
 
-def s_norm(phi: TestFunction, p: int, r: int) -> float:
-    """sup |x^p phi^(r)(x)|, the polynomial-weight seminorm."""
+def log_s_norm(phi: TestFunction, p: int, r: int) -> float:
+    """ln sup |x^p phi^(r)(x)|, the polynomial-weight seminorm."""
     if p < 0 or r < 0:
         raise ValueError("orders must be nonnegative")
     phi._check_order(r)
@@ -340,21 +325,18 @@ def s_norm(phi: TestFunction, p: int, r: int) -> float:
     return _weighted_sup(phi, r, weight_log)
 
 
-def _exp_weight_norm(phi: TestFunction, p: int, beta: float) -> float:
+def _log_exp_weight_norm(phi: TestFunction, p: int, beta: float) -> float:
     if _weight_wins(phi, p, beta):
         return math.inf
 
     def weight_log(xs):
         return p * np.abs(xs) ** beta
 
-    best = 0.0
-    for q in range(p + 1):
-        best = max(best, _weighted_sup(phi, q, weight_log))
-    return best
+    return max(_weighted_sup(phi, q, weight_log) for q in range(p + 1))
 
 
-def k_norm(phi: TestFunction, p: int) -> float:
-    """max over q <= p of sup e^(p|x|) |phi^(q)(x)|.
+def log_k_norm(phi: TestFunction, p: int) -> float:
+    """ln of max over q <= p of sup e^(p|x|) |phi^(q)(x)|.
 
     The absolute value is taken inside the sup, the usual seminorm
     convention.  Finite for every built-in family since they all decay
@@ -363,11 +345,11 @@ def k_norm(phi: TestFunction, p: int) -> float:
     if p < 0:
         raise ValueError("p must be nonnegative")
     phi._check_order(p)
-    return _exp_weight_norm(phi, p, 1.0)
+    return _log_exp_weight_norm(phi, p, 1.0)
 
 
-def kbeta_norm(phi: TestFunction, p: int, beta: float) -> float:
-    """Same as k_norm with weight e^(p|x|^beta), beta > 1.
+def log_kbeta_norm(phi: TestFunction, p: int, beta: float) -> float:
+    """Same as log_k_norm with weight e^(p|x|^beta), beta > 1.
 
     Returns math.inf when the weight beats the family's decay (for
     example a gaussian against beta >= 2 with p >= 1): the divergence
@@ -378,7 +360,7 @@ def kbeta_norm(phi: TestFunction, p: int, beta: float) -> float:
     if beta <= 1.0:
         raise ValueError(f"beta must exceed 1, got {beta!r}")
     phi._check_order(p)
-    return _exp_weight_norm(phi, p, beta)
+    return _log_exp_weight_norm(phi, p, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -341,11 +341,15 @@ class TestBadInput:
         # 1.6 EiB of event times exceeds any 64-bit user address space
         ["simulate", "--alpha", "1.5", "--horizon", "1e17", "--seed", "1",
          "--out", "{out}/p.jsonl"],
+        # each envelope kind takes only its own keys
+        ["diagnose", "--in", "{path}", "--envelope", "exp:c=1,beta=2"],
+        ["diagnose", "--in", "{path}", "--envelope", "pow:beta=2,c=3"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
             "workers-zero", "workers-negative", "moment-eta-overflows",
-            "moment-cap-overflows", "simulate-horizon-beyond-memory"])
+            "moment-cap-overflows", "simulate-horizon-beyond-memory",
+            "envelope-exp-with-beta", "envelope-pow-with-c"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"

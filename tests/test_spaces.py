@@ -13,8 +13,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, slv_sum
 from kalpha.paths import EventPath, simulate_large_jumps
-from kalpha.spaces import (Bump, ExpPoly, Gaussian, k_norm, kbeta_norm,
-                           pair_white_noise, parse_test_function, s_norm)
+from kalpha.spaces import (Bump, ExpPoly, Gaussian, log_k_norm, log_kbeta_norm,
+                           log_s_norm, pair_white_noise, parse_test_function)
 
 # database=None turns the example database off, but hypothesis still caches
 # the constants it reads from the source when tests are collected; keep that
@@ -103,95 +103,125 @@ class TestFamilies:
             assert phi.log_abs_deriv(n, np.array(far)).tolist() == \
                    [-math.inf] * len(far)
 
+    def test_high_order_hermite_does_not_overflow(self):
+        # ln |H_300(10)| - 10^2 from the exact integer recursion
+        h_prev, h = 1, 20
+        for k in range(1, 300):
+            h, h_prev = 20 * h - 2 * k * h_prev, h
+        expected = math.log(abs(h)) - 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = Gaussian(0.0, 1.0).log_abs_deriv(300, 10.0)
+        assert v == pytest.approx(expected, rel=1e-12)
+
 
 class TestSNorm:
     def test_gaussian_sup(self):
         g = Gaussian(0.0, 1.0)
-        assert s_norm(g, 0, 0) == pytest.approx(1.0, rel=1e-6)
+        assert log_s_norm(g, 0, 0) == pytest.approx(0.0, abs=1e-6)
 
     def test_gaussian_weighted_sup(self):
         # sup |x e^(-x^2)| = (2e)^(-1/2) at x = 1/sqrt(2)
         g = Gaussian(0.0, 1.0)
-        assert s_norm(g, 1, 0) == pytest.approx((2 * math.e) ** -0.5, rel=1e-6)
+        assert log_s_norm(g, 1, 0) == pytest.approx(-0.5 * math.log(2 * math.e),
+                                                    abs=1e-6)
 
     def test_bump_peak(self):
-        assert s_norm(Bump(0.0, 1.0), 0, 0) == pytest.approx(math.exp(-1.0),
-                                                             rel=1e-6)
+        assert log_s_norm(Bump(0.0, 1.0), 0, 0) == pytest.approx(-1.0, abs=1e-6)
 
     def test_exppoly_peak(self):
-        assert s_norm(ExpPoly(2.0, 4), 0, 0) == pytest.approx(1.0, rel=1e-6)
+        assert log_s_norm(ExpPoly(2.0, 4), 0, 0) == pytest.approx(0.0, abs=1e-6)
 
     def test_derivative_order_gate(self):
         with pytest.raises(ValueError):
-            s_norm(Bump(0.0, 1.0), 0, 9)
+            log_s_norm(Bump(0.0, 1.0), 0, 9)
 
     def test_polynomial_weight_always_finite(self):
         for phi in (Gaussian(0.0, 1.0), Bump(1.0, 0.5), ExpPoly(1.0, 2)):
             for p in (0, 3, 6):
-                v = s_norm(phi, p, 1)
+                v = log_s_norm(phi, p, 1)
                 assert math.isfinite(v)
 
 
 class TestKNorm:
     def test_weight_one(self):
         g = Gaussian(0.0, 1.0)
-        assert k_norm(g, 0) == pytest.approx(1.0, rel=1e-6)
+        assert log_k_norm(g, 0) == pytest.approx(0.0, abs=1e-6)
 
     def test_gaussian_p1_value(self):
         # q=1 term e^|x| 2|x| e^(-x^2) peaks at exactly 2 (x = 1), beating
         # the q=0 term e^(1/4)
         g = Gaussian(0.0, 1.0)
-        assert k_norm(g, 1) == pytest.approx(2.0, rel=1e-6)
+        assert log_k_norm(g, 1) == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_bump_finite_any_p(self):
         b = Bump(0.0, 1.0)
         for p in (0, 2, 5, 8):
-            assert math.isfinite(k_norm(b, p))
+            assert math.isfinite(log_k_norm(b, p))
 
     def test_finite_for_all_families(self):
         for phi in (Gaussian(0.5, 2.0), Bump(0.0, 3.0), ExpPoly(0.3, 4)):
-            assert math.isfinite(k_norm(phi, 3))
+            assert math.isfinite(log_k_norm(phi, 3))
 
     def test_nondecreasing_in_p(self):
         for phi in (Gaussian(0.0, 1.0), Bump(0.0, 1.0), ExpPoly(1.0, 4)):
-            vals = [k_norm(phi, p) for p in range(4)]
-            assert all(b >= a * (1 - 1e-9) for a, b in zip(vals, vals[1:]))
+            vals = [log_k_norm(phi, p) for p in range(4)]
+            assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+    def test_norm_beyond_float_range_is_finite(self):
+        # e^(1000 |x|) on the support: the norm itself is about e^1000
+        assert math.isfinite(log_k_norm(Bump(1000.0, 1.0), 1))
+
+    def test_translation_covariance(self):
+        # on a support inside x > 0 the weight e^(p|x|) shifts by e^(p c)
+        shift = log_k_norm(Bump(30.0, 1.0), 2) - log_k_norm(Bump(20.0, 1.0), 2)
+        assert shift == pytest.approx(20.0, abs=1e-9)
 
 
 class TestKBetaNorm:
     def test_weight_one(self):
-        assert kbeta_norm(Gaussian(0.0, 1.0), 0, 2.0) == pytest.approx(1.0,
-                                                                       rel=1e-6)
+        assert log_kbeta_norm(Gaussian(0.0, 1.0), 0, 2.0) == pytest.approx(
+            0.0, abs=1e-6)
 
     def test_bump_finite(self):
-        assert math.isfinite(kbeta_norm(Bump(0.0, 1.0), 3, 2.0))
+        assert math.isfinite(log_kbeta_norm(Bump(0.0, 1.0), 3, 2.0))
+
+    def test_norm_beyond_float_range_is_finite(self):
+        assert math.isfinite(log_kbeta_norm(Bump(100.0, 1.0), 1, 1.5))
 
     def test_gaussian_divergence_flagged(self):
         # e^(|x|^3) beats any gaussian decay
-        assert kbeta_norm(Gaussian(0.0, 1.0), 1, 3.0) == math.inf
-        assert kbeta_norm(Gaussian(0.0, 1.0), 1, 2.0) == math.inf
+        assert log_kbeta_norm(Gaussian(0.0, 1.0), 1, 3.0) == math.inf
+        assert log_kbeta_norm(Gaussian(0.0, 1.0), 1, 2.0) == math.inf
 
     def test_gaussian_narrow_scale_survives_beta_two(self):
         # decay rate 1/s^2 = 4 beats weight coefficient p = 1
-        v = kbeta_norm(Gaussian(0.0, 0.5), 1, 2.0)
+        v = log_kbeta_norm(Gaussian(0.0, 0.5), 1, 2.0)
         assert math.isfinite(v)
+
+    def test_gaussian_tiny_scale_analytic(self):
+        # the weight is 1 where phi lives; the q=1 term 2|y| e^(-y^2) / s
+        # peaks at y = 1/sqrt(2)
+        v = log_kbeta_norm(Gaussian(0.0, 1e-200), 1, 2.0)
+        expected = 0.5 * math.log(2.0) + 200 * math.log(10.0) - 0.5
+        assert v == pytest.approx(expected, abs=1e-9)
 
     def test_exppoly_thresholds(self):
         quartic = ExpPoly(1.0, 4)
-        assert math.isfinite(kbeta_norm(quartic, 2, 3.0))
-        assert kbeta_norm(quartic, 1, 5.0) == math.inf
-        assert kbeta_norm(quartic, 1, 4.0) == math.inf   # p >= rate at beta == degree
+        assert math.isfinite(log_kbeta_norm(quartic, 2, 3.0))
+        assert log_kbeta_norm(quartic, 1, 5.0) == math.inf
+        assert log_kbeta_norm(quartic, 1, 4.0) == math.inf   # p >= rate at beta == degree
 
     def test_beta_domain(self):
         with pytest.raises(ValueError):
-            kbeta_norm(Gaussian(0.0, 1.0), 1, 1.0)
+            log_kbeta_norm(Gaussian(0.0, 1.0), 1, 1.0)
         with pytest.raises(ValueError):
-            kbeta_norm(Gaussian(0.0, 1.0), 1, 0.5)
+            log_kbeta_norm(Gaussian(0.0, 1.0), 1, 0.5)
 
     def test_nondecreasing_in_p(self):
         b = Bump(0.0, 1.0)
-        vals = [kbeta_norm(b, p, 2.0) for p in range(4)]
-        assert all(bv >= av * (1 - 1e-9) for av, bv in zip(vals, vals[1:]))
+        vals = [log_kbeta_norm(b, p, 2.0) for p in range(4)]
+        assert all(bv >= av - 1e-9 for av, bv in zip(vals, vals[1:]))
 
 
 class TestPairing:
