@@ -1,13 +1,13 @@
 """Test functions, weighted sup-norms, and the white-noise pairing.
 
-Three families of smooth decaying functions are built in.  Each states
-its exact n-th derivative once (polynomial recursions, no finite
-differences) as a sign and a log magnitude in its own coordinate
-y = (x - center) / scale.  The seminorms are returned as logs, so a norm
-beyond the float range stays finite: a grid search in y over the
-effective support, refined by golden section.  Weighted sups that are
-infinite are detected analytically and reported as math.inf, never left
-to a wandering search.
+Every built-in family is phi = e^g in its coordinate y = (x - center) /
+scale and states only g and a_k = g^(k+1)(y) / k!; one recursion gives
+the exact n-th derivative of each (no finite differences) as a sign and
+a log magnitude.  The seminorms are returned as logs, so a norm beyond
+the float range stays finite: one grid search in y over the effective
+support serves every derivative order, refined by golden section.
+Infinite weighted sups are decided analytically and reported as
+math.inf, never left to a wandering search.
 
 The pairing of a path's distributional derivative with a test function
 integrates -K(t) phi'(t) exactly over the constancy segments of the
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .numerics import LN2, SLV_ZERO, SignedLogValue, slv_sum
 from .paths import EventPath
@@ -34,12 +33,37 @@ _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
 
 
-class TestFunction:
-    """Base for the built-in families.
+def _finite(name: str, value, positive: bool = True) -> float:
+    """value as a float; ValueError unless it is finite (and positive)."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive finite" if positive else "a finite"
+        raise ValueError(f"{name} must be {kind} number, got {value!r}")
+    return value
 
-    A family writes its n-th derivative in y = (x - center) / scale once,
-    as a sign and a log magnitude (_signed_log); values, logs, the
-    chain-rule factor scale^-n and the order check are written here.
+
+def _powers(x, first, count):
+    """Rows x^first .. x^(first+count-1): one power, then running products
+    (numpy's pow is slow on negative bases)."""
+    out = np.empty((count,) + x.shape)
+    out[0] = x ** first
+    for k in range(1, count):
+        np.multiply(out[k - 1], x, out=out[k])
+    return out
+
+
+class TestFunction:
+    """Base for the built-in families, phi = e^g(y), y = (x - center) / scale.
+
+    A family states only _g(y), the exponent g (-inf where phi is 0), and
+    _taylor(n, y), the rows a_0 .. a_(K-1), K <= n, of a_k = g^(k+1)(y) / k!
+    (a_k = 0 for k >= K) on a 1-d y.  As phi' = g' phi, Leibniz's rule gives
+    H_{m+1} = sum_k a_k H_{m-k} / (m + 1) for H_m = phi^(m) / (m! e^g),
+    H_0 = 1, and ln |phi^(n)| = ln |H_n| + ln n! + g - n ln scale.  The H
+    values are rescaled by a power of two (exact) when they leave
+    [2^-300, 2^300], the exponents carried apart, so no order overflows.
+    Where e^g has underflowed to 0 (the far field) a non-finite log
+    becomes -inf (sign 0), without warnings; elsewhere it stands.
     Calling a test function evaluates its derivative of order 0.
     """
 
@@ -68,36 +92,57 @@ class TestFunction:
         """(degree, rate) meaning |phi| ~ exp(-rate * |y|^degree)."""
         raise NotImplementedError
 
-    def _signed_log(self, n, y):
-        """(sign, ln |d^n phi / dy^n|) on the 1-d array y."""
-        raise NotImplementedError
-
     def _y(self, x):
-        return (np.asarray(x, dtype=float) - self.center) / self.scale
+        # a tiny scale sends x to +-inf, the right coordinate there
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=float) - self.center) / self.scale
 
     def _log_deriv(self, n, y):
-        """(sign, ln |phi^(n)|) at the coordinates y, arrays of y's shape.
-
-        Where the family's exponential factor has underflowed to 0, its
-        polynomial factor may overflow; there the formula runs without
-        warnings and a non-finite log becomes -inf (sign 0).  Elsewhere
-        numpy's warnings stand.  A vanishing derivative has log -inf.
-        """
+        """(sign, ln |phi^(n)|) at the coordinates y, arrays of y's shape."""
         self._check_order(n)
         y = np.asarray(y, dtype=float)
-        far = np.zeros(y.shape, dtype=bool)
-        if self.support() is None:
-            degree, rate = self.decay()
-            with np.errstate(over="ignore"):
-                far = np.exp(-rate * np.abs(y) ** degree) == 0.0
-        sign, log = np.empty_like(y), np.empty_like(y)
-        with np.errstate(divide="ignore"):
-            sign[~far], log[~far] = self._signed_log(n, y[~far])
         with np.errstate(all="ignore"):
-            s, lg = self._signed_log(n, y[far])
-        dead = ~np.isfinite(lg)
-        sign[far], log[far] = np.where(dead, 0.0, s), np.where(dead, -np.inf, lg)
-        return sign, log - n * math.log(self.scale)
+            *_, last = self._series(n, y.reshape(-1))
+            sign, log = self._finish(n, *last)
+        return sign.reshape(y.shape), log.reshape(y.shape)
+
+    def _series(self, n, y):
+        """Yield (g, h, shift), H_m = h 2^shift, for m = 0 .. n on the 1-d y.
+
+        H_j sits in row j mod w of a ring of w = len(a) rows, so step m
+        weights the ring by a slice of the reversed a, doubled.  h and
+        shift change in place: read each yield before the next, under
+        np.errstate(all="ignore") (the far field overflows).
+        """
+        g = self._g(y)
+        yield g, np.ones_like(y), 0
+        if n == 0:
+            return
+        a = self._taylor(n, y)[::-1]
+        w, coef = len(a), np.concatenate([a, a])
+        ring = np.zeros((w,) + y.shape)
+        ring[0] = 1.0
+        shift = np.zeros(y.shape, dtype=np.int64)
+        h, e = np.empty_like(y), np.empty(y.shape, np.intc)
+        for m in range(n):
+            s, row = (w - 1 - m) % w, ring[(m + 1) % w]
+            np.einsum("kp,kp->p", coef[s:s + w], ring, out=h)
+            np.divide(h, m + 1, out=row)
+            np.frexp(row, out=(h, e))
+            if np.abs(e, out=e).max() > 300:
+                out = e > 300
+                _, up = np.frexp(np.abs(ring[:, out]).max(axis=0))
+                ring[:, out] = np.ldexp(ring[:, out], -up)
+                shift[out] += up
+            yield g, row, shift
+
+    def _finish(self, n, g, h, shift):
+        """(sign, ln |phi^(n)|) from g and H_n = h 2^shift, far field masked."""
+        const = math.lgamma(n + 1) - n * math.log(self.scale)
+        log = np.log(np.abs(h)) + shift * LN2 + const + g
+        far = ~np.isfinite(log)
+        far[far] = np.exp(g[far]) == 0.0
+        return np.where(far, 0.0, np.sign(h)), np.where(far, -np.inf, log)
 
     def _check_order(self, n):
         if n < 0:
@@ -108,85 +153,71 @@ class TestFunction:
                 f"{self.max_order}, got {n}")
 
 
-class Gaussian(TestFunction):
-    """exp(-y^2) with y = (x - center)/scale; derivatives via the Hermite
-    recursion, d^n/dy^n e^(-y^2) = (-1)^n H_n(y) e^(-y^2)."""
+class ExpPoly(TestFunction):
+    """exp(-rate * x^degree) for even degree >= 2.
 
-    def __init__(self, center=0.0, scale=1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.center = float(center)
-        self.scale = float(scale)
+    The even degree keeps the family smooth on the whole line with
+    super-exponential decay, so every exponential-weight norm of it is
+    finite.  a_k = -rate (k+1) C(degree, k+1) y^(degree-k-1), 0 for k >= degree.
+    """
 
-    @staticmethod
-    def _hermite(n, y):
-        """sign and ln |H_n(y)| of the physicists' Hermite polynomial.
+    def __init__(self, rate=1.0, degree=4):
+        self.rate = _finite("rate", rate)
+        if degree < 2 or degree % 2:
+            raise ValueError(f"degree must be an even integer >= 2, got {degree!r}")
+        self.degree = int(degree)
 
-        The upward recursion H_{k+1} = 2y H_k - 2k H_{k-1} is rescaled at
-        every step by a power of two, which is exact, and the exponents
-        are carried apart, so no order overflows for |y| below about 4e307.
-        """
-        h_prev, h = np.zeros_like(y), np.ones_like(y)
-        shift = np.zeros(y.shape, dtype=np.int64)
-        for k in range(n):
-            h, h_prev = 2.0 * y * h - 2.0 * k * h_prev, h
-            _, e = np.frexp(np.maximum(np.abs(h), np.abs(h_prev)))
-            h, h_prev = np.ldexp(h, -e), np.ldexp(h_prev, -e)
-            shift += e
-        return np.sign(h), np.log(np.abs(h)) + shift * LN2
+    def _g(self, y):
+        return -self.rate * y ** self.degree
 
-    def _signed_log(self, n, y):
-        sign, log_h = self._hermite(n, y)
-        return (-1) ** n * sign, log_h - y * y
+    def _taylor(self, n, y):
+        d, rows = self.degree, min(n, self.degree)
+        coef = [-self.rate * k * math.comb(d, k) for k in range(1, rows + 1)]
+        return np.array(coef)[:, None] * _powers(y, d - rows, rows)[::-1]
 
     def decay(self):
-        return 2.0, 1.0
+        return float(self.degree), self.rate
+
+    def describe(self):
+        return f"exppoly:rate={self.rate:g},degree={self.degree}"
+
+
+class Gaussian(ExpPoly):
+    """exp(-y^2) with y = (x - center)/scale: ExpPoly(1, 2) moved and
+    stretched (a_0 = -2y, a_1 = -1: the recursion is Hermite's)."""
+
+    def __init__(self, center=0.0, scale=1.0):
+        super().__init__(1.0, 2)
+        self.center = _finite("center", center, positive=False)
+        self.scale = _finite("scale", scale)
 
     def describe(self):
         return f"gaussian:center={self.center:g},scale={self.scale:g}"
 
 
-def _bump_polys(order):
-    """Numerator polynomials P_n with phi^(n) = phi * P_n(y) / (1-y^2)^(2n)."""
-    one_m_y2 = Polynomial([1.0, 0.0, -1.0])
-    polys = [Polynomial([1.0])]
-    k = 0
-    for _ in range(order):
-        p = polys[-1]
-        nxt = (p.deriv() * one_m_y2 ** 2
-               + Polynomial([0.0, 2.0 * k]) * p * one_m_y2
-               - Polynomial([0.0, 2.0]) * p)
-        polys.append(nxt)
-        k += 2
-    return polys
-
-
 class Bump(TestFunction):
     """exp(-1/(1-y^2)) on |y| < 1 with y = (x - center)/width, zero outside.
 
-    Derivatives are exact via nested chain rule, precomputed as
-    polynomial numerators; orders above 8 are refused.
+    Inside, g = -(1/(1-y) + 1/(1+y))/2, so with p = 1/(1-y), q = -1/(1+y)
+    the partial fractions give a_k = -(k+1)/2 (p^(k+2) - q^(k+2)).  No a_k
+    vanishes, so order n costs n^2/2 steps; orders above 8 are refused.
     """
 
     max_order = 8
-    _polys = _bump_polys(8)
 
     def __init__(self, center=0.0, width=1.0):
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.center = float(center)
-        self.scale = self.width = float(width)
+        self.center = _finite("center", center, positive=False)
+        self.scale = self.width = _finite("width", width)
 
-    def _signed_log(self, n, y):
+    def _g(self, y):
+        g = np.full_like(y, -np.inf)
         inside = np.abs(y) < 1.0
-        yi = y[inside]
-        g = 1.0 - yi * yi
-        p = self._polys[n](yi)
-        sign, log = np.zeros_like(y), np.full_like(y, -np.inf)
-        sign[inside] = np.sign(p)
-        # the exponential and the (1-y^2)^-2n pole combine as logs
-        log[inside] = np.log(np.abs(p)) - 1.0 / g - 2.0 * n * np.log(g)
-        return sign, log
+        g[inside] = -1.0 / (1.0 - y[inside] ** 2)
+        return g
+
+    def _taylor(self, n, y):
+        p, q = 1.0 / (1.0 - y), -1.0 / (1.0 + y)
+        return -np.arange(1, n + 1)[:, None] / 2 * (_powers(p, 2, n) - _powers(q, 2, n))
 
     def support(self):
         return self.center - self.width, self.center + self.width
@@ -196,46 +227,6 @@ class Bump(TestFunction):
 
     def describe(self):
         return f"bump:center={self.center:g},width={self.width:g}"
-
-
-class ExpPoly(TestFunction):
-    """exp(-rate * x^degree) for even degree >= 2.
-
-    The even-degree constraint keeps the family smooth on the whole
-    line with super-exponential decay, so every exponential-weight
-    norm of it is finite.
-    """
-
-    def __init__(self, rate=1.0, degree=4):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if degree < 2 or degree % 2:
-            raise ValueError(f"degree must be an even integer >= 2, got {degree!r}")
-        self.rate = float(rate)
-        self.degree = int(degree)
-        self._q_polys = [Polynomial([1.0])]
-
-    def _q(self, n):
-        # Q_{n+1} = Q' - rate*degree*x^(degree-1) * Q; rebuilt locally and
-        # swapped in atomically so concurrent callers cannot see a torn list
-        polys = self._q_polys
-        if len(polys) <= n:
-            polys = list(polys)
-            factor = Polynomial([0.0] * (self.degree - 1) + [self.rate * self.degree])
-            while len(polys) <= n:
-                polys.append(polys[-1].deriv() - factor * polys[-1])
-            self._q_polys = polys
-        return polys[n]
-
-    def _signed_log(self, n, y):
-        q = self._q(n)(y)
-        return np.sign(q), np.log(np.abs(q)) - self.rate * y ** self.degree
-
-    def decay(self):
-        return float(self.degree), self.rate
-
-    def describe(self):
-        return f"exppoly:rate={self.rate:g},degree={self.degree}"
 
 
 # ---------------------------------------------------------------------------
@@ -276,38 +267,48 @@ def _golden_max(obj, a: float, b: float) -> float:
 
 
 def _search_bound(log_obj) -> float:
-    """Double outward in y until the log objective is dead and falling."""
+    """Double outward in y until the log objective is dead and falling,
+    or -inf, at the outer probe."""
     b = 10.0
     for _ in range(80):
         lo = max(log_obj(-b), log_obj(b))
         lo2 = max(log_obj(-2 * b), log_obj(2 * b))
-        if lo < _LOG_FLOOR and lo2 < lo:
+        if lo < _LOG_FLOOR and (lo2 < lo or lo2 == -math.inf):
             return 2 * b
         b *= 2.0
     raise ArithmeticError("could not bracket the weighted sup; is it finite?")
 
 
-def _weighted_sup(phi: TestFunction, q: int, weight_log) -> float:
-    """ln sup over x of exp(weight_log(x)) * |phi^(q)(x)|, searched on a
-    grid in the family's coordinate y and refined by golden section."""
+def _weighted_sup(phi: TestFunction, orders: range, weight_log) -> float:
+    """ln of the largest sup over x of exp(weight_log(x)) * |phi^(q)(x)|
+    for q in orders: one grid in the family's coordinate y, on which one
+    recursion gives every order, and each order's peak refined by golden
+    section."""
 
-    def log_obj(y):
-        return weight_log(phi.center + phi.scale * y) + phi._log_deriv(q, y)[1]
+    def log_obj(q):
+        return lambda y: (weight_log(phi.center + phi.scale * y)
+                          + phi._log_deriv(q, y)[1])
 
     sup_range = phi.support()
     if sup_range is not None:
         lo, hi = phi._y(sup_range)
     else:
-        hi = _search_bound(log_obj)
+        hi = max(_search_bound(log_obj(q)) for q in orders)
         lo = -hi
     ys = np.linspace(lo, hi, _GRID_POINTS)
-    vals = log_obj(ys)
-    i = int(np.argmax(vals))
-    if vals[i] == -math.inf:
-        return -math.inf
-    a = ys[max(0, i - 1)]
-    b = ys[min(len(ys) - 1, i + 1)]
-    return max(float(vals[i]), _golden_max(log_obj, float(a), float(b)))
+    weights = weight_log(phi.center + phi.scale * ys)
+    best = -math.inf
+    with np.errstate(all="ignore"):
+        for q, state in enumerate(phi._series(orders[-1], ys)):
+            if q not in orders:
+                continue
+            vals = weights + phi._finish(q, *state)[1]
+            i = int(np.argmax(vals))
+            if vals[i] > -math.inf:
+                a, b = ys[max(0, i - 1)], ys[min(len(ys) - 1, i + 1)]
+                best = max(best, float(vals[i]),
+                           _golden_max(log_obj(q), float(a), float(b)))
+    return best
 
 
 def log_s_norm(phi: TestFunction, p: int, r: int) -> float:
@@ -322,17 +323,16 @@ def log_s_norm(phi: TestFunction, p: int, r: int) -> float:
         with np.errstate(divide="ignore"):
             return p * np.log(np.abs(xs))
 
-    return _weighted_sup(phi, r, weight_log)
+    return _weighted_sup(phi, range(r, r + 1), weight_log)
 
 
 def _log_exp_weight_norm(phi: TestFunction, p: int, beta: float) -> float:
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    phi._check_order(p)
     if _weight_wins(phi, p, beta):
         return math.inf
-
-    def weight_log(xs):
-        return p * np.abs(xs) ** beta
-
-    return max(_weighted_sup(phi, q, weight_log) for q in range(p + 1))
+    return _weighted_sup(phi, range(p + 1), lambda xs: p * np.abs(xs) ** beta)
 
 
 def log_k_norm(phi: TestFunction, p: int) -> float:
@@ -342,9 +342,6 @@ def log_k_norm(phi: TestFunction, p: int) -> float:
     convention.  Finite for every built-in family since they all decay
     faster than any exponential.
     """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    phi._check_order(p)
     return _log_exp_weight_norm(phi, p, 1.0)
 
 
@@ -355,11 +352,8 @@ def log_kbeta_norm(phi: TestFunction, p: int, beta: float) -> float:
     example a gaussian against beta >= 2 with p >= 1): the divergence
     is decided analytically, not by a runaway search.
     """
-    if p < 0:
-        raise ValueError("p must be nonnegative")
     if beta <= 1.0:
         raise ValueError(f"beta must exceed 1, got {beta!r}")
-    phi._check_order(p)
     return _log_exp_weight_norm(phi, p, beta)
 
 

@@ -276,14 +276,17 @@ class TestPair:
         validate_document(doc)
         assert (doc["value_sign"], doc["value_logmag"]) == (0, None)
 
-    def test_tiny_gaussian_scale_is_quiet(self, tmp_path, capsys):
-        # (t - 5) / 1e-200 squared overflows; the derivative there is 0
+    @pytest.mark.parametrize("phi", ["gaussian:center=5,scale=1e-200",
+                                     "gaussian:center=5,scale=1e-320",
+                                     "bump:center=5,width=1e-320"])
+    def test_tiny_scale_is_quiet(self, tmp_path, capsys, phi):
+        # (t - 5) / 1e-200 squared overflows, and (t - 5) / 1e-320 itself;
+        # y = +-inf is the right coordinate, where every derivative is 0
         infile = tmp_path / "g.jsonl"
         assert run(["simulate", "--alpha", "1.5", "--horizon", "10",
                     "--seed", "1", "--out", str(infile)]) == EXIT_OK
         capsys.readouterr()
-        assert run(["pair", "--in", str(infile),
-                    "--phi", "gaussian:center=5,scale=1e-200"]) == EXIT_OK
+        assert run(["pair", "--in", str(infile), "--phi", phi]) == EXIT_OK
         out, err = capsys.readouterr()
         validate_document(json.loads(out, parse_constant=reject_constant))
         assert err == ""

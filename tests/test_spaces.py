@@ -51,13 +51,16 @@ class TestFamilies:
             assert np.all(np.isfinite(edge))
             assert np.max(np.abs(edge)) < 1e-100
 
-    def test_exppoly_validation(self):
+    @pytest.mark.parametrize("family, args", [
+        (ExpPoly, (1.0, 3)), (ExpPoly, (0.0, 4)), (ExpPoly, (1.0, 0)),
+        (ExpPoly, (math.nan, 4)), (ExpPoly, (1.0, math.inf)),
+        (Gaussian, (0.0, math.nan)), (Gaussian, (math.nan, 1.0)),
+        (Gaussian, (0.0, math.inf)), (Gaussian, (0.0, -1.0)),
+        (Bump, (0.0, math.nan)), (Bump, (math.inf, 1.0)), (Bump, (0.0, 0.0)),
+    ], ids=lambda v: getattr(v, "__name__", None) or ",".join(map(str, v)))
+    def test_constructor_validation(self, family, args):
         with pytest.raises(ValueError):
-            ExpPoly(rate=1.0, degree=3)
-        with pytest.raises(ValueError):
-            ExpPoly(rate=0.0, degree=4)
-        with pytest.raises(ValueError):
-            ExpPoly(rate=1.0, degree=0)
+            family(*args)
 
     def test_bump_order_cap(self):
         b = Bump(0.0, 1.0)
@@ -103,6 +106,26 @@ class TestFamilies:
             assert phi.log_abs_deriv(n, np.array(far)).tolist() == \
                    [-math.inf] * len(far)
 
+    def test_far_field_keeps_finite_logs(self):
+        # e^(-28^2) and e^(-10^200) underflow to 0, but the logs are finite:
+        # ln |H_3(y)| - y^2 with H_3(y) = 8y^3 - 12y
+        g = Gaussian(0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.log_abs_deriv(3, 28.0) == pytest.approx(
+                math.log(8 * 28.0 ** 3 - 12 * 28.0) - 784.0, rel=1e-15)
+            assert g.log_abs_deriv(3, 1e100) == pytest.approx(-1e200, rel=1e-15)
+
+    def test_rescaling_is_per_point(self):
+        # the recursion rescales each point on its own: an array call
+        # equals the calls at its points one at a time
+        for phi, n in ((Gaussian(0.0, 1.0), 300), (ExpPoly(1.0, 400), 200)):
+            ys = np.linspace(-12.0, 12.0, 97)
+            whole = phi.log_abs_deriv(n, ys)
+            single = [phi.log_abs_deriv(n, float(y)) for y in ys]
+            assert np.isfinite(whole).any()
+            assert np.allclose(whole, single, rtol=1e-13, atol=0.0)
+
     def test_high_order_hermite_does_not_overflow(self):
         # ln |H_300(10)| - 10^2 from the exact integer recursion
         h_prev, h = 1, 20
@@ -113,6 +136,90 @@ class TestFamilies:
             warnings.simplefilter("error")
             v = Gaussian(0.0, 1.0).log_abs_deriv(300, 10.0)
         assert v == pytest.approx(expected, rel=1e-12)
+
+
+def exact_exppoly_derivs(degree, y, top):
+    """phi^(m) / e^g for m <= top, phi = exp(-y^degree), in exact rationals,
+    by Leibniz's rule phi^(m+1) = sum_j C(m, j) g^(j+1) phi^(m-j)."""
+    y = Fraction(y)
+    dg = [-math.perm(degree, j + 1) * y ** (degree - j - 1) for j in range(degree)]
+    d = [Fraction(1)]
+    for m in range(top):
+        d.append(sum(math.comb(m, j) * dg[j] * d[m - j]
+                     for j in range(min(m + 1, degree))))
+    return d
+
+
+def exact_bump_numerators(top):
+    """Integer coefficient lists of P_n, phi^(n) = phi P_n(y) / (1-y^2)^(2n),
+    from P_(n+1) = P_n' (1-y^2)^2 + 4n y (1-y^2) P_n - 2y P_n."""
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, z in enumerate(b):
+                out[i + j] += x * z
+        return out
+
+    def add(*ps):
+        return [sum(p[i] for p in ps if i < len(p))
+                for i in range(max(map(len, ps)))]
+
+    w = [1, 0, -1]
+    polys = [[1]]
+    for n in range(top):
+        p = polys[-1]
+        dp = [i * c for i, c in enumerate(p)][1:] or [0]
+        polys.append(add(mul(dp, mul(w, w)), mul([0, 4 * n], mul(p, w)),
+                         mul([0, -2], p)))
+    return polys
+
+
+def exact_log(q: Fraction) -> float:
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
+
+
+class TestExactDerivatives:
+    """The one recursion against exact rational arithmetic."""
+
+    @pytest.mark.parametrize("degree", [2, 4, 6])
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_exppoly(self, degree, y):
+        exact = exact_exppoly_derivs(degree, y, 300)
+        phi = ExpPoly(1.0, degree)
+        for n in (1, 10, 50, 150, 300):
+            sign, log = phi._log_deriv(n, y)
+            assert sign == (exact[n] > 0) - (exact[n] < 0)
+            assert log == pytest.approx(exact_log(exact[n]) - y ** degree,
+                                        rel=1e-12)
+
+    def test_bump(self):
+        polys = exact_bump_numerators(8)
+        phi = Bump(0.0, 1.0)
+        for k in range(-56, 57):
+            y = Fraction(k, 64)
+            for n, poly in enumerate(polys):
+                p = sum(c * y ** i for i, c in enumerate(poly))
+                sign, log = phi._log_deriv(n, k / 64)
+                assert sign == (p > 0) - (p < 0), (k, n)
+                if p == 0:
+                    assert log == -math.inf
+                else:
+                    w = 1 - y * y
+                    expected = (exact_log(p) - float(1 / w)
+                                - 2 * n * math.log(float(w)))
+                    assert log == pytest.approx(expected, abs=1e-12), (k, n)
+
+    def test_degree_two_is_the_gaussian(self):
+        # ln |H_150(5)| - 25 from the exact integer Hermite recursion
+        v = ExpPoly(1.0, 2).log_abs_deriv(150, 5.0)
+        assert v == Gaussian(0.0, 1.0).log_abs_deriv(150, 5.0)
+        assert v == pytest.approx(340.37668210896874, rel=1e-14)
+
+    def test_high_degree_high_order(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = ExpPoly(1.0, 400).log_abs_deriv(200, 0.5)
+        assert v == pytest.approx(998.6392746788479, rel=1e-12)
 
 
 class TestSNorm:
@@ -135,6 +242,11 @@ class TestSNorm:
     def test_derivative_order_gate(self):
         with pytest.raises(ValueError):
             log_s_norm(Bump(0.0, 1.0), 0, 9)
+
+    def test_dead_outer_probe_brackets(self):
+        # y^400 overflows at the first probe, y = 10: the objective is -inf
+        # at both probes, which still brackets the sup
+        assert log_s_norm(ExpPoly(1.0, 400), 0, 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_polynomial_weight_always_finite(self):
         for phi in (Gaussian(0.0, 1.0), Bump(1.0, 0.5), ExpPoly(1.0, 2)):
@@ -171,6 +283,11 @@ class TestKNorm:
     def test_norm_beyond_float_range_is_finite(self):
         # e^(1000 |x|) on the support: the norm itself is about e^1000
         assert math.isfinite(log_k_norm(Bump(1000.0, 1.0), 1))
+
+    def test_dead_outer_probe_brackets(self):
+        # the q = 1 term e^y 400 y^399 e^(-y^400) peaks at exactly 400 (y = 1)
+        assert log_k_norm(ExpPoly(1.0, 400), 1) == pytest.approx(math.log(400.0),
+                                                                abs=1e-6)
 
     def test_translation_covariance(self):
         # on a support inside x > 0 the weight e^(p|x|) shifts by e^(p c)
