@@ -21,8 +21,8 @@ from pathlib import Path
 from . import __version__
 from .diagnostics import (DEFAULT_BURN_IN, build_exceedance_report,
                           growth_scan, moment_scan, pruitt_slope)
-from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
-                      classify_support)
+from .measure import (ENVELOPE_PARAMS, ConsistencyError, EnvelopeSpec,
+                      KAlphaParams, classify_support)
 from .numerics import QuadratureError
 from .paths import (RNG_NAME, load_event_file, save_event_file,
                     simulate_large_jumps, simulate_many)
@@ -119,22 +119,17 @@ def _required_fields(text: str, keys: tuple[str, ...], lists=()) -> dict:
     return fields
 
 
-_ENVELOPE_ALIASES = {
-    "pow": "power", "power": "power",
-    "exp": "exponential", "exponential": "exponential",
-    "powexp": "power_exponential", "power_exponential": "power_exponential",
-}
-_ENVELOPE_KEYS = {"power": ("beta",), "exponential": ("c",),
-                  "power_exponential": ("beta", "c")}
+_ENVELOPE_SHORT_NAMES = {"pow": "power", "exp": "exponential",
+                         "powexp": "power_exponential"}
 
 
 def parse_envelope(descriptor: str) -> EnvelopeSpec:
-    """Build an envelope from text like "exp:c=1.0" or "pow:beta=2"; each
-    kind accepts only its own keys."""
-    name, fields = parse_descriptor(
-        descriptor, {alias: _ENVELOPE_KEYS[kind]
-                     for alias, kind in _ENVELOPE_ALIASES.items()})
-    return EnvelopeSpec(_ENVELOPE_ALIASES[name], **fields)
+    """Build an envelope from text like "exp:c=1.0" or "pow:beta=2", named
+    by its kind or short name; each kind accepts only its own keys."""
+    name, fields = parse_descriptor(descriptor, ENVELOPE_PARAMS | {
+        short: ENVELOPE_PARAMS[kind]
+        for short, kind in _ENVELOPE_SHORT_NAMES.items()})
+    return EnvelopeSpec(_ENVELOPE_SHORT_NAMES.get(name, name), **fields)
 
 
 def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:

@@ -31,17 +31,14 @@ def envelope_exceedances(path: EventPath, env: EnvelopeSpec) -> list[tuple[float
     are disjoint, time ordered and clipped to [1, horizon].
     """
     times, levels = running_sup(path)
-    horizon = path.horizon
     # a run of equal levels is one interval; it ends at the next rise
     rises = np.flatnonzero(levels[1:] > levels[:-1]) + 1
-    ends = np.append(times[rises[1:]], horizon)
+    ends = np.append(times[rises[1:]], path.horizon)
     out: list[list[float]] = []
     for t0, t1, level in zip(times[rises].tolist(), ends.tolist(),
                              levels[rises].tolist()):
         a = max(t0, 1.0)
-        if a >= t1 or a >= horizon:
-            continue
-        end = min(t1, env.crossing_time(level), horizon)
+        end = min(t1, env.crossing_time(level))
         if end <= a:
             continue
         if out and out[-1][1] == a:
@@ -59,11 +56,15 @@ class ExceedanceReport:
     horizon: float
     burn_in: float
     intervals: tuple[tuple[tuple[float, float], ...], ...]
-    last_exceedance_times: tuple[float | None, ...]
 
     @property
     def n_paths(self) -> int:
         return len(self.intervals)
+
+    @property
+    def last_exceedance_times(self) -> tuple[float | None, ...]:
+        """End of each path's last exceedance interval, None if it has none."""
+        return tuple(ivs[-1][1] if ivs else None for ivs in self.intervals)
 
     @property
     def exceedance_fraction(self) -> float:
@@ -89,22 +90,13 @@ class ExceedanceReport:
 
 def build_exceedance_report(paths, env: EnvelopeSpec,
                             burn_in: float = DEFAULT_BURN_IN) -> ExceedanceReport:
-    all_intervals = []
-    last_times: list[float | None] = []
-    horizon = None
-    for p in paths:
-        if horizon is None:
-            horizon = p.horizon
-        elif p.horizon != horizon:
-            raise ValueError("paths in a report must share the horizon")
-        ivs = tuple(envelope_exceedances(p, env))
-        all_intervals.append(ivs)
-        last_times.append(ivs[-1][1] if ivs else None)
-    if horizon is None:
-        raise ValueError("need at least one path")
-    return ExceedanceReport(envelope=env, horizon=horizon, burn_in=burn_in,
-                            intervals=tuple(all_intervals),
-                            last_exceedance_times=tuple(last_times))
+    paths = list(paths)
+    if len({p.horizon for p in paths}) != 1:
+        raise ValueError("paths in a report must share the horizon" if paths
+                         else "need at least one path")
+    return ExceedanceReport(
+        envelope=env, horizon=paths[0].horizon, burn_in=burn_in,
+        intervals=tuple(tuple(envelope_exceedances(p, env)) for p in paths))
 
 
 def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:

@@ -193,10 +193,17 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
     if lam == 0.0:
         return 0.0
     a = p.alpha
-    u_switch = math.log1p(745.0 / lam)
+    log_lam = math.log(lam)
+    # ln(1 + 745/lam); for lam below 745/DBL_MAX the ratio overflows and
+    # the 1 is below its rounding
+    ratio = 745.0 / lam
+    u_switch = (math.log1p(ratio) if ratio < math.inf
+                else math.log(745.0) - log_lam)
 
     def integrand(u):
-        return -math.expm1(-lam * math.expm1(u)) * u ** (-1.0 - a)
+        # lam (e^u - 1), in logs where e^u overflows (there e^u - 1 = e^u)
+        x = lam * math.expm1(u) if u < LOG_FLOAT_MAX else math.exp(log_lam + u)
+        return -math.expm1(-x) * u ** (-1.0 - a)
 
     # beyond the switch the factor is exactly 1 in floats, so the tail
     # integrates in closed form; the head is summed over doubling chunks
@@ -215,7 +222,10 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
 # growth envelopes and upper-function integrals
 # ---------------------------------------------------------------------------
 
-_ENVELOPE_KINDS = ("power", "exponential", "power_exponential")
+# each kind's parameters, each above its floor; the others must be left out
+ENVELOPE_PARAMS = {"power": ("beta",), "exponential": ("c",),
+                   "power_exponential": ("beta", "c")}
+_PARAM_FLOORS = {"beta": 1.0, "c": 0.0}
 
 
 @dataclass(frozen=True)
@@ -225,6 +235,9 @@ class EnvelopeSpec:
     power:             f(t) = t^beta,            beta > 1
     exponential:       f(t) = exp(c t),          c > 0
     power_exponential: f(t) = exp(c t^beta),     c > 0, beta > 1
+
+    exponential is the beta = 1 member of the power-exponential family,
+    so both are computed from ln f(t) = c t^p with p = 1 or beta.
     """
 
     kind: str
@@ -232,24 +245,28 @@ class EnvelopeSpec:
     c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _ENVELOPE_KINDS:
+        if self.kind not in ENVELOPE_PARAMS:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.kind in ("power", "power_exponential"):
-            if self.beta is None or not self.beta > 1.0:
-                raise ValueError(
-                    f"{self.kind} envelope requires beta > 1, got {self.beta!r}")
-        if self.kind in ("exponential", "power_exponential"):
-            if self.c is None or not self.c > 0.0:
-                raise ValueError(
-                    f"{self.kind} envelope requires rate c > 0, got {self.c!r}")
+        for name, floor in _PARAM_FLOORS.items():
+            value = getattr(self, name)
+            if name not in ENVELOPE_PARAMS[self.kind]:
+                if value is not None:
+                    raise ValueError(f"{self.kind} envelope takes no {name}, "
+                                     f"got {name}={value!r}")
+            elif value is None or not value > floor:
+                raise ValueError(f"{self.kind} envelope requires {name} > "
+                                 f"{floor:g}, got {value!r}")
+
+    @property
+    def _p(self) -> float:
+        """The exponent p in ln f(t) = c t^p of the exponential kinds."""
+        return 1.0 if self.beta is None else self.beta
 
     def log_value(self, t: float) -> float:
         """ln f(t) for t > 0."""
         if self.kind == "power":
             return self.beta * math.log(t)
-        if self.kind == "exponential":
-            return self.c * t
-        return self.c * t ** self.beta
+        return self.c * t ** self._p
 
     def crossing_time(self, logmag: float) -> float:
         """Smallest t with ln f(t) >= logmag (0 when already exceeded).
@@ -259,14 +276,25 @@ class EnvelopeSpec:
         """
         if self.kind == "power":
             e = logmag / self.beta
-            if e > 700.0:
-                return math.inf
-            return math.exp(e)
-        if self.kind == "exponential":
-            return max(0.0, logmag / self.c)
+            return math.inf if e > 700.0 else math.exp(e)
         if logmag <= 0.0:
             return 0.0
-        return (logmag / self.c) ** (1.0 / self.beta)
+        return (logmag / self.c) ** (1.0 / self._p)
+
+    def log_tail_argument(self, x: float) -> float:
+        """ln of ln(1 + f(x)), stable for envelope values beyond float range."""
+        if self.kind == "power":
+            t = self.beta * math.log(x)
+            return math.log(t if t > 700.0 else math.log1p(x ** self.beta))
+        logw = math.log(self.c) + self._p * math.log(x)
+        if logw > 700.0:
+            return logw
+        w = self.c * x ** self._p
+        return math.log(w + math.log1p(math.exp(-w)))
+
+    def converges_at(self, alpha: float) -> bool:
+        """Is the upper-function integral finite at index alpha?"""
+        return self.kind != "power" and alpha * self._p > 1.0
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -274,30 +302,6 @@ class EnvelopeSpec:
         if self.kind == "exponential":
             return f"exp:c={self.c:g}"
         return f"powexp:c={self.c:g},beta={self.beta:g}"
-
-
-def _log_tail_argument(env: EnvelopeSpec, x: float) -> float:
-    """ln of ln(1 + f(x)), stable for envelope values beyond float range."""
-    if env.kind == "power":
-        t = env.beta * math.log(x)
-        L = t if t > 700.0 else math.log1p(x ** env.beta)
-        return math.log(L)
-    if env.kind == "exponential":
-        w = env.c * x
-        return math.log(w + math.log1p(math.exp(-w)))
-    logw = math.log(env.c) + env.beta * math.log(x)
-    if logw > 700.0:
-        return logw
-    w = env.c * x ** env.beta
-    return math.log(w + math.log1p(math.exp(-w)))
-
-
-def _analytic_convergent(env: EnvelopeSpec, alpha: float) -> bool:
-    if env.kind == "power":
-        return False
-    if env.kind == "exponential":
-        return alpha > 1.0
-    return alpha * env.beta > 1.0
 
 
 @dataclass(frozen=True)
@@ -321,9 +325,9 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     log_alpha = math.log(a)
 
     def integrand(x):
-        return math.exp(-log_alpha - a * _log_tail_argument(env, x))
+        return math.exp(-log_alpha - a * env.log_tail_argument(x))
 
-    analytic = _analytic_convergent(env, a)
+    analytic = env.converges_at(a)
     res = adaptive_quad(integrand, 1.0, math.inf, tol=1e-9)
     numeric = not res.diverged
     if numeric != analytic:
@@ -354,34 +358,29 @@ def classify_support(p: KAlphaParams, betas: list[float]) -> SupportVerdict:
     upper-function integral outcome, which is recomputed and
     cross-checked here.
     """
-    for b in betas:
-        if not b > 1.0:
-            raise ValueError(f"each beta must exceed 1, got {b!r}")
     a = p.alpha
+    k_beta = {b: EnvelopeSpec("power_exponential", c=1.0, beta=b) for b in betas}
     reasons: dict[str, str] = {}
 
-    power = upper_function_integral(EnvelopeSpec("power", beta=2.0), p)
+    upper_function_integral(EnvelopeSpec("power", beta=2.0), p)
     reasons["in_S_prime"] = (
         "power envelope t^2 has divergent upper-function integral "
         "(as does every power), so the supremum outgrows every polynomial")
-    assert not power.convergent
 
     expo = upper_function_integral(EnvelopeSpec("exponential", c=1.0), p)
-    in_k = a > 1.0
     reasons["in_K_prime"] = (
         f"upper-function integral of exp(t) is "
         f"{'finite' if expo.convergent else 'infinite'} at alpha={a:g} "
         f"(finite exactly when alpha > 1)")
 
     in_kb: dict[float, bool] = {}
-    for b in betas:
-        r = upper_function_integral(
-            EnvelopeSpec("power_exponential", c=1.0, beta=b), p)
+    for b, env in k_beta.items():
+        r = upper_function_integral(env, p)
         in_kb[b] = r.convergent
         reasons[f"in_K_beta[{b:g}]"] = (
             f"upper-function integral of exp(t^{b:g}) is "
             f"{'finite' if r.convergent else 'infinite'} at alpha={a:g} "
             f"(finite exactly when alpha*beta > 1)")
 
-    return SupportVerdict(alpha=a, in_S_prime=False, in_K_prime=in_k,
+    return SupportVerdict(alpha=a, in_S_prime=False, in_K_prime=expo.convergent,
                           in_K_beta=in_kb, reasons=reasons)

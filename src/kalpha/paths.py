@@ -74,6 +74,8 @@ class EventPath:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if self.horizon == math.inf:
+            raise ValueError("horizon must be finite, got inf")
         t = _readonly(np.asarray(self.times, dtype=float))
         s = np.asarray(self.signs)
         m = _readonly(np.asarray(self.log1p_mags, dtype=float))
@@ -139,8 +141,8 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
                      spawn_key=tuple(spawn_key))
 
 
-def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, ln |K_i|) for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n.
+def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """ln |K_i| for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n.
 
     Terms are scaled by the running maximum of lj, so they stay floats
     of magnitude at most 1.  The events split at each new record of that
@@ -148,8 +150,8 @@ def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.
     segment's total rescaled to the new record (the online-normaliser
     rescaling of Milakov & Gimelshein, arXiv:1805.02867).  The loop runs
     once per record, about ln n times for i.i.d. sizes.  A prefix that
-    cancels exactly has sign 0 and ln |K| = -inf; a term more than e^745
-    below the current record underflows to zero.
+    cancels exactly has ln |K| = -inf; a term more than e^745 below the
+    current record underflows to zero.
     """
     ref = np.maximum.accumulate(lj)
     scaled = signs * np.exp(lj - ref)
@@ -159,8 +161,7 @@ def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.
             scaled[a] += scaled[a - 1] * math.exp(ref[a - 1] - ref[a])
         np.cumsum(scaled[a:b], out=scaled[a:b])
     with np.errstate(divide="ignore"):
-        logmag = ref + np.log(np.abs(scaled))
-    return np.append(0, np.sign(scaled).astype(np.int64)), np.append(-math.inf, logmag)
+        return np.append(-math.inf, ref + np.log(np.abs(scaled)))
 
 
 def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +171,7 @@ def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
     path starts at zero), then one entry per event; the sup at any t is
     e^log_levels[i] for the largest times[i] <= t.
     """
-    _, logmag = _log_prefix_sums(path.log_jumps, path.signs)
+    logmag = _log_prefix_sums(path.log_jumps, path.signs)
     return np.append(0.0, path.times), np.maximum.accumulate(logmag)
 
 

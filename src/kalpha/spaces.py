@@ -57,11 +57,15 @@ class TestFunction:
 
     A family states only _g(y), the exponent g (-inf where phi is 0), and
     _taylor(n, y), the rows a_0 .. a_(K-1), K <= n, of a_k = g^(k+1)(y) / k!
-    (a_k = 0 for k >= K) on a 1-d y.  As phi' = g' phi, Leibniz's rule gives
-    H_{m+1} = sum_k a_k H_{m-k} / (m + 1) for H_m = phi^(m) / (m! e^g),
-    H_0 = 1, and ln |phi^(n)| = ln |H_n| + ln n! + g - n ln scale.  The H
-    values are rescaled by a power of two (exact) when they leave
-    [2^-300, 2^300], the exponents carried apart, so no order overflows.
+    (a_k = 0 for k >= K) on a 1-d y, as signs and logs of magnitudes.  As
+    phi' = g' phi, Leibniz's rule gives H_{m+1} = sum_k a_k H_{m-k} / (m + 1)
+    for H_m = phi^(m) / (m! e^g), H_0 = 1, and ln |phi^(n)| = ln |H_n| +
+    ln n! + g - n ln scale.  Where the a_k leave float range they are taken
+    as 2^((k+1)s) b_k, with the integer s nearest 0 per point that keeps
+    every |b_k| <= 2^700 and the largest >= 2^-700, and H_m as 2^(ms) times
+    the same recursion over b.  Its values are rescaled by a power of two
+    (exact) when they leave [2^-300, 2^300], the exponents carried apart,
+    so no order overflows.
     Where e^g has underflowed to 0 (the far field) a non-finite log
     becomes -inf (sign 0), without warnings; elsewhere it stands.
     Calling a test function evaluates its derivative of order 0.
@@ -118,7 +122,13 @@ class TestFunction:
         yield g, np.ones_like(y), 0
         if n == 0:
             return
-        a = self._taylor(n, y)[::-1]
+        sign, log_a = self._taylor(n, y)
+        k1, log2_a = np.arange(1, len(log_a) + 1)[:, None], log_a / LN2
+        step = np.clip(0.0, np.ceil(np.max((log2_a - 700.0) / k1, axis=0)),
+                       np.floor(np.max((log2_a + 700.0) / k1, axis=0)))
+        step[~np.isfinite(step)] = 0.0      # no a_k, or the far field
+        a = (sign * np.exp(log_a - k1 * step * LN2))[::-1]
+        step = step.astype(np.int64)
         w, coef = len(a), np.concatenate([a, a])
         ring = np.zeros((w,) + y.shape)
         ring[0] = 1.0
@@ -128,6 +138,7 @@ class TestFunction:
             s, row = (w - 1 - m) % w, ring[(m + 1) % w]
             np.einsum("kp,kp->p", coef[s:s + w], ring, out=h)
             np.divide(h, m + 1, out=row)
+            shift += step
             np.frexp(row, out=(h, e))
             if np.abs(e, out=e).max() > 300:
                 out = e > 300
@@ -158,7 +169,8 @@ class ExpPoly(TestFunction):
 
     The even degree keeps the family smooth on the whole line with
     super-exponential decay, so every exponential-weight norm of it is
-    finite.  a_k = -rate (k+1) C(degree, k+1) y^(degree-k-1), 0 for k >= degree.
+    finite.  a_k = -rate (k+1) C(degree, k+1) y^(degree-k-1), 0 for k >= degree,
+    formed from the logs of its factors, any of which may leave float range.
     """
 
     def __init__(self, rate=1.0, degree=4):
@@ -168,12 +180,22 @@ class ExpPoly(TestFunction):
         self.degree = int(degree)
 
     def _g(self, y):
-        return -self.rate * y ** self.degree
+        power = y ** self.degree
+        g = -self.rate * power
+        # y^degree can overflow where rate y^degree does not; there take
+        # the product as (rate y^(degree/2)) y^(degree/2)
+        over = np.isinf(power)
+        half = np.abs(y[over]) ** (self.degree // 2)
+        g[over] = -(self.rate * half) * half
+        return g
 
     def _taylor(self, n, y):
-        d, rows = self.degree, min(n, self.degree)
-        coef = [-self.rate * k * math.comb(d, k) for k in range(1, rows + 1)]
-        return np.array(coef)[:, None] * _powers(y, d - rows, rows)[::-1]
+        d, ks = self.degree, range(1, min(n, self.degree) + 1)
+        log_coef = [[math.log(self.rate) + math.log(k * math.comb(d, k))]
+                    for k in ks]
+        e = d - np.array(ks)[:, None]
+        log_power = np.where(e > 0, e * np.log(np.abs(y)), 0.0)  # y^0 = 1
+        return -np.where(e % 2 == 1, np.sign(y), 1.0), log_coef + log_power
 
     def decay(self):
         return float(self.degree), self.rate
@@ -184,7 +206,7 @@ class ExpPoly(TestFunction):
 
 class Gaussian(ExpPoly):
     """exp(-y^2) with y = (x - center)/scale: ExpPoly(1, 2) moved and
-    stretched (a_0 = -2y, a_1 = -1: the recursion is Hermite's)."""
+    stretched (a_0 = -2y, a_1 = -2: the recursion is Hermite's)."""
 
     def __init__(self, center=0.0, scale=1.0):
         super().__init__(1.0, 2)
@@ -217,7 +239,8 @@ class Bump(TestFunction):
 
     def _taylor(self, n, y):
         p, q = 1.0 / (1.0 - y), -1.0 / (1.0 + y)
-        return -np.arange(1, n + 1)[:, None] / 2 * (_powers(p, 2, n) - _powers(q, 2, n))
+        a = -np.arange(1, n + 1)[:, None] / 2 * (_powers(p, 2, n) - _powers(q, 2, n))
+        return np.sign(a), np.log(np.abs(a))
 
     def support(self):
         return self.center - self.width, self.center + self.width

@@ -347,12 +347,18 @@ class TestBadInput:
         # each envelope kind takes only its own keys
         ["diagnose", "--in", "{path}", "--envelope", "exp:c=1,beta=2"],
         ["diagnose", "--in", "{path}", "--envelope", "pow:beta=2,c=3"],
+        ["diagnose", "--in", "{path}", "--envelope", "exponential:c=1,beta=2"],
+        ["diagnose", "--in", "{path}", "--envelope", "powexp:c=1"],
+        ["diagnose", "--in", "{path}", "--envelope", "expo:c=1"],
+        ["classify", "--alpha", "1.0", "--betas", "2,1"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
             "workers-zero", "workers-negative", "moment-eta-overflows",
             "moment-cap-overflows", "simulate-horizon-beyond-memory",
-            "envelope-exp-with-beta", "envelope-pow-with-c"])
+            "envelope-exp-with-beta", "envelope-pow-with-c",
+            "envelope-exponential-with-beta", "envelope-powexp-without-beta",
+            "envelope-unknown-name", "betas-one"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -499,11 +505,17 @@ class TestBadInput:
 
 class TestHelpers:
     def test_parse_envelope_aliases(self):
-        assert parse_envelope("pow:beta=2") == EnvelopeSpec("power", beta=2.0)
-        assert parse_envelope("exponential:c=0.5") == \
-               EnvelopeSpec("exponential", c=0.5)
-        assert parse_envelope("powexp:c=1,beta=2") == \
-               EnvelopeSpec("power_exponential", beta=2.0, c=1.0)
+        # each kind by its short name and its full name, in any case
+        for texts, spec in [
+            (("pow:beta=2", "power:beta=2", "POW:beta=2"),
+             EnvelopeSpec("power", beta=2.0)),
+            (("exp:c=0.5", "exponential:c=0.5", "Exp:c=0.5"),
+             EnvelopeSpec("exponential", c=0.5)),
+            (("powexp:c=1,beta=2", "power_exponential:beta=2,c=1"),
+             EnvelopeSpec("power_exponential", beta=2.0, c=1.0)),
+        ]:
+            for text in texts:
+                assert parse_envelope(text) == spec, text
 
     def test_validate_document_rejects(self):
         with pytest.raises(ValueError):

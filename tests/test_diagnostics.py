@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kalpha.diagnostics import (build_exceedance_report,
+from kalpha.diagnostics import (ExceedanceReport, build_exceedance_report,
                                 envelope_exceedances, growth_scan,
                                 moment_scan, pruitt_slope)
 from kalpha.measure import EnvelopeSpec, KAlphaParams, pruitt_index
@@ -116,6 +116,19 @@ class TestExceedanceReport:
             build_exceedance_report(
                 [make_path(horizon=10.0), make_path(horizon=20.0)],
                 EnvelopeSpec("power", beta=2.0))
+
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValueError, match="at least one path"):
+            build_exceedance_report([], EnvelopeSpec("power", beta=2.0))
+
+    def test_last_exceedance_times_follow_the_intervals(self):
+        rep = ExceedanceReport(
+            envelope=EnvelopeSpec("power", beta=2.0), horizon=100.0,
+            burn_in=10.0,
+            intervals=(((1.0, 60.0),), (), ((2.0, 5.0), (20.0, 30.0))))
+        assert rep.last_exceedance_times == (60.0, None, 30.0)
+        assert rep.last_in_final_half_fraction == pytest.approx(1 / 3)
+        assert rep.exceedance_fraction == pytest.approx(2 / 3)
 
 
 class TestGrowthScan:

@@ -260,6 +260,29 @@ class TestLaplaceExponent:
         with pytest.raises(ValueError):
             laplace_exponent(-1.0, KAlphaParams(1.0))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("lam", [4e-306, 1e-310, 5e-324])
+    def test_tiny_lambda(self, lam, alpha):
+        # below 745/DBL_MAX the ratio 745/lam overflows a float
+        p = KAlphaParams(alpha)
+        v = laplace_exponent(lam, p)
+        assert 0.0 < v <= laplace_exponent(5e-306, p)
+
+        # the factor 1 - e^(-lam x) turns over near u = ln(1/lam) = L; the
+        # oracle forms lam (e^u - 1) in logs and is 1 beyond L + 40
+        L = -math.log(lam)
+
+        def oracle_integrand(u):
+            x = math.exp(math.log(lam) + u + math.log(-math.expm1(-u)))
+            return -math.expm1(-x) * u ** (-1.0 - alpha)
+
+        head = scipy_quad(oracle_integrand, LN2, L - 40.0, epsabs=0.0,
+                          epsrel=1e-13, limit=200)[0]
+        turn = scipy_quad(oracle_integrand, L - 40.0, L + 40.0, epsabs=0.0,
+                          epsrel=1e-13, limit=200, points=[L])[0]
+        oracle = head + turn + (L + 40.0) ** -alpha / alpha
+        assert v == pytest.approx(oracle, rel=1e-9, abs=0.0)
+
 
 class TestEnvelopeSpec:
     def test_validation(self):
@@ -273,6 +296,31 @@ class TestEnvelopeSpec:
             EnvelopeSpec("power_exponential", c=1.0, beta=1.0)
         with pytest.raises(ValueError):
             EnvelopeSpec("sine")
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("exponential", {"c": 1.0, "beta": 2.0}),
+        ("power", {"beta": 2.0, "c": 5.0}),
+    ])
+    def test_parameter_of_another_kind_refused(self, kind, kwargs):
+        with pytest.raises(ValueError, match="envelope takes no"):
+            EnvelopeSpec(kind, **kwargs)
+
+    def test_exponential_is_power_exponential_at_beta_one(self):
+        expo = EnvelopeSpec("exponential", c=0.7)
+        near = EnvelopeSpec("power_exponential", c=0.7, beta=1.0 + 1e-12)
+        for x in (1.0, 3.0, 50.0, 1e4):
+            assert expo.log_value(x) == pytest.approx(near.log_value(x), rel=1e-10)
+            assert expo.log_tail_argument(x) == \
+                   pytest.approx(near.log_tail_argument(x), rel=1e-10)
+            assert expo.crossing_time(x) == \
+                   pytest.approx(near.crossing_time(x), rel=1e-10)
+        assert [expo.converges_at(a) for a in (0.9, 1.1)] == [False, True]
+
+    def test_exponential_tail_argument_beyond_float_range(self):
+        # c x = 1e309 overflows a float; its log does not
+        env = EnvelopeSpec("exponential", c=1e3)
+        assert env.log_tail_argument(1e306) == \
+               pytest.approx(math.log(1e3) + math.log(1e306), rel=1e-15)
 
     def test_crossing_time_log_domain(self):
         # works for magnitudes far beyond float range

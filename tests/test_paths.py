@@ -69,6 +69,11 @@ class TestSimulateLarge:
             with pytest.raises(ValueError, match="horizon must be positive"):
                 small_path(horizon=horizon)
 
+    def test_infinite_horizon_refused(self):
+        # growth_scan doubles t up to the horizon, so inf would never stop
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            EventPath(KAlphaParams(1.5), math.inf, 0, [], [], [])
+
     def test_event_invariants(self):
         p = KAlphaParams(0.5)
         path = simulate_large_jumps(p, 50.0, 9)
@@ -138,6 +143,13 @@ class TestRunningSup:
         assert times.tolist() == [0.0, 1.0]
         assert levels[0] == -math.inf
         assert math.exp(levels[1]) == pytest.approx(math.expm1(ell), rel=1e-12)
+
+    def test_prefix_sums_are_log_magnitudes(self):
+        # K = 2, then 2 - 2 = 0 exactly, then -3
+        got = kalpha.paths._log_prefix_sums(np.log([2.0, 2.0, 3.0]),
+                                            np.array([1, -1, -1]))
+        assert got.tolist() == [-math.inf, math.log(2.0), -math.inf,
+                                math.log(3.0)]
 
     def test_cancellation_then_new_max(self):
         # second jump overshoots: running max becomes |J1 - J2|

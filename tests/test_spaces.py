@@ -178,6 +178,19 @@ def exact_log(q: Fraction) -> float:
     return math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
+class TestExpPolyExponent:
+    def test_exponent_where_the_power_overflows(self):
+        # y^2 = 4e308 overflows a float; rate y^2 = 40 does not
+        rate, y = 1e-307, 2e154
+        exact = float(Fraction(rate) * Fraction(y) ** 2)
+        assert ExpPoly(rate, 2).deriv(0, y) == pytest.approx(math.exp(-exact),
+                                                             rel=1e-12, abs=0.0)
+
+    def test_order_zero_is_the_plain_exponential(self):
+        xs = np.linspace(-3.0, 3.0, 601)
+        assert np.array_equal(ExpPoly(2.5, 4).deriv(0, xs), np.exp(-2.5 * xs ** 4))
+
+
 class TestExactDerivatives:
     """The one recursion against exact rational arithmetic."""
 
@@ -214,6 +227,29 @@ class TestExactDerivatives:
         v = ExpPoly(1.0, 2).log_abs_deriv(150, 5.0)
         assert v == Gaussian(0.0, 1.0).log_abs_deriv(150, 5.0)
         assert v == pytest.approx(340.37668210896874, rel=1e-14)
+
+    def test_binomials_beyond_float_range(self):
+        # k C(2000, k) passes 1.8e308 for k near 300
+        exact = exact_exppoly_derivs(2000, 1, 300)
+        phi = ExpPoly(1.0, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 150, 300):
+                sign, log = phi._log_deriv(n, 1.0)
+                assert sign == (exact[n] > 0) - (exact[n] < 0)
+                assert log == pytest.approx(exact_log(exact[n]) - 1.0,
+                                            rel=0.0, abs=1e-12)
+
+    def test_powers_beyond_float_range(self):
+        # 0.5^1999 underflows a float and C(2000, 1000) overflows one
+        phi = ExpPoly(1.0, 2000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = phi.log_abs_deriv(1, 0.5)
+            assert math.isfinite(phi.log_abs_deriv(1000, 0.5))
+        # phi' = -2000 y^1999 e^g, with g = -0.5^2000 = -0.0 in floats
+        assert first == pytest.approx(math.log(2000.0) - 1999 * LN2,
+                                      rel=0.0, abs=1e-12)
 
     def test_high_degree_high_order(self):
         with warnings.catch_warnings():
