@@ -15,12 +15,12 @@ from .diagnostics import (ExceedanceReport, MomentScan, PruittSlopeReport,
 from .measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                       SupportVerdict, UpperFunctionResult, classify_support,
                       inverse_tail, laplace_exponent, levy_density,
-                      log_mag_survival, pruitt_index, solve_crossover,
-                      tail_one_sided, truncated_moment,
-                      upper_function_integral)
+                      log_mag_survival, pruitt_index, pruitt_indices,
+                      solve_crossover, tail_one_sided, truncated_moment,
+                      truncated_moments, upper_function_integral)
 from .numerics import (LN2, QuadratureError, QuadResult, SignedLogValue,
                        SLV_ZERO, SubdivisionLimitError, adaptive_quad,
-                       slv_sum)
+                       quad_partition, slv_sum)
 from .paths import (EventPath, load_event_file, read_event_path, running_sup,
                     save_event_file, simulate_large_jumps, simulate_many,
                     write_event_path)
@@ -31,10 +31,11 @@ from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
 __all__ = [
     "__version__",
     "LN2", "SignedLogValue", "SLV_ZERO", "QuadResult", "QuadratureError",
-    "SubdivisionLimitError", "adaptive_quad", "slv_sum",
+    "SubdivisionLimitError", "adaptive_quad", "quad_partition", "slv_sum",
     "KAlphaParams", "EnvelopeSpec", "SupportVerdict", "UpperFunctionResult",
     "ConsistencyError", "levy_density", "tail_one_sided", "log_mag_survival",
-    "inverse_tail", "truncated_moment", "solve_crossover", "pruitt_index",
+    "inverse_tail", "truncated_moment", "truncated_moments", "solve_crossover",
+    "pruitt_index", "pruitt_indices",
     "laplace_exponent", "upper_function_integral", "classify_support",
     "EventPath", "simulate_large_jumps", "simulate_many", "running_sup",
     "write_event_path", "read_event_path", "save_event_file", "load_event_file",

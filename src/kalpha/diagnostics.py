@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EnvelopeSpec, KAlphaParams, pruitt_index, truncated_moment
+from .measure import EnvelopeSpec, KAlphaParams, pruitt_indices, truncated_moments
 from .numerics import SignedLogValue
 from .paths import EventPath, running_sup
 
@@ -157,7 +157,7 @@ def moment_scan(params: KAlphaParams, eta: float, caps) -> MomentScan:
         raise ValueError("caps must each exceed 1")
     if any(b <= a for a, b in zip(caps, caps[1:])):
         raise ValueError("caps must be strictly increasing")
-    values = tuple(truncated_moment(eta, c, params) for c in caps)
+    values = tuple(truncated_moments(eta, caps, params))
     increments = [b - a for a, b in zip(values, values[1:])]
     ratios = tuple(b / a for a, b in zip(increments, increments[1:]) if a > 0.0)
     flagged = len(ratios) >= 2 and all(b > a for a, b in zip(ratios, ratios[1:]))
@@ -194,7 +194,7 @@ def pruitt_slope(params: KAlphaParams, etas, r_grid) -> PruittSlopeReport:
         raise ValueError("radii must be strictly increasing")
     if any(e <= 0 for e in etas):
         raise ValueError("etas must be positive")
-    hbar = [pruitt_index(r, params) for r in r_grid]
+    hbar = pruitt_indices(r_grid, params)
     values = {}
     tail_up = {}
     still_falling = []

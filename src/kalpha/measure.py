@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import LN2, LOG_FLOAT_MAX, QuadResult, adaptive_quad
+from .numerics import (LN2, LOG_FLOAT_MAX, QuadResult, adaptive_quad,
+                       quad_partition)
 
 
 class ConsistencyError(Exception):
@@ -44,15 +45,21 @@ class KAlphaParams:
         object.__setattr__(self, "trunc_mass", 2.0 / (a * LN2 ** a))
 
 
-def jump_moment_integral(eta, lo: float, hi: float, alpha: float,
-                         tol: float) -> float:
-    """Integral over [lo, hi] of (e^u - 1)^eta u^-(1+alpha) du: the
-    one-sided eta-th absolute moment of the jumps with ln(1+|x|) in
-    [lo, hi].  Raises ValueError when the integrand would overflow a
-    float.  For lo = ln 2 the integral then stays in range as well: it
-    is at most (hi - lo) * max(f(lo), f(hi)) for the integrand f,
+def jump_moments(eta, caps, alpha: float, tol: float) -> list[float]:
+    """For each cap X of the nondecreasing caps (each >= 1), the integral
+    over [ln 2, ln(1+X)] of (e^u - 1)^eta u^-(1+alpha) du: the one-sided
+    eta-th absolute moment of the jumps with 1 < |x| <= X.
+
+    The grid is integrated once, as a partition, each piece to tol, and
+    the pieces are summed cumulatively with math.fsum.  Raises
+    ValueError when the integrand would overflow a float.  The integral
+    then stays in range as well: it is at most (hi - lo) * max(f(lo),
+    f(hi)) for the integrand f on [lo, hi] = [ln 2, ln(1 + max cap)],
     f(ln 2) is below 3, and (hi - lo) * f(hi) is below (e^hi - 1)^eta
     once hi >= 1."""
+    ends = [math.log1p(X) for X in caps]
+    lo, hi = LN2, ends[-1]
+
     def log_f(u):
         return eta * math.log(math.expm1(u)) - (1.0 + alpha) * math.log(u)
 
@@ -63,8 +70,13 @@ def jump_moment_integral(eta, lo: float, hi: float, alpha: float,
     if log_peak > LOG_FLOAT_MAX - 1e-9:
         raise ValueError(f"moment integrand overflows a float: eta={eta!r}, "
                          f"ln(1 + cap)={hi!r}")
-    return adaptive_quad(lambda u: math.expm1(u) ** eta * u ** (-1.0 - alpha),
-                         lo, hi, tol=tol).value
+    # a cap of 1, or equal logs of neighbouring caps, adds no interval
+    edges = sorted({lo, *ends})
+    pieces = ([r.value for r in quad_partition(
+        lambda u: np.expm1(u) ** eta * u ** (-1.0 - alpha), edges, tol=tol)]
+        if len(edges) > 1 else [])
+    upto = {edge: math.fsum(pieces[:k]) for k, edge in enumerate(edges)}
+    return [upto[end] for end in ends]
 
 
 def levy_density(x: float, p: KAlphaParams) -> float:
@@ -103,20 +115,26 @@ def inverse_tail(u, p: KAlphaParams):
     return ell if ell.ndim else float(ell)
 
 
-def truncated_moment(eta: float, X: float, p: KAlphaParams) -> float:
-    """Two-sided eta-th absolute moment of the large jumps capped at X.
+def truncated_moments(eta: float, caps, p: KAlphaParams) -> list[float]:
+    """Two-sided eta-th absolute moment of the large jumps capped at X,
+    for each cap X of the nondecreasing caps.
 
     Equals 2 * integral over [ln 2, ln(1+X)] of (e^u - 1)^eta u^-(1+alpha).
     Unbounded as X grows, whatever eta > 0.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if X < 1.0:
+    caps = [float(X) for X in caps]
+    if any(X < 1.0 for X in caps):
         raise ValueError("cap X must be >= 1")
-    if X == 1.0:
-        return 0.0
-    return 2.0 * jump_moment_integral(eta, LN2, math.log1p(X), p.alpha,
-                                      tol=1e-11)
+    if any(b < a for a, b in zip(caps, caps[1:])):
+        raise ValueError("caps must be nondecreasing")
+    return [2.0 * m for m in jump_moments(eta, caps, p.alpha, tol=1e-11)]
+
+
+def truncated_moment(eta: float, X: float, p: KAlphaParams) -> float:
+    """truncated_moments at the one cap X."""
+    return truncated_moments(eta, [X], p)[0]
 
 
 def solve_crossover(eta: float, p: KAlphaParams) -> float | None:
@@ -158,23 +176,32 @@ def solve_crossover(eta: float, p: KAlphaParams) -> float | None:
     return root
 
 
-def pruitt_index(r: float, p: KAlphaParams) -> float:
-    """Growth index h-bar(r) of the large-jump part, r >= 1.
+def pruitt_indices(rs, p: KAlphaParams) -> list[float]:
+    """Growth index h-bar(r) of the large-jump part at each radius of
+    the nondecreasing rs, each r >= 1.
 
     Sum of the two-sided tail mass beyond r, r^-2 times the second
     moment of the jumps with 1 < |x| <= r, and r^-1 times their first
     moment.  The first-moment term vanishes identically (odd integrand
-    against a symmetric measure) and is not computed.
+    against a symmetric measure) and is not computed.  The second
+    moments come from one partition of the whole grid.
     """
-    if r < 1.0:
-        raise ValueError(f"index defined for r >= 1, got {r!r}")
-    if math.isinf(r * r):
-        raise ValueError(f"radius {r!r} too large: r^2 overflows a float")
-    total = 2.0 * tail_one_sided(r, p)
-    if r > 1.0:
-        second = jump_moment_integral(2, LN2, math.log1p(r), p.alpha, tol=1e-12)
-        total += 2.0 * second / r ** 2
-    return total
+    rs = [float(r) for r in rs]
+    for r in rs:
+        if r < 1.0:
+            raise ValueError(f"index defined for r >= 1, got {r!r}")
+        if math.isinf(r * r):
+            raise ValueError(f"radius {r!r} too large: r^2 overflows a float")
+    if any(b < a for a, b in zip(rs, rs[1:])):
+        raise ValueError("radii must be nondecreasing")
+    seconds = jump_moments(2, rs, p.alpha, tol=1e-12)
+    return [2.0 * tail_one_sided(r, p) + 2.0 * second / r ** 2
+            for r, second in zip(rs, seconds)]
+
+
+def pruitt_index(r: float, p: KAlphaParams) -> float:
+    """pruitt_indices at the one radius r."""
+    return pruitt_indices([r], p)[0]
 
 
 def laplace_exponent(lam: float, p: KAlphaParams) -> float:
@@ -202,20 +229,22 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
 
     def integrand(u):
         # lam (e^u - 1), in logs where e^u overflows (there e^u - 1 = e^u)
-        x = lam * math.expm1(u) if u < LOG_FLOAT_MAX else math.exp(log_lam + u)
-        return -math.expm1(-x) * u ** (-1.0 - a)
+        big = u >= LOG_FLOAT_MAX
+        x = np.where(big, np.exp(log_lam + u),
+                     lam * np.expm1(np.where(big, 0.0, u)))
+        return -np.expm1(-x) * u ** (-1.0 - a)
 
     # beyond the switch the factor is exactly 1 in floats, so the tail
-    # integrates in closed form; the head is summed over doubling chunks
+    # integrates in closed form; the head is split into doubling chunks
     # (for tiny lambda the mass sits just below the far-away switch point,
-    # which a single wide panel could miss)
-    lo = LN2
-    total = max(lo, u_switch) ** (-a) / a
-    while lo < u_switch:
-        hi = min(max(2.0 * lo, 2.0), u_switch)
-        total += adaptive_quad(integrand, lo, hi, tol=1e-13).value
-        lo = hi
-    return total
+    # which a single wide panel could miss), all integrated in one call
+    edges = [LN2]
+    while edges[-1] < u_switch:
+        edges.append(min(max(2.0 * edges[-1], 2.0), u_switch))
+    head = (quad_partition(integrand, edges, tol=1e-13) if len(edges) > 1
+            else [])
+    return math.fsum([max(LN2, u_switch) ** (-a) / a,
+                      *(r.value for r in head)])
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +292,14 @@ class EnvelopeSpec:
         return 1.0 if self.beta is None else self.beta
 
     def log_value(self, t: float) -> float:
-        """ln f(t) for t > 0."""
+        """ln f(t) for t > 0; math.inf where c t^p overflows a float."""
         if self.kind == "power":
             return self.beta * math.log(t)
-        return self.c * t ** self._p
+        log_tp = self._p * math.log(t)
+        if log_tp < 700.0:
+            return self.c * t ** self._p
+        log_w = math.log(self.c) + log_tp
+        return math.inf if log_w > LOG_FLOAT_MAX else math.exp(log_w)
 
     def crossing_time(self, logmag: float) -> float:
         """Smallest t with ln f(t) >= logmag (0 when already exceeded).
@@ -281,16 +314,26 @@ class EnvelopeSpec:
             return 0.0
         return (logmag / self.c) ** (1.0 / self._p)
 
-    def log_tail_argument(self, x: float) -> float:
-        """ln of ln(1 + f(x)), stable for envelope values beyond float range."""
+    def log_tail_argument(self, x):
+        """ln of ln(1 + f(x)), elementwise for an array x >= 1, stable for
+        envelope values beyond float range."""
+        x = np.asarray(x, dtype=float)
+        # the powers are formed directly (to an ulp) while they stay below
+        # e^700, and only from their logs beyond
         if self.kind == "power":
-            t = self.beta * math.log(x)
-            return math.log(t if t > 700.0 else math.log1p(x ** self.beta))
-        logw = math.log(self.c) + self._p * math.log(x)
-        if logw > 700.0:
-            return logw
-        w = self.c * x ** self._p
-        return math.log(w + math.log1p(math.exp(-w)))
+            t = self.beta * np.log(x)
+            big = t > 700.0
+            out = np.log(np.where(big, t,
+                                  np.log1p(np.where(big, 1.0, x) ** self.beta)))
+        else:
+            log_xp = self._p * np.log(x)
+            logw = math.log(self.c) + log_xp
+            small = log_xp < 700.0
+            w = np.where(small, self.c * np.where(small, x, 1.0) ** self._p,
+                         np.exp(np.minimum(logw, 700.0)))
+            out = np.where(logw > 700.0, logw,
+                           np.log(w + np.log1p(np.exp(-w))))
+        return out if out.ndim else float(out)
 
     def converges_at(self, alpha: float) -> bool:
         """Is the upper-function integral finite at index alpha?"""
@@ -325,10 +368,18 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     log_alpha = math.log(a)
 
     def integrand(x):
-        return math.exp(-log_alpha - a * env.log_tail_argument(x))
+        return np.exp(-log_alpha - a * env.log_tail_argument(x))
 
     analytic = env.converges_at(a)
-    res = adaptive_quad(integrand, 1.0, math.inf, tol=1e-9)
+    # an exponential kind stays near its value at 0 until c x^p reaches
+    # about 1, so the dyadic tail test starts there, after a finite head
+    x0 = (1.0 if env.kind == "power"
+          else math.exp(max(0.0, -math.log(env.c) / env._p)))
+    res = adaptive_quad(integrand, x0, math.inf, tol=1e-9)
+    if x0 > 1.0 and not res.diverged:
+        head = adaptive_quad(integrand, 1.0, x0, tol=1e-9)
+        res = QuadResult(head.value + res.value, head.abs_error + res.abs_error,
+                         head.subdivisions + res.subdivisions)
     numeric = not res.diverged
     if numeric != analytic:
         raise ConsistencyError(

@@ -4,16 +4,18 @@ Jump magnitudes in this package routinely exceed the native float range
 (a single large jump can have ln(1+|x|) in the thousands), so all path
 arithmetic is carried as (sign, ln of magnitude) pairs, and signed sums
 of such numbers are formed exactly, in one array pass, by slv_sum.  The
-quadrature engine is a plain adaptive Gauss-Kronrod scheme over a
-positive lower limit (every measure integral starts at u = ln 2 or
-x = 1, away from the u = 0 pole of the jump density), with one extra
-for improper upper limits: a geometric tail test that can tell
-"converges slowly" apart from "diverges".
+quadrature engine is one adaptive Gauss-Kronrod kernel over a positive
+lower limit (every measure integral starts at u = ln 2 or x = 1, away
+from the u = 0 pole of the jump density).  Integrands map a float array
+of nodes to the array of their values, and each refinement round
+evaluates the panels of every interval still being refined in one
+call, so a whole partition (quad_partition) costs about as many calls
+as one interval.  Improper upper limits get one extra: a geometric
+tail test that can tell "converges slowly" apart from "diverges".
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +34,10 @@ _DIVERGENCE_STREAK = 8
 _NO_DECAY_RATIO = 1.0 - 1e-6
 # Gauss-Kronrod panels one adaptive_quad call may evaluate.
 _MAX_PANELS = 100_000
+# Dyadic blocks of an improper integral evaluated together; most tail
+# tests settle within the first call.
+_BLOCK_BATCH = 12
+_BLOCK_SCALES = np.array([2.0 ** k for k in range(_BLOCK_BATCH + 1)])
 
 
 class QuadratureError(Exception):
@@ -118,7 +124,9 @@ class QuadResult:
     diverged: bool = False
 
 
-# 15-point Kronrod extension of 7-point Gauss (standard QUADPACK nodes).
+# 15-point Kronrod extension of 7-point Gauss (standard QUADPACK nodes),
+# listed from -1 to 1.  _WK is the Kronrod rule, _WK_MINUS_G the Kronrod
+# minus the Gauss rule (the error estimate).
 _XGK = (
     0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
     0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
@@ -133,58 +141,102 @@ _WG = (
     0.1294849661688697, 0.2797053914892767,
     0.3818300505051189, 0.4179591836734694,
 )
+_NODES = np.array([-x for x in _XGK] + [x for x in _XGK[-2::-1]])
+_MIRRORED = (*range(8), *range(6, -1, -1))
+_WK = np.array([_WGK[k] for k in _MIRRORED])
+_WK_MINUS_G = _WK - [_WG[k // 2] if k % 2 else 0.0 for k in _MIRRORED]
+# Panels each interval starts with, evaluated in the first integrand call.
+_START_PANELS = 8
+_STEPS = np.array([k / _START_PANELS for k in range(_START_PANELS + 1)])
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
+def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod values and error estimates of the panels [a_j, b_j],
+    all from one call of f on the flat array of their nodes."""
     h = 0.5 * (b - a)
-    fc = f(c)
-    if not math.isfinite(fc):
-        raise QuadratureError(f"integrand not finite at u={c!r}")
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        dx = h * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            bad = c - dx if not math.isfinite(f1) else c + dx
-            raise QuadratureError(f"integrand not finite at u={bad!r}")
-        s = f1 + f2
-        resk += _WGK[j] * s
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * s
-    return resk * h, abs((resk - resg) * h)
+    x = ((a + h)[:, None] + h[:, None] * _NODES).ravel()
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise TypeError(f"integrand returned shape {y.shape} for nodes of "
+                        f"shape {x.shape}; it must map arrays elementwise")
+    # einsum, not BLAS: a BLAS product would load its code and work
+    # buffer, a lasting rise in resident memory for a few panels
+    y = y.reshape(-1, len(_NODES))
+    resk = np.einsum("pk,k->p", y, _WK)
+    if not np.isfinite(resk).all():
+        bad = x[~np.isfinite(y.ravel())]
+        raise QuadratureError(f"integrand not finite at u={float(bad[0])!r}"
+                              if bad.size else "panel sums overflow a float")
+    return resk * h, np.abs(np.einsum("pk,k->p", y, _WK_MINUS_G) * h)
 
 
-def _adaptive(f, a: float, b: float, tol: float, budget: int) -> tuple[float, float, int]:
-    """Heap-driven bisection of [a, b] down to absolute tolerance tol."""
-    value, err = _gk15(f, a, b)
-    heap = [(-err, a, b, value)]
-    panels = 1
-    total_val = value
-    total_err = err
-    # the 1e-13 relative floor stops refinement once rounding dominates
-    while total_err > tol and total_err > abs(total_val) * 1e-13:
-        if panels >= budget:
-            raise SubdivisionLimitError(
-                f"no convergence after {panels} panels (error ~ {total_err:.3g})")
-        neg_e, pa, pb, pv = heapq.heappop(heap)
+def _adaptive(f, lo: np.ndarray, hi: np.ndarray, tol: float,
+              budget: int) -> list[tuple[float, float, int]]:
+    """Integrate f over each interval [lo_i, hi_i] to absolute tolerance
+    tol, as (value, error, panels) per interval.
+
+    Every interval starts as _START_PANELS equal panels.  An interval is
+    done when its summed error is at most tol or, once rounding
+    dominates, 1e-13 of its value.  Each round bisects, in one integrand
+    call, every panel of an unfinished interval whose error exceeds its
+    width's share of that target; at least one panel always does.  The
+    totals are summed afresh from the live panels each round, in an
+    order set by the interval's own refinement alone, so an interval's
+    result does not depend on the others integrated with it.
+    """
+    m = len(lo)
+    width = hi - lo
+    grid = lo[:, None] + width[:, None] * _STEPS
+    grid[:, -1] = hi
+    a = grid[:, :-1].ravel()
+    b = grid[:, 1:].ravel()
+    owner = np.arange(m).repeat(_START_PANELS)
+    val, err = _gk15(f, a, b)
+    out: list = [None] * m
+    while True:
+        # per-interval bookkeeping in plain floats: m is small and numpy
+        # reductions on tiny arrays cost more than the loop
+        targets = [0.0] * m
+        finished = False
+        for i, (v, e, n) in enumerate(zip(
+                np.bincount(owner, val, minlength=m).tolist(),
+                np.bincount(owner, err, minlength=m).tolist(),
+                np.bincount(owner, minlength=m).tolist())):
+            if not n:
+                continue            # finished in an earlier round
+            target = max(tol, abs(v) * 1e-13)
+            if e <= target:
+                out[i] = (v, e, n)
+                finished = True
+            elif n >= budget:
+                raise SubdivisionLimitError(
+                    f"no convergence after {n} panels (error ~ {e:.3g})")
+            else:
+                targets[i] = target
+        if not any(targets):
+            return out
+        panel_target = np.array(targets)[owner]
+        if finished:
+            live = panel_target > 0.0
+            a, b, val, err, owner, panel_target = (
+                a[live], b[live], val[live], err[live], owner[live],
+                panel_target[live])
+        split = err > panel_target * (b - a) / width[owner]
+        pa, pb = a[split], b[split]
         mid = 0.5 * (pa + pb)
-        if not pa < mid < pb:
-            raise QuadratureError(
-                f"interval [{pa!r}, {pb!r}] collapsed below float resolution")
-        v1, e1 = _gk15(f, pa, mid)
-        v2, e2 = _gk15(f, mid, pb)
-        total_val += v1 + v2 - pv
-        total_err += e1 + e2 + neg_e
-        heapq.heappush(heap, (-e1, pa, mid, v1))
-        heapq.heappush(heap, (-e2, mid, pb, v2))
-        panels += 1
-    # resum live panels for a drift-free total
-    total_val = math.fsum(item[3] for item in heap)
-    total_err = max(0.0, math.fsum(-item[0] for item in heap))
-    return total_val, total_err, panels
+        collapsed = ~((pa < mid) & (mid < pb))
+        if collapsed.any():
+            j = int(collapsed.argmax())
+            raise QuadratureError(f"interval [{float(pa[j])!r}, "
+                                  f"{float(pb[j])!r}] collapsed below float "
+                                  "resolution")
+        cv, ce = _gk15(f, np.concatenate([pa, mid]), np.concatenate([mid, pb]))
+        keep = ~split
+        a = np.concatenate([a[keep], pa, mid])
+        b = np.concatenate([b[keep], mid, pb])
+        val = np.concatenate([val[keep], cv])
+        err = np.concatenate([err[keep], ce])
+        owner = np.concatenate([owner[keep], owner[split], owner[split]])
 
 
 def _block_series(f, a0: float, tol: float, budget: int):
@@ -206,11 +258,19 @@ def _block_series(f, a0: float, tol: float, budget: int):
     zero_run = 0
     prev_est = None
     settled = 0
-    b = a0
-    for _ in range(900):
-        a, b = b, b * 2.0
-        block_tol = max(tol / 16.0, abs(partial) * 1e-15, 1e-300)
-        v, e, n = _adaptive(f, a, b, block_tol, max(256, budget - panels))
+
+    def blocks():
+        # _BLOCK_BATCH blocks per integrand call, each held to the
+        # tolerance the partial sum before the call allows
+        b = a0
+        while True:
+            edges = b * _BLOCK_SCALES
+            b = float(edges[-1])
+            yield from _adaptive(f, edges[:-1], edges[1:],
+                                 max(tol / 16.0, abs(partial) * 1e-15, 1e-300),
+                                 max(256, budget - panels))
+
+    for _, (v, e, n) in zip(range(900), blocks()):
         panels += n
         err_sum += e
         cur_abs = abs(v)
@@ -252,14 +312,42 @@ def _block_series(f, a0: float, tol: float, budget: int):
     raise SubdivisionLimitError("geometric block sequence exhausted")
 
 
+def quad_partition(f, edges, tol: float = 1e-10) -> list[QuadResult]:
+    """Integrate f over every interval [edges[k], edges[k+1]] of a
+    partition, one QuadResult per interval.
+
+    edges are finite, strictly increasing and start above 0.  Each
+    interval is held to tol on its own (its error estimate at most
+    tol/2, as adaptive_quad does for a finite interval), so its result
+    is the one adaptive_quad gives for it alone; all of them are
+    evaluated together, one integrand call per refinement round.
+    """
+    edges = [float(e) for e in edges]
+    if len(edges) < 2:
+        raise ValueError("a partition needs at least two edges")
+    # increasing edges between a positive first and a finite last one
+    # are all finite (a NaN fails the comparison)
+    if not (edges[0] > 0.0 and math.isfinite(edges[-1])):
+        raise ValueError(f"edges must be finite and positive, got "
+                         f"[{edges[0]!r}, ..., {edges[-1]!r}]")
+    if not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError("edges must be strictly increasing")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    edges = np.array(edges)
+    return [QuadResult(*r) for r in _adaptive(f, edges[:-1], edges[1:],
+                                               tol / 2.0, _MAX_PANELS)]
+
+
 def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> QuadResult:
     """Integrate f over (lo, hi) for 0 < lo < hi; hi may be math.inf.
 
-    An infinite upper limit is reached by summing doubling blocks from
-    max(lo, 1) with geometric tail acceleration.  Divergence there is
-    reported via the result flag, never as a large finite number;
-    failure to converge within _MAX_PANELS panels raises
-    SubdivisionLimitError.
+    f maps a float array of nodes to the array of its values.  A finite
+    interval is the one-interval quad_partition.  An infinite upper
+    limit is reached by summing doubling blocks from max(lo, 1) with
+    geometric tail acceleration.  Divergence there is reported via the
+    result flag, never as a large finite number; failure to converge
+    within _MAX_PANELS panels raises SubdivisionLimitError.
     """
     if not (math.isfinite(lo) and lo > 0.0):
         raise ValueError(f"lower limit must be finite and positive, got {lo!r}")
@@ -268,14 +356,14 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> QuadResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not math.isinf(hi):
-        return QuadResult(*_adaptive(f, lo, hi, tol / 2.0, _MAX_PANELS))
+        return quad_partition(f, (lo, hi), tol)[0]
 
     a0 = max(lo, 1.0)
-    head_val, head_err, head_panels = 0.0, 0.0, 0
-    if a0 > lo:
-        head_val, head_err, head_panels = _adaptive(f, lo, a0, tol / 2.0,
-                                                    _MAX_PANELS)
-    v, e, n, diverged = _block_series(f, a0, tol / 2.0, _MAX_PANELS - head_panels)
+    head = (quad_partition(f, (lo, a0), tol)[0] if a0 > lo
+            else QuadResult(0.0, 0.0, 0))
+    v, e, n, diverged = _block_series(f, a0, tol / 2.0,
+                                      _MAX_PANELS - head.subdivisions)
     if diverged:
-        return QuadResult(math.nan, math.inf, head_panels + n, diverged=True)
-    return QuadResult(head_val + v, head_err + e, head_panels + n)
+        return QuadResult(math.nan, math.inf, head.subdivisions + n,
+                          diverged=True)
+    return QuadResult(head.value + v, head.abs_error + e, head.subdivisions + n)

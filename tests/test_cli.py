@@ -223,7 +223,7 @@ class TestClassify:
         monkeypatch.setattr(cli_mod, "classify_support", boom)
         assert run(["classify", "--alpha", "1.5", "--betas", "2"]) == EXIT_INTERNAL
 
-    @pytest.mark.parametrize("alpha, beta", [("1.0001", "3"), ("0.5", "2.0001")])
+    @pytest.mark.parametrize("alpha, beta", [("1.0001", "3"), ("0.5", "2.000001")])
     def test_boundary_exits_4_without_report(self, alpha, beta, tmp_path, capsys):
         # this close to a regime boundary the quadrature tail test cannot
         # settle; a documented limit, reported as exit 4 and no report
@@ -232,6 +232,15 @@ class TestClassify:
                     "--json", str(rpt)]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal consistency error: ")
         assert not rpt.exists()
+
+    @pytest.mark.parametrize("alpha, beta", [("0.5", "2.0001"), ("0.5", "2.001")])
+    def test_near_boundary_settles(self, alpha, beta, tmp_path):
+        # alpha * beta - 1 down to 5e-5: the block integrals are accurate
+        # enough for the geometric tail extrapolation to settle
+        rpt = tmp_path / "r.json"
+        assert run(["classify", "--alpha", alpha, "--betas", beta,
+                    "--json", str(rpt)]) == EXIT_OK
+        assert json.loads(rpt.read_text())["in_K_beta"] == {beta: True}
 
 
 class TestPair:

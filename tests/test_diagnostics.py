@@ -6,7 +6,8 @@ import pytest
 from kalpha.diagnostics import (ExceedanceReport, build_exceedance_report,
                                 envelope_exceedances, growth_scan,
                                 moment_scan, pruitt_slope)
-from kalpha.measure import EnvelopeSpec, KAlphaParams, pruitt_index
+from kalpha.measure import (EnvelopeSpec, KAlphaParams, pruitt_index,
+                            truncated_moment)
 from kalpha.paths import EventPath, simulate_many
 from util_stats import intervals_match_grid
 
@@ -187,6 +188,17 @@ class TestMomentScan:
         assert scan.growth_ratios == ()
         assert not scan.divergence_flagged
 
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.9])
+    def test_cumulative_values_match_truncated_moment(self, alpha):
+        # one partition of the cap grid, summed cumulatively, against one
+        # integral per cap
+        p = KAlphaParams(alpha)
+        caps = [10.0 ** k for k in range(1, 16)]
+        scan = moment_scan(p, 0.25, caps)
+        for cap, value in zip(caps, scan.values):
+            assert value == pytest.approx(truncated_moment(0.25, cap, p),
+                                          rel=1e-12)
+
     def test_caps_validation(self):
         p = KAlphaParams(1.0)
         with pytest.raises(ValueError):
@@ -239,6 +251,25 @@ class TestPruittSlope:
         rep = pruitt_slope(p, [0.1], [10.0, 100.0])
         assert rep.values[0.1][0] == pytest.approx(
             10.0 ** 0.1 * pruitt_index(10.0, p), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.9])
+    def test_cumulative_values_match_pruitt_index_on_bench_grid(self, alpha):
+        # 1e1..1e8 at 8 radii per decade, integrated as one partition
+        p = KAlphaParams(alpha)
+        r_grid = [10.0 ** (1.0 + k / 8.0) for k in range(57)]
+        etas = (0.05, 0.1, 0.5)
+        rep = pruitt_slope(p, etas, r_grid)
+        for r, *values in zip(r_grid, *(rep.values[eta] for eta in etas)):
+            h = pruitt_index(r, p)
+            for eta, value in zip(etas, values):
+                assert value == pytest.approx(r ** eta * h, rel=1e-12)
+
+    def test_radius_one_has_only_the_tail_term(self):
+        p = KAlphaParams(1.0)
+        rep = pruitt_slope(p, [0.5], [1.0, 10.0])
+        assert rep.values[0.5][0] == pytest.approx(p.trunc_mass, rel=1e-15)
+        assert rep.values[0.5][1] == pytest.approx(
+            10.0 ** 0.5 * pruitt_index(10.0, p), rel=1e-12)
 
     def test_grid_validation(self):
         p = KAlphaParams(1.0)

@@ -329,6 +329,22 @@ class TestEnvelopeSpec:
         pe = EnvelopeSpec("power_exponential", c=1.0, beta=2.0)
         assert pe.crossing_time(1e6) == pytest.approx(1e3)
 
+    def test_log_value_beyond_float_range_is_inf(self):
+        # c t^beta = 1e400 is not a float; its log is
+        env = EnvelopeSpec("power_exponential", c=1.0, beta=10.0)
+        assert env.log_value(1e40) == math.inf
+        assert env.log_value(10.0) == pytest.approx(1e10, rel=1e-15)
+
+    def test_tail_argument_takes_arrays(self):
+        xs = np.array([1.0, 3.0, 50.0, 1e4, 1e306])
+        for env in (EnvelopeSpec("power", beta=1.5),
+                    EnvelopeSpec("exponential", c=0.3),
+                    EnvelopeSpec("power_exponential", c=0.5, beta=2.0)):
+            out = env.log_tail_argument(xs)
+            assert out.shape == xs.shape
+            for x, v in zip(xs, out):
+                assert v == env.log_tail_argument(float(x))
+
     def test_increasing_on_comparison_range(self):
         for env in (EnvelopeSpec("power", beta=1.5),
                     EnvelopeSpec("exponential", c=0.3),
@@ -371,6 +387,30 @@ class TestUpperFunction:
             lambda x: 1.0 / (1.5 * (x + math.log1p(math.exp(-x))) ** 1.5),
             1.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
         assert r.value == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.9])
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("exponential", {"c": 1e-3}),
+        ("power_exponential", {"c": 1e-3, "beta": 1.01}),
+    ])
+    def test_slow_envelope_converges_against_scipy(self, alpha, kind, kwargs):
+        # the integrand stays near its value at x = 1 until c x^p ~ 1, so
+        # the dyadic tail test starts at x0 = c^(-1/p), after a finite head
+        env = EnvelopeSpec(kind, **kwargs)
+        r = upper_function_integral(env, KAlphaParams(alpha))
+        c, pw = kwargs["c"], kwargs.get("beta", 1.0)
+
+        def oracle_integrand(x):
+            w = c * x ** pw
+            return 1.0 / (alpha * (w + math.log1p(math.exp(-w))) ** alpha)
+
+        x0 = c ** (-1.0 / pw)
+        oracle = (scipy_quad(oracle_integrand, 1.0, x0, epsabs=0.0,
+                             epsrel=1e-13, limit=500)[0]
+                  + scipy_quad(oracle_integrand, x0, np.inf, epsabs=0.0,
+                               epsrel=1e-13, limit=500)[0])
+        assert r.convergent
+        assert r.value == pytest.approx(oracle, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("kind,kwargs", [

@@ -1,12 +1,21 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.integrate import quad as scipy_quad
 
 from kalpha import numerics
 from kalpha.numerics import (LN2, QuadratureError, SignedLogValue,
-                             SubdivisionLimitError, adaptive_quad, slv_sum)
+                             SubdivisionLimitError, adaptive_quad,
+                             quad_partition, slv_sum)
+
+# keep hypothesis's source-constants cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 class TestSignedLogValue:
@@ -81,7 +90,7 @@ class TestAdaptiveQuad:
         assert res.diverged
 
     def test_error_estimate_covers_truth(self):
-        res = adaptive_quad(lambda u: math.sin(u) ** 2 * u ** -2.0,
+        res = adaptive_quad(lambda u: np.sin(u) ** 2 * u ** -2.0,
                             1.0, 30.0, tol=1e-11)
         oracle, _ = scipy_quad(lambda u: math.sin(u) ** 2 * u ** -2.0,
                                1.0, 30.0, epsabs=1e-13, limit=300)
@@ -96,7 +105,7 @@ class TestAdaptiveQuad:
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(QuadratureError):
-            adaptive_quad(lambda u: math.nan, 0.5, 1.0)
+            adaptive_quad(lambda u: np.full_like(u, math.nan), 0.5, 1.0)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +120,64 @@ class TestAdaptiveQuad:
             adaptive_quad(lambda u: u ** -0.5, lo, 1.0)
 
     def test_zero_integrand_tail(self):
-        res = adaptive_quad(lambda u: 0.0, 1.0, math.inf, tol=1e-12)
+        res = adaptive_quad(lambda u: np.zeros_like(u), 1.0, math.inf, tol=1e-12)
         assert res.value == 0.0
         assert not res.diverged
+
+
+def wavy(u):
+    return u ** -1.5 * (1.0 + 0.5 * np.sin(3.0 * u))
+
+
+class TestQuadPartition:
+    @pytest.mark.parametrize("f, edges", [
+        (wavy, [0.5, 1.0, 2.5, 7.0, 40.0]),
+        (lambda u: np.expm1(u) ** 2 * u ** -2.5, [LN2, 2.0, 5.0, 20.0, 300.0]),
+        (lambda u: 1.0 / (1e-6 + (u - 0.5) ** 2), [0.1, 0.45, 0.5, 0.7, 1.0]),
+    ], ids=["wavy", "second-moment", "spike"])
+    def test_each_interval_equals_adaptive_quad(self, f, edges):
+        # intervals are refined independently of each other
+        parts = quad_partition(f, edges, tol=1e-12)
+        assert len(parts) == len(edges) - 1
+        for (lo, hi), part in zip(zip(edges, edges[1:]), parts):
+            alone = adaptive_quad(f, lo, hi, tol=1e-12)
+            assert part.value == pytest.approx(alone.value, rel=1e-13)
+            assert part.subdivisions == alone.subdivisions
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=1, max_size=12, unique=True),
+           st.floats(0.2, 5.0), st.floats(0.5, 60.0))
+    def test_additive_over_random_partitions(self, cuts, lo, span):
+        hi = lo + span
+        edges = sorted({lo, hi, *(lo + span * c for c in cuts)})
+        whole = adaptive_quad(wavy, lo, hi, tol=1e-13).value
+        parts = quad_partition(wavy, edges, tol=1e-13)
+        assert math.fsum(r.value for r in parts) == pytest.approx(
+            whole, rel=1e-12, abs=1e-13 * len(parts))
+
+    @pytest.mark.parametrize("edges", [[1.0], [1.0, 1.0, 2.0], [2.0, 1.0],
+                                       [0.0, 1.0], [1.0, math.inf],
+                                       [1.0, math.nan, 2.0]],
+                             ids=["one-edge", "repeated", "decreasing",
+                                  "zero-start", "infinite", "nan"])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            quad_partition(wavy, edges)
+
+    def test_scalar_integrand_rejected(self):
+        # integrands map node arrays to arrays of the same shape
+        with pytest.raises(TypeError, match="elementwise"):
+            quad_partition(lambda u: 1.0, [1.0, 2.0])
+
+    def test_starts_with_eight_panels_in_one_call(self):
+        calls = []
+
+        def counted(u):
+            calls.append(u.size)
+            return np.ones_like(u)
+
+        parts = quad_partition(counted, [1.0, 2.0, 3.0], tol=1e-10)
+        assert calls == [2 * 8 * 15]
+        assert [r.value for r in parts] == pytest.approx([1.0, 1.0], rel=1e-15)
+        assert [r.subdivisions for r in parts] == [8, 8]
