@@ -14,7 +14,7 @@ explicit factor 2 over the one-sided tail formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -361,31 +361,42 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     Convergence certifies f as an upper envelope of the running supremum:
     power envelopes always diverge, exponential ones converge exactly when
     alpha > 1, power-exponential ones exactly when alpha*beta > 1.  The
-    analytic classification is cross-checked against the dyadic tail test
-    of the quadrature engine; disagreement raises ConsistencyError.
+    analytic classification is cross-checked against the dyadic tail
+    verdict of the quadrature engine; disagreement raises
+    ConsistencyError.
+
+    An exponential kind exp(c x^p) is integrated in its own scale
+    y = c^(1/p) x, as c^(-1/p) times the integral over [c^(1/p), inf) of
+    its integrand at c = 1, whose decay starts near y = 1 whatever c.
+    Raises ValueError when I exceeds the float range.
     """
     a = p.alpha
     log_alpha = math.log(a)
+    # ln c^(-1/p); 0 (and no rescaling) for a power envelope or c = 1
+    log_scale = 0.0 if env.kind == "power" else -math.log(env.c) / env._p
+    if log_scale > LOG_FLOAT_MAX:
+        raise ValueError(f"envelope {env.describe()}: c^(-1/p) and the "
+                         "upper-function integral exceed the float range")
+    unit = replace(env, c=1.0) if log_scale else env
 
-    def integrand(x):
-        return np.exp(-log_alpha - a * env.log_tail_argument(x))
+    def integrand(y):
+        return np.exp(-log_alpha - a * unit.log_tail_argument(y))
 
     analytic = env.converges_at(a)
-    # an exponential kind stays near its value at 0 until c x^p reaches
-    # about 1, so the dyadic tail test starts there, after a finite head
-    x0 = (1.0 if env.kind == "power"
-          else math.exp(max(0.0, -math.log(env.c) / env._p)))
-    res = adaptive_quad(integrand, x0, math.inf, tol=1e-9)
-    if x0 > 1.0 and not res.diverged:
-        head = adaptive_quad(integrand, 1.0, x0, tol=1e-9)
-        res = QuadResult(head.value + res.value, head.abs_error + res.abs_error,
-                         head.subdivisions + res.subdivisions)
+    res = adaptive_quad(integrand, math.exp(-log_scale), math.inf, tol=1e-9)
     numeric = not res.diverged
     if numeric != analytic:
         raise ConsistencyError(
             f"envelope {env.describe()} at alpha={a:g}: analytic says "
             f"{'convergent' if analytic else 'divergent'} but quadrature says "
             f"{'convergent' if numeric else 'divergent'}")
+    if log_scale:
+        scale = math.exp(log_scale)
+        res = QuadResult(res.value * scale, res.abs_error * scale,
+                         res.subdivisions, res.diverged)
+        if res.value == math.inf:
+            raise ValueError(f"envelope {env.describe()} at alpha={a:g}: the "
+                             "upper-function integral exceeds the float range")
     return UpperFunctionResult(analytic, res.value if analytic else None, res)
 
 

@@ -10,8 +10,12 @@ from the u = 0 pole of the jump density).  Integrands map a float array
 of nodes to the array of their values, and each refinement round
 evaluates the panels of every interval still being refined in one
 call, so a whole partition (quad_partition) costs about as many calls
-as one interval.  Improper upper limits get one extra: a geometric
-tail test that can tell "converges slowly" apart from "diverges".
+as one interval.  An improper upper limit is walked in batches of
+doubling blocks; after each batch a pure function of the block
+integrals (_tail_verdict) tells slow convergence, whose geometric
+remainder it sums in closed form, from divergence.  An integrand that
+starts to decay only far out is rescaled first (upper_function_integral
+integrates an envelope exp(c x^p) in y = c^(1/p) x).
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # integral is declared divergent.
 _DIVERGENCE_STREAK = 8
 # A block "fails to decay" when it is at least this fraction of its
-# predecessor.  1 - 1e-6 keeps tail exponents down to ~3e-6 on the
-# convergent side while still catching the log-free divergences in scope.
+# predecessor.  An integrand decaying like x^-s has block ratio 2^(1-s),
+# so a convergent tail is told apart from a divergent one for every
+# s - 1 > -log2(1 - 1e-6), about 1.4427e-6.
 _NO_DECAY_RATIO = 1.0 - 1e-6
 # Gauss-Kronrod panels one adaptive_quad call may evaluate.
 _MAX_PANELS = 100_000
-# Dyadic blocks of an improper integral evaluated together; most tail
-# tests settle within the first call.
+# Dyadic blocks of an improper integral evaluated together; the tail
+# verdict is taken after each such batch, and most are in after the first.
 _BLOCK_BATCH = 12
 _BLOCK_SCALES = np.array([2.0 ** k for k in range(_BLOCK_BATCH + 1)])
 
@@ -239,77 +244,32 @@ def _adaptive(f, lo: np.ndarray, hi: np.ndarray, tol: float,
         owner = np.concatenate([owner[keep], owner[split], owner[split]])
 
 
-def _block_series(f, a0: float, tol: float, budget: int):
-    """Sum f over the doubling blocks [a0, 2a0], [2a0, 4a0], ... with
-    tail extrapolation.
+def _tail_verdict(blocks: list[float]) -> tuple[float, float] | None:
+    """Tail verdict on a series from its doubling-block integrals so far.
 
-    Once consecutive block integrals settle into a stable ratio r < 1
-    the remaining tail is summed geometrically; if they fail to decay
-    for _DIVERGENCE_STREAK consecutive blocks the series is declared
-    divergent.  Returns (value, err, panels, diverged).
+    (nan, inf), divergent, when the last _DIVERGENCE_STREAK blocks each
+    fail to decay by _NO_DECAY_RATIO.  (remainder, error), finite: (0, 0)
+    after two zero blocks, or, once the last three block ratios are
+    positive and agree to 1e-3 below _NO_DECAY_RATIO, the remainder
+    v r/(1-r) after the last block v at the last ratio r, with error
+    |remainder| spread/(1-r).  None while undecided.
     """
-    partial = 0.0
-    err_sum = 0.0
-    panels = 0
-    prev_abs = None
-    prev_val = None
-    ratios: list[float] = []
-    no_decay = 0
-    zero_run = 0
-    prev_est = None
-    settled = 0
-
-    def blocks():
-        # _BLOCK_BATCH blocks per integrand call, each held to the
-        # tolerance the partial sum before the call allows
-        b = a0
-        while True:
-            edges = b * _BLOCK_SCALES
-            b = float(edges[-1])
-            yield from _adaptive(f, edges[:-1], edges[1:],
-                                 max(tol / 16.0, abs(partial) * 1e-15, 1e-300),
-                                 max(256, budget - panels))
-
-    for _, (v, e, n) in zip(range(900), blocks()):
-        panels += n
-        err_sum += e
-        cur_abs = abs(v)
-        if prev_abs is not None and prev_abs > 0.0:
-            if cur_abs >= prev_abs * _NO_DECAY_RATIO:
-                no_decay += 1
-                if no_decay >= _DIVERGENCE_STREAK:
-                    return math.nan, math.inf, panels, True
-            else:
-                no_decay = 0
-            ratios.append(cur_abs / prev_abs)
-        partial += v
-        if cur_abs == 0.0:
-            zero_run += 1
-            if zero_run >= 2:
-                return partial, err_sum, panels, False
-        else:
-            zero_run = 0
-        if len(ratios) >= 3 and prev_val is not None and v * prev_val > 0.0:
-            r = ratios[-1]
-            spread = max(ratios[-3:]) - min(ratios[-3:])
-            if r < _NO_DECAY_RATIO and spread <= 1e-3 * max(r, 1e-12):
-                tail = v * r / (1.0 - r)
-                est = partial + tail
-                if prev_est is not None and abs(est - prev_est) <= tol / 4.0:
-                    settled += 1
-                    if settled >= 2:
-                        err = (err_sum + 4.0 * abs(est - prev_est)
-                               + abs(tail) * spread / max(1e-12, 1.0 - r))
-                        return est, err, panels, False
-                else:
-                    settled = 0
-                prev_est = est
-        prev_abs = cur_abs
-        prev_val = v
-        if panels >= budget:
-            raise SubdivisionLimitError(
-                f"block budget exhausted after {panels} panels")
-    raise SubdivisionLimitError("geometric block sequence exhausted")
+    if len(blocks) >= 2 and not any(blocks[-2:]):
+        return 0.0, 0.0
+    last = blocks[-_DIVERGENCE_STREAK - 1:]
+    if len(last) > _DIVERGENCE_STREAK and all(
+            abs(b) >= abs(a) * _NO_DECAY_RATIO for a, b in zip(last, last[1:])):
+        return math.nan, math.inf
+    last = blocks[-4:]
+    if len(last) < 4 or not all(last[:-1]):
+        return None
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    r = ratios[-1]
+    spread = max(ratios) - min(ratios)
+    if not (min(ratios) > 0.0 and r < _NO_DECAY_RATIO and spread <= 1e-3 * r):
+        return None
+    rest = last[-1] * r / (1.0 - r)
+    return rest, abs(rest) * spread / (1.0 - r)
 
 
 def quad_partition(f, edges, tol: float = 1e-10) -> list[QuadResult]:
@@ -344,10 +304,12 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> QuadResult:
 
     f maps a float array of nodes to the array of its values.  A finite
     interval is the one-interval quad_partition.  An infinite upper
-    limit is reached by summing doubling blocks from max(lo, 1) with
-    geometric tail acceleration.  Divergence there is reported via the
-    result flag, never as a large finite number; failure to converge
-    within _MAX_PANELS panels raises SubdivisionLimitError.
+    limit is reached by summing doubling blocks from max(lo, 1), after
+    the head [lo, 1] when lo < 1, until _tail_verdict decides: the
+    geometric remainder is added in closed form, and divergence is
+    reported via the result flag, never as a large finite number.
+    Using more than _MAX_PANELS panels in all, or blocks leaving the
+    float range undecided, raises SubdivisionLimitError.
     """
     if not (math.isfinite(lo) and lo > 0.0):
         raise ValueError(f"lower limit must be finite and positive, got {lo!r}")
@@ -358,12 +320,33 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> QuadResult:
     if not math.isinf(hi):
         return quad_partition(f, (lo, hi), tol)[0]
 
+    # the doubling blocks [a0, 2 a0], [2 a0, 4 a0], ... are integrated
+    # _BLOCK_BATCH per call, each held to the tolerance the blocks before
+    # the call allow, until their tail verdict is in
     a0 = max(lo, 1.0)
     head = (quad_partition(f, (lo, a0), tol)[0] if a0 > lo
             else QuadResult(0.0, 0.0, 0))
-    v, e, n, diverged = _block_series(f, a0, tol / 2.0,
-                                      _MAX_PANELS - head.subdivisions)
-    if diverged:
-        return QuadResult(math.nan, math.inf, head.subdivisions + n,
-                          diverged=True)
-    return QuadResult(head.value + v, head.abs_error + e, head.subdivisions + n)
+    blocks: list[float] = []
+    errors = [head.abs_error]
+    panels = head.subdivisions
+    edge = float(a0)
+    while (verdict := _tail_verdict(blocks)) is None:
+        if not math.isfinite(edge * 2.0 ** _BLOCK_BATCH):
+            raise SubdivisionLimitError(
+                f"doubling blocks reached {edge!r} undecided")
+        edges = edge * _BLOCK_SCALES
+        edge = float(edges[-1])
+        for v, e, n in _adaptive(f, edges[:-1], edges[1:],
+                                 max(tol / 32.0, abs(sum(blocks)) * 1e-15,
+                                     1e-300), _MAX_PANELS - panels):
+            blocks.append(v)
+            errors.append(e)
+            panels += n
+        if panels > _MAX_PANELS:
+            raise SubdivisionLimitError(
+                f"no tail verdict after {panels} panels")
+    rest, rest_error = verdict
+    if math.isnan(rest):
+        return QuadResult(math.nan, math.inf, panels, diverged=True)
+    return QuadResult(head.value + (sum(blocks) + rest),
+                      math.fsum(errors) + rest_error, panels)

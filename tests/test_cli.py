@@ -223,24 +223,31 @@ class TestClassify:
         monkeypatch.setattr(cli_mod, "classify_support", boom)
         assert run(["classify", "--alpha", "1.5", "--betas", "2"]) == EXIT_INTERNAL
 
-    @pytest.mark.parametrize("alpha, beta", [("1.0001", "3"), ("0.5", "2.000001")])
+    @pytest.mark.parametrize("alpha, beta", [
+        ("0.5", "2.000001"), ("0.5", "2.0000015"), ("1.000001", "3")])
     def test_boundary_exits_4_without_report(self, alpha, beta, tmp_path, capsys):
-        # this close to a regime boundary the quadrature tail test cannot
-        # settle; a documented limit, reported as exit 4 and no report
+        # for 0 < alpha*p - 1 <= -log2(1 - 1e-6) ~ 1.4427e-6 (p = 1 for
+        # exp(t), beta for exp(t^beta)) the block ratio 2^(1 - alpha*p)
+        # reads as "no decay" to the quadrature tail verdict; a documented
+        # limit, reported as exit 4 and no report
         rpt = tmp_path / "r.json"
         assert run(["classify", "--alpha", alpha, "--betas", beta,
                     "--json", str(rpt)]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal consistency error: ")
         assert not rpt.exists()
 
-    @pytest.mark.parametrize("alpha, beta", [("0.5", "2.0001"), ("0.5", "2.001")])
+    @pytest.mark.parametrize("alpha, beta", [
+        ("0.5", "2.0001"), ("0.5", "2.001"), ("1.0001", "3"),
+        ("0.5", "2.00001"), ("0.5", "2.000003")])
     def test_near_boundary_settles(self, alpha, beta, tmp_path):
-        # alpha * beta - 1 down to 5e-5: the block integrals are accurate
-        # enough for the geometric tail extrapolation to settle
+        # alpha * p - 1 down to 1.5e-6, just above the band of exit 4: the
+        # blocks decay and their geometric remainder is summed
         rpt = tmp_path / "r.json"
         assert run(["classify", "--alpha", alpha, "--betas", beta,
                     "--json", str(rpt)]) == EXIT_OK
-        assert json.loads(rpt.read_text())["in_K_beta"] == {beta: True}
+        report = json.loads(rpt.read_text())
+        assert report["in_K_beta"] == {f"{float(beta):g}": True}
+        assert report["in_K_prime"] == (float(alpha) > 1.0)
 
 
 class TestPair:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 
-from kalpha.measure import (EnvelopeSpec, KAlphaParams,
+from kalpha.measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                             classify_support, inverse_tail, laplace_exponent,
                             levy_density, log_mag_survival, pruitt_index,
                             solve_crossover, tail_one_sided, truncated_moment,
@@ -394,8 +394,8 @@ class TestUpperFunction:
         ("power_exponential", {"c": 1e-3, "beta": 1.01}),
     ])
     def test_slow_envelope_converges_against_scipy(self, alpha, kind, kwargs):
-        # the integrand stays near its value at x = 1 until c x^p ~ 1, so
-        # the dyadic tail test starts at x0 = c^(-1/p), after a finite head
+        # the integrand stays near its value at x = 1 until c x^p ~ 1;
+        # in its own scale y = c^(1/p) x the decay starts near y = 1
         env = EnvelopeSpec(kind, **kwargs)
         r = upper_function_integral(env, KAlphaParams(alpha))
         c, pw = kwargs["c"], kwargs.get("beta", 1.0)
@@ -411,6 +411,61 @@ class TestUpperFunction:
                                epsrel=1e-13, limit=500)[0])
         assert r.convergent
         assert r.value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("kind,c,pw,expected", [
+        ("exponential", 1e-303, 1.0, 1.9698381147826e303),
+        ("power_exponential", 1e-300, 1.5, None),
+    ])
+    def test_tiny_c_against_scipy_in_own_scale(self, kind, c, pw, expected):
+        # I = c^(-1/p) * integral over [c^(1/p), inf) of the c = 1 integrand
+        alpha = 1.5
+        kwargs = {"c": c} if kind == "exponential" else {"c": c, "beta": pw}
+        r = upper_function_integral(EnvelopeSpec(kind, **kwargs),
+                                    KAlphaParams(alpha))
+
+        def unit_integrand(y):
+            w = y ** pw
+            return 1.0 / (alpha * (w + math.log1p(math.exp(-w))) ** alpha)
+
+        oracle = c ** (-1.0 / pw) * (
+            scipy_quad(unit_integrand, c ** (1.0 / pw), 1.0, epsabs=0.0,
+                       epsrel=1e-13, limit=500)[0]
+            + scipy_quad(unit_integrand, 1.0, np.inf, epsabs=0.0,
+                         epsrel=1e-13, limit=500)[0])
+        assert r.convergent
+        assert r.value == pytest.approx(oracle, rel=1e-9)
+        assert r.quad.value == r.value
+        if expected is not None:
+            assert r.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-320, 1e-308])
+    def test_integral_beyond_float_range_refused(self, c):
+        # c^(-1) overflows at 1e-320; at 1e-308 it fits but I ~ 1.97/c
+        # does not
+        with pytest.raises(ValueError, match="float range"):
+            upper_function_integral(EnvelopeSpec("exponential", c=c),
+                                    KAlphaParams(1.5))
+
+    def test_boundary_band_at_alpha_half(self):
+        # exp(t^beta) has block ratio 2^(1 - alpha*beta), read as "no
+        # decay" once it reaches 1 - 1e-6: for 0 < alpha*beta - 1 <= band
+        # the quadrature says divergent against a convergent analytic
+        # answer, the same at any rounding of the block integrals
+        band = -math.log2(1.0 - 1e-6)
+        betas = [1.9999, 2.0, 2.0000001, 2.0000015, 2.00000288, 2.0000029,
+                 2.000003, 2.00001]
+        assert 0.5 * 2.00000288 - 1.0 <= band < 0.5 * 2.0000029 - 1.0
+
+        def outcome(beta):
+            env = EnvelopeSpec("power_exponential", c=1.0, beta=beta)
+            try:
+                r = upper_function_integral(env, KAlphaParams(0.5))
+            except ConsistencyError:
+                return "inconsistent"
+            return "convergent" if r.convergent else "divergent"
+
+        assert [outcome(b) for b in betas] == (
+            ["divergent"] * 2 + ["inconsistent"] * 3 + ["convergent"] * 3)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("kind,kwargs", [

@@ -10,9 +10,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.integrate import quad as scipy_quad
 
 from kalpha import numerics
-from kalpha.numerics import (LN2, QuadratureError, SignedLogValue,
-                             SubdivisionLimitError, adaptive_quad,
-                             quad_partition, slv_sum)
+from kalpha.numerics import (_DIVERGENCE_STREAK, LN2, QuadratureError,
+                             SignedLogValue, SubdivisionLimitError,
+                             _tail_verdict, adaptive_quad, quad_partition,
+                             slv_sum)
 
 # keep hypothesis's source-constants cache out of the working tree
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
@@ -123,6 +124,78 @@ class TestAdaptiveQuad:
         res = adaptive_quad(lambda u: np.zeros_like(u), 1.0, math.inf, tol=1e-12)
         assert res.value == 0.0
         assert not res.diverged
+
+    @pytest.mark.parametrize("s", [256.0, 1000.0])
+    def test_flat_start_then_decay(self, s):
+        # the blocks grow up to u ~ s, then decay like 1/u^2; only a
+        # trailing streak of blocks that fail to decay means divergence
+        res = adaptive_quad(lambda u: 1.0 / (1.0 + (u / s) ** 2), 1.0,
+                            math.inf)
+        assert not res.diverged
+        assert res.value == pytest.approx(
+            s * (math.pi / 2.0 - math.atan(1.0 / s)), rel=1e-10)
+
+    def test_blocks_leaving_float_range_raise(self):
+        with pytest.raises(SubdivisionLimitError, match="undecided"):
+            adaptive_quad(lambda u: u ** -2.0, 1e306, math.inf)
+
+    def test_panel_cap_covers_the_whole_walk(self, monkeypatch):
+        # one batch of 12 doubling blocks takes 96 panels
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 90)
+        with pytest.raises(SubdivisionLimitError):
+            adaptive_quad(lambda u: u ** -2.0, 1.0, math.inf)
+
+
+def geometric(v, r, n):
+    return [v * r ** k for k in range(n)]
+
+
+class TestTailVerdict:
+    def test_late_no_decay_streak_diverges(self):
+        blocks = geometric(1.0, 0.5, 5) + [0.1] * (_DIVERGENCE_STREAK + 1)
+        rest, err = _tail_verdict(blocks)
+        assert math.isnan(rest) and err == math.inf
+
+    def test_streak_one_short_is_undecided(self):
+        assert _tail_verdict([0.1] * _DIVERGENCE_STREAK) is None
+
+    def test_slow_decay_is_not_a_streak(self):
+        # ratio 1 - 2e-6 is below the no-decay ratio 1 - 1e-6
+        r = 1.0 - 2e-6
+        rest, err = _tail_verdict(geometric(1.0, r, 12))
+        assert rest == pytest.approx(r ** 11 * r / (1.0 - r), rel=1e-9)
+
+    def test_early_flat_run_then_geometric_decay(self):
+        blocks = [1.0] * 20 + geometric(0.5, 0.5, 4)
+        rest, err = _tail_verdict(blocks)
+        assert rest == 0.0625       # 0.0625 * 0.5 / (1 - 0.5)
+        assert err == 0.0
+
+    def test_two_trailing_zeros(self):
+        assert _tail_verdict([3.0, 1.0, 0.0, 0.0]) == (0.0, 0.0)
+        assert _tail_verdict([0.0] * 20) == (0.0, 0.0)
+        assert _tail_verdict([3.0, 0.0, 1.0, 0.0]) is None
+
+    def test_ratios_that_do_not_yet_agree_are_undecided(self):
+        # ratios 0.5, 0.6, 0.7 spread by 0.2, far above 1e-3 of 0.7
+        assert _tail_verdict([1.0, 0.5, 0.3, 0.21]) is None
+        # agreement to 1e-3 settles, with the spread in the error
+        rest, err = _tail_verdict([1.0, 0.5, 0.25, 0.1250625])
+        r = 0.1250625 / 0.25
+        assert rest == pytest.approx(0.1250625 * r / (1.0 - r), rel=1e-15)
+        assert err == pytest.approx(abs(rest) * (r - 0.5) / (1.0 - r),
+                                    rel=1e-12)
+
+    def test_alternating_signs(self):
+        # decaying magnitudes of alternating sign are not a positive
+        # geometric tail; constant magnitudes still fail to decay
+        assert _tail_verdict(geometric(1.0, -0.5, 12)) is None
+        rest, err = _tail_verdict(geometric(1.0, -1.0, 12))
+        assert math.isnan(rest) and err == math.inf
+
+    def test_too_few_blocks_undecided(self):
+        assert _tail_verdict([]) is None
+        assert _tail_verdict(geometric(1.0, 0.5, 3)) is None
 
 
 def wavy(u):
