@@ -4,7 +4,8 @@ Every artifact is versioned (format_version field) and carries a
 manifest sufficient to reproduce it; rerunning a command with the same
 arguments and tool version reproduces the output byte for byte apart
 from the manifest timestamp.  Exit codes: 0 success, 2 argument or
-domain error, 3 I/O error, 4 internal-consistency error.
+domain error, 3 I/O error (or a dead formatter process), 4
+internal-consistency error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from .diagnostics import (DEFAULT_BURN_IN, build_exceedance_report,
 from .measure import (ENVELOPE_PARAMS, ConsistencyError, EnvelopeSpec,
                       KAlphaParams, classify_support)
 from .numerics import QuadratureError
-from .paths import (RNG_NAME, load_event_file, save_event_file,
+from .paths import (RNG_NAME, load_event_file, save_event_files,
                     simulate_large_jumps, simulate_many)
 from .spaces import pair_white_noise, parse_descriptor, parse_test_function
 
@@ -164,6 +166,12 @@ def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params = KAlphaParams(args.alpha)
@@ -171,7 +179,8 @@ def _cmd_simulate(args) -> int:
         raise ValueError("horizon must be positive")
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
-    if args.workers < 1:
+    workers = _available_cpus() if args.workers is None else args.workers
+    if workers < 1:
         raise ValueError("--workers must be at least 1")
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
@@ -182,13 +191,11 @@ def _cmd_simulate(args) -> int:
     if args.paths == 1:
         jobs = [(out, simulate_large_jumps(params, args.horizon, seed))]
     else:
-        ensemble = simulate_many(params, args.horizon, seed, args.paths,
-                                 workers=args.workers)
+        ensemble = simulate_many(params, args.horizon, seed, args.paths)
         jobs = [(out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
                 for i, path_obj in enumerate(ensemble)]
 
-    for target, path_obj in jobs:
-        save_event_file(target, path_obj, meta)
+    for target in save_event_files(jobs, meta, workers):
         print(target)
     return EXIT_OK
 
@@ -296,6 +303,15 @@ def _cmd_classify(args) -> int:
     params = KAlphaParams(args.alpha)
     betas = _required_fields(f"betas={args.betas}", ("betas",),
                              lists=("betas",))["betas"]
+    # the report keys each beta by f"{beta:g}"; a shared key would drop one
+    seen = {}
+    for b in betas:
+        key = f"{b:g}"
+        if key in seen:
+            raise ValueError(f"betas {seen[key]!r} and {b!r} share the report "
+                             f"key {key!r}; give betas that differ in their "
+                             f"first six significant digits")
+        seen[key] = b
     verdict = classify_support(params, betas)
     return _emit(args, "support_verdict", {
         "alpha": verdict.alpha,
@@ -349,7 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--paths", type=int, default=1,
                      help="write this many paths with derived seeds")
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--workers", type=int, default=None,
+                     help="processes that format the event lines; defaults "
+                          "to the available CPU count")
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")
@@ -395,7 +413,8 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, BrokenExecutor) as exc:
+        # BrokenExecutor: a process formatting simulate's event lines died
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConsistencyError, QuadratureError) as exc:

@@ -9,25 +9,28 @@ The large-jump component is compound Poisson with rate trunc_mass; jump
 magnitudes are never materialised as native floats because ell = ln(1+|x|)
 can reach the thousands.  Everything is driven by numpy's Philox generator
 (counter based, 64-bit) keyed through SeedSequence(entropy=seed,
-spawn_key=...), so paths are reproducible one at a time or fanned out
-across workers.
+spawn_key=...), so paths are reproducible one at a time or as an
+ensemble.
 
 JSONL is the one path format users read and write.  save_event_file
-also writes <file>.events beside it: the SHA-256 of the JSONL bytes,
-then the (3, n) float64 array of times, signs and log1p magnitudes in
-.npy form.  load_event_file takes the arrays from the sidecar only when
-the digest matches the JSONL, the payload is that array (no pickle) and
-it passes every EventPath check; otherwise it parses the JSONL.  A read
-never writes a sidecar.
+also writes <file>.events beside it: the SHA-256 of the JSONL bytes as
+written, then the (3, n) float64 array of times, signs and log1p
+magnitudes in .npy form.  load_event_file takes the arrays from the
+sidecar only when the digest matches the JSONL, the payload is that
+array (no pickle) and it passes every EventPath check; otherwise it
+parses the JSONL.  A read never writes a sidecar.  save_event_files
+formats the event lines of many files on a pool of forked processes;
+the bytes are the same for any worker count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,32 +179,47 @@ def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_many(params: KAlphaParams, horizon: float, seed: int,
-                  n_paths: int, workers: int = 1) -> list[EventPath]:
+                  n_paths: int) -> list[EventPath]:
     """n_paths independent large-jump paths with derived seeds.
 
-    Path i uses spawn_key (i,), so the ensemble is identical whatever
-    the worker count or completion order.
+    Path i uses spawn_key (i,), so each path is the same whether it is
+    drawn alone or as part of any ensemble.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if workers <= 1:
-        return [simulate_large_jumps(params, horizon, seed, spawn_key=(i,))
-                for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(simulate_large_jumps, params, horizon, seed,
-                               (i,)) for i in range(n_paths)]
-        return [f.result() for f in futures]
+    return [simulate_large_jumps(params, horizon, seed, spawn_key=(i,))
+            for i in range(n_paths)]
 
 
 # ---------------------------------------------------------------------------
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
-    """Write a path as JSONL: one metadata record, then one record per event,
-    each exactly {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape).
+def _event_lines(times: np.ndarray, signs: np.ndarray,
+                 mags: np.ndarray) -> str:
+    """The event lines of one block, each exactly
+    {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape).
 
     Floats go through repr, as in json.dumps, which round-trips bit for bit.
+    """
+    return "".join(f'{{"t": {t!r}, "sign": {s!r}, "log1p_mag": {m!r}}}\n'
+                   for t, s, m in zip(times.tolist(), signs.tolist(),
+                                      mags.tolist()))
+
+
+def _event_blocks(path: EventPath) -> list[tuple[np.ndarray, ...]]:
+    """(times, signs, log1p_mags) of each run of BLOCK events, in order."""
+    return [(path.times[b:b + BLOCK], path.signs[b:b + BLOCK],
+             path.log1p_mags[b:b + BLOCK])
+            for b in range(0, path.n_events, BLOCK)]
+
+
+def write_event_path(path: EventPath, fp, extra_meta: dict | None = None,
+                     texts=None) -> None:
+    """Write a path as JSONL: one metadata record, then its event lines.
+
+    texts are the event lines as strings, one per block of BLOCK events
+    (_event_lines of each block); by default they are formatted here.
     """
     meta = {
         "format_version": FORMAT_VERSION,
@@ -215,13 +233,10 @@ def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> Non
         meta["spawn_key"] = list(path.spawn_key)
     meta.update(extra_meta or {})
     fp.write(json.dumps(meta) + "\n")
-    for b in range(0, path.n_events, BLOCK):
-        block = slice(b, b + BLOCK)
-        fp.write("".join(
-            f'{{"t": {t!r}, "sign": {s!r}, "log1p_mag": {m!r}}}\n'
-            for t, s, m in zip(path.times[block].tolist(),
-                               path.signs[block].tolist(),
-                               path.log1p_mags[block].tolist())))
+    if texts is None:
+        texts = itertools.starmap(_event_lines, _event_blocks(path))
+    for text in texts:
+        fp.write(text)
 
 
 # The writer's event line is {"t": T, "sign": S, "log1p_mag": M}\n.  With
@@ -356,15 +371,117 @@ def _file_digest(name) -> bytes:
         return hashlib.file_digest(fp, "sha256").digest()
 
 
-def save_event_file(target, path: EventPath, meta: dict | None = None) -> None:
+class _DigestingWriter:
+    """Takes text writes for a binary file and keeps the SHA-256 of the
+    bytes written."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.sha256.update(data)
+        return self.raw.write(data)
+
+    def tell(self) -> int:
+        """Bytes written so far, as a binary file's tell gives them."""
+        return self.raw.tell()
+
+
+def save_event_file(target, path: EventPath, meta: dict | None = None,
+                    texts=None) -> None:
     """Write path to target as JSONL (write_event_path with meta as extra
-    header fields), then its sidecar target + SIDECAR_SUFFIX."""
-    with open(target, "w") as fp:
-        write_event_path(path, fp, extra_meta=meta)
+    header fields and the given event texts), then its sidecar
+    target + SIDECAR_SUFFIX, bound to the bytes as written."""
+    with open(target, "wb") as raw:
+        fp = _DigestingWriter(raw)
+        write_event_path(path, fp, extra_meta=meta, texts=texts)
     events = np.stack((path.times, path.signs, path.log1p_mags), dtype=float)
-    with open(f"{target}{SIDECAR_SUFFIX}", "wb") as fp:
-        fp.write(_file_digest(target))
-        np.save(fp, events, allow_pickle=False)
+    with open(f"{target}{SIDECAR_SUFFIX}", "wb") as raw:
+        raw.write(fp.sha256.digest())
+        np.save(raw, events, allow_pickle=False)
+
+
+# bytes in the longest event line: two 24-character float reprs, sign -1
+_LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
+_inherited = ()       # in a formatter process: (blocks, shared, slot size)
+
+
+def _inherit(*state) -> None:
+    global _inherited
+    _inherited = state
+
+
+def _format_into(i: int, k: int) -> int:
+    """Write the encoded event lines of inherited block i into slot k of
+    the shared buffer; returns their length in bytes."""
+    blocks, shared, slot = _inherited
+    data = _event_lines(*blocks[i]).encode()
+    memoryview(shared)[k * slot:(k + 1) * slot][:len(data)] = data
+    return len(data)
+
+
+def _formatted(blocks: list[tuple[np.ndarray, ...]], workers: int):
+    """_event_lines of each block, in order.
+
+    With two or more workers (at most one per block) the blocks are
+    formatted by a pool of forked processes.  They inherit the blocks
+    and write each text into one of 2 * workers + 1 slots of a shared
+    buffer, so no block or text is pickled, at most that many blocks are
+    in flight, and the texts never pass through the pool's threads,
+    which would keep the memory they received them in.  With one worker,
+    or where fork is unavailable, the blocks are formatted here.
+    """
+    workers = min(workers, len(blocks))
+    fork = None
+    if workers > 1:
+        import multiprocessing  # imported where used, not with the package
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    if fork is None:
+        yield from itertools.starmap(_event_lines, blocks)
+        return
+    import mmap
+    from concurrent.futures import ProcessPoolExecutor
+    slots = 2 * workers + 1
+    slot = _LINE_MAX * max(len(times) for times, _, _ in blocks)
+
+    with (mmap.mmap(-1, slots * slot) as shared,
+          ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
+                              initargs=(blocks, shared, slot)) as pool):
+        def text(k, future):
+            return shared[k * slot:k * slot + future.result()].decode()
+
+        ahead = collections.deque()
+        for i in range(len(blocks)):
+            if len(ahead) == slots:     # block i reuses the oldest's slot
+                yield text(*ahead.popleft())
+            ahead.append((i % slots, pool.submit(_format_into, i, i % slots)))
+        while ahead:
+            yield text(*ahead.popleft())
+
+
+def save_event_files(jobs, meta: dict | None = None, workers: int = 1):
+    """save_event_file(target, path, meta) for each (target, path) of
+    jobs, in order, yielding each target once its files are written.
+
+    The event blocks of all the paths are formatted as one stream, in
+    file order, on min(workers, number of blocks) processes; the bytes
+    are the same for any worker count.  The processes are forked, which
+    is safe only while this process runs no other thread: callers that
+    run threads pass workers=1.  A formatter process that dies raises
+    concurrent.futures.process.BrokenProcessPool; the file being written
+    then has no sidecar.
+    """
+    jobs = list(jobs)
+    blocks = [_event_blocks(path) for _, path in jobs]
+    stream = _formatted([b for own in blocks for b in own], workers)
+    with contextlib.closing(stream) as texts:
+        for (target, path), own in zip(jobs, blocks):
+            save_event_file(target, path, meta,
+                            itertools.islice(texts, len(own)))
+            yield target
 
 
 def _sidecar_events(name, digest: bytes) -> np.ndarray | None:

@@ -1,13 +1,16 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kalpha.paths
 from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
-from kalpha.paths import SIDECAR_SUFFIX, EventPath, write_event_path
+from kalpha.paths import (SIDECAR_SUFFIX, EventPath, load_event_file,
+                          read_event_path, write_event_path)
 
 
 def run(args):
@@ -29,6 +32,18 @@ def strip_timestamps(text: str) -> str:
 
 def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
+
+
+TEST_PID = os.getpid()
+FORMAT_EVENT_LINES = kalpha.paths._event_lines
+
+
+def die_in_child(times, signs, mags):
+    """An event-line formatter that kills the pool process running it
+    (module level, so the pool can pickle it by name)."""
+    if os.getpid() != TEST_PID:
+        os._exit(1)
+    return FORMAT_EVENT_LINES(times, signs, mags)
 
 
 class TestSimulate:
@@ -73,6 +88,31 @@ class TestSimulate:
             a = (tmp_path / f"s-p{i:03d}.jsonl").read_text().splitlines()[1:]
             b = (tmp_path / f"t-p{i:03d}.jsonl").read_text().splitlines()[1:]
             assert a == b
+
+    def test_dead_formatter_process_exit_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        out = tmp_path / "p.jsonl"
+        base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
+                "3", "--out", str(out)]
+        # complete files with bound sidecars, then a run whose pool dies
+        assert run(base + ["--seed", "1", "--workers", "1"]) == EXIT_OK
+        monkeypatch.setattr(kalpha.paths, "_event_lines", die_in_child)
+        capsys.readouterr()
+        assert run(base + ["--seed", "2", "--workers", "2"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        # no sidecar is bound to the partial JSONL: loading gives its events
+        seeds = []
+        for i in range(3):
+            target = tmp_path / f"p-p{i:03d}.jsonl"
+            with open(target) as fp:
+                parsed = read_event_path(fp)
+            loaded = load_event_file(target)
+            assert (loaded.seed, loaded.n_events) == (parsed.seed,
+                                                      parsed.n_events)
+            assert loaded.times.tobytes() == parsed.times.tobytes()
+            seeds.append(parsed.seed)
+        assert seeds[0] == 2          # the file being written when it died
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out1 = tmp_path / "e.jsonl"
@@ -209,6 +249,25 @@ class TestClassify:
         assert run(["classify", "--alpha", "0.4", "--betas", "2"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["in_K_beta"] == {"2": False}
+
+    @pytest.mark.parametrize("betas", ["2,2.000003", "1.0000001,1.0000002"])
+    def test_betas_sharing_a_report_key_exit_2(self, betas, tmp_path, capsys):
+        # the report keys each beta by f"{beta:g}", so one verdict would
+        # silently replace the other (beta 2 diverges at alpha 0.5,
+        # 2.000003 converges)
+        rpt = tmp_path / "r.json"
+        assert run(["classify", "--alpha", "0.5", "--betas", betas,
+                    "--json", str(rpt)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and not rpt.exists()
+        assert err.startswith("error: betas ")
+        assert "share the report key" in err
+
+    def test_betas_distinct_at_six_digits_kept(self, capsys):
+        assert run(["classify", "--alpha", "0.5",
+                    "--betas", "2,2.00001"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["in_K_beta"] == {"2": False, "2.00001": True}
 
     def test_beta_domain_exit_2(self):
         assert run(["classify", "--alpha", "1.0", "--betas", "0.5"]) == EXIT_USAGE

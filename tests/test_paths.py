@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import math
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +20,11 @@ from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
 from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
+                          _event_blocks, _event_lines, _formatted,
                           _parse_block, _parse_lines, load_event_file,
                           read_event_path, running_sup, save_event_file,
-                          simulate_large_jumps, simulate_many,
-                          write_event_path)
+                          save_event_files, simulate_large_jumps,
+                          simulate_many, write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
 # keep hypothesis's source-constants cache out of the working tree
@@ -447,15 +451,89 @@ class TestSidecar:
         assert [f.name for f in tmp_path.iterdir()] == ["p.jsonl"]
 
 
+def block_path(n, seed=0):
+    """A path of exactly n events with random signs and magnitudes."""
+    rng = np.random.default_rng(seed)
+    return small_path(horizon=float(n + 1), times=np.arange(n) + rng.random(n),
+                      signs=rng.choice([-1, 1], n),
+                      mags=LN2 + rng.exponential(5.0, n))
+
+
+class TestParallelWriter:
+    """save_event_files formats the event blocks of all its files on a
+    process pool; the files must not depend on the worker count."""
+
+    @staticmethod
+    def written(tmp_path, paths, workers):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        jobs = [(out / f"p{i}.jsonl", path) for i, path in enumerate(paths)]
+        saved = list(save_event_files(jobs, {"note": "x"}, workers))
+        assert saved == [target for target, _ in jobs]
+        return [(t.read_bytes(), Path(f"{t}{SIDECAR_SUFFIX}").read_bytes())
+                for t in saved]
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 1])
+    def test_bytes_do_not_depend_on_workers(self, n, tmp_path):
+        path = block_path(n)
+        one = self.written(tmp_path, [path], 1)
+        assert self.written(tmp_path, [path], 2) == one
+        buf = io.StringIO()
+        write_event_path(path, buf, {"note": "x"})
+        assert one[0][0] == buf.getvalue().encode()
+
+    def test_ensemble_with_an_empty_path(self, tmp_path):
+        paths = [block_path(n, seed) for seed, n in
+                 enumerate([3, 0, 2 * BLOCK + 1, BLOCK, 0, 1])]
+        one = self.written(tmp_path, paths, 1)
+        assert self.written(tmp_path, paths, 2) == one
+        assert self.written(tmp_path, paths, 5) == one
+        for (jsonl, _), path in zip(one, paths):
+            assert jsonl.count(b"\n") == path.n_events + 1
+
+    def test_longest_lines_fit_their_slot(self, tmp_path):
+        # 23-character reprs for t and log1p_mag, and sign -1
+        n = BLOCK + 1
+        times = 1.2345678901234567e-300 * (1.0 + np.arange(n) * 2.0 ** -40)
+        path = small_path(horizon=1.0, times=times, signs=-np.ones(n),
+                          mags=np.full(n, 1.2345678901234567e+300))
+        one = self.written(tmp_path, [path], 1)
+        assert len(one[0][0].splitlines()[1]) == 80
+        assert self.written(tmp_path, [path], 2) == one
+
+    def test_slow_writer_gets_every_block(self):
+        # the workers run ahead while each text waits to be written, so a
+        # slot reused before its text is taken would show here
+        blocks = [_event_blocks(block_path(50, seed))[0] for seed in range(12)]
+        got = []
+        for text in _formatted(blocks, 2):
+            time.sleep(0.02)
+            got.append(text)
+        assert got == list(itertools.starmap(_event_lines, blocks))
+
+    def test_sidecar_digest_is_the_file_on_disk(self, tmp_path):
+        paths = [block_path(BLOCK + 1), block_path(7, 1)]
+        for jsonl, sidecar in self.written(tmp_path, paths, 2):
+            assert sidecar[:32] == hashlib.sha256(jsonl).digest()
+
+
 class TestEnsembles:
-    def test_worker_count_does_not_change_paths(self):
-        p = KAlphaParams(1.0)
-        serial = simulate_many(p, 5.0, 42, 4, workers=1)
-        threaded = simulate_many(p, 5.0, 42, 4, workers=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.signs, b.signs)
-            assert np.array_equal(a.log1p_mags, b.log1p_mags)
+    def test_worker_count_does_not_change_files(self, tmp_path):
+        # event sections and sidecar payloads: the headers, and so the
+        # sidecar digests, differ by their manifest timestamps
+        def simulate(workers):
+            out = tmp_path / f"w{workers}.jsonl"
+            with contextlib.redirect_stdout(io.StringIO()) as listed:
+                assert main(["simulate", "--alpha", "1.0", "--horizon", "5",
+                             "--seed", "42", "--paths", "4", "--workers",
+                             workers, "--out", str(out)]) == 0
+            return [(Path(f).read_bytes().split(b"\n", 1)[1],
+                     Path(f + SIDECAR_SUFFIX).read_bytes()[32:])
+                    for f in listed.getvalue().split()]
+
+        one = simulate("1")
+        assert len(one) == 4 and simulate("4") == one
 
     def test_paths_are_independent_streams(self):
         p = KAlphaParams(1.0)
