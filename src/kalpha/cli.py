@@ -11,10 +11,12 @@ internal-consistency error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import signal
 import sys
 from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
@@ -172,6 +174,39 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Terminated(BaseException):
+    """Raised by SIGTERM while simulate writes, so that its cleanups run."""
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Within the block SIGTERM raises _Terminated (a second one waits for
+    the cleanups), then ends the process by SIGTERM; a forked process
+    ends at once.  Off the main thread SIGTERM acts as before."""
+    owner = os.getpid()
+
+    def handler(signum, frame):
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+        signal.signal(signum, signal.SIG_IGN)
+        raise _Terminated
+
+    try:
+        previous = signal.signal(signal.SIGTERM, handler)
+    except ValueError:
+        yield
+        return
+    try:
+        yield
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(owner, signal.SIGTERM)
+        raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params = KAlphaParams(args.alpha)
@@ -195,8 +230,9 @@ def _cmd_simulate(args) -> int:
         jobs = [(out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
                 for i, path_obj in enumerate(ensemble)]
 
-    for target in save_event_files(jobs, meta, workers):
-        print(target)
+    with _sigterm_unwinds():
+        save_event_files(jobs, meta, workers)
+    print(*(target for target, _ in jobs), sep="\n")
     return EXIT_OK
 
 

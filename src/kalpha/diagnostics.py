@@ -19,6 +19,7 @@ from .numerics import SignedLogValue
 from .paths import EventPath, running_sup
 
 DEFAULT_BURN_IN = 10.0
+LAST_EXCEEDANCE_QS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
 def envelope_exceedances(path: EventPath, env: EnvelopeSpec) -> list[tuple[float, float]]:
@@ -80,12 +81,12 @@ class ExceedanceReport:
                    if t is not None and t > half)
         return hits / self.n_paths
 
-    def last_exceedance_quantiles(self, qs=(0.1, 0.25, 0.5, 0.75, 0.9)) -> dict[float, float] | None:
+    def last_exceedance_quantiles(self) -> dict[float, float] | None:
         ts = [t for t in self.last_exceedance_times if t is not None]
         if not ts:
             return None
-        values = np.quantile(ts, qs)
-        return {float(q): float(v) for q, v in zip(qs, values)}
+        values = np.quantile(ts, LAST_EXCEEDANCE_QS)
+        return {q: float(v) for q, v in zip(LAST_EXCEEDANCE_QS, values)}
 
 
 def build_exceedance_report(paths, env: EnvelopeSpec,

@@ -94,13 +94,6 @@ def tail_one_sided(r: float, p: KAlphaParams) -> float:
     return 1.0 / (p.alpha * math.log1p(r) ** p.alpha)
 
 
-def log_mag_survival(ell: float, p: KAlphaParams) -> float:
-    """Survival of ell = ln(1+|jump|) for a large jump: (ln2 / ell)^alpha."""
-    if ell < LN2:
-        raise ValueError(f"large-jump log magnitudes start at ln 2, got {ell!r}")
-    return (LN2 / ell) ** p.alpha
-
-
 def inverse_tail(u, p: KAlphaParams):
     """Sampling transform: the ell = ln(1+x) whose normalised one-sided
     survival equals u, elementwise for an array u.  Returns the log of
@@ -135,45 +128,6 @@ def truncated_moments(eta: float, caps, p: KAlphaParams) -> list[float]:
 def truncated_moment(eta: float, X: float, p: KAlphaParams) -> float:
     """truncated_moments at the one cap X."""
     return truncated_moments(eta, [X], p)[0]
-
-
-def solve_crossover(eta: float, p: KAlphaParams) -> float | None:
-    """Largest ell = ln(1+x) with eta*ell = alpha*ln(ell).
-
-    Beyond this point x^eta dominates ln^alpha(1+x).  Returns None when
-    no root with ell > 1 exists, which happens exactly when
-    alpha/eta <= e (the gap eta*ell - alpha*ln(ell) is then nonnegative
-    everywhere).  The returned root satisfies
-    |eta*ell - alpha*ln(ell)| < 1e-12.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    a = p.alpha
-    if a / eta <= math.e:
-        return None
-
-    def gap(ell):
-        return eta * ell - a * math.log(ell)
-
-    lo = a / eta            # minimum of the gap, negative here
-    hi = lo
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        if abs(g) < 1e-13:
-            return mid
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= abs(mid) * 1e-16:
-            break
-    root = 0.5 * (lo + hi)
-    if abs(gap(root)) >= 1e-12:
-        raise ArithmeticError("crossover bisection failed to meet residual target")
-    return root
 
 
 def pruitt_indices(rs, p: KAlphaParams) -> list[float]:

@@ -12,25 +12,26 @@ can reach the thousands.  Everything is driven by numpy's Philox generator
 spawn_key=...), so paths are reproducible one at a time or as an
 ensemble.
 
-JSONL is the one path format users read and write.  save_event_file
-also writes <file>.events beside it: the SHA-256 of the JSONL bytes as
-written, then the (3, n) float64 array of times, signs and log1p
-magnitudes in .npy form.  load_event_file takes the arrays from the
-sidecar only when the digest matches the JSONL, the payload is that
-array (no pickle) and it passes every EventPath check; otherwise it
-parses the JSONL.  A read never writes a sidecar.  save_event_files
-formats the event lines of many files on a pool of forked processes;
-the bytes are the same for any worker count.
+JSONL is the one path format users read and write.  save_event_files
+writes each JSONL with <file>.events beside it: the SHA-256 of the JSONL
+bytes as written, then the (3, n) float64 array of times, signs and
+log1p magnitudes in .npy form; a call that fails changes no file.
+load_event_file takes the arrays from the sidecar only when the digest
+matches the JSONL, the payload is that array (no pickle) and it passes
+every EventPath check; otherwise it parses the JSONL.  A read never
+writes a sidecar.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,20 +390,6 @@ class _DigestingWriter:
         return self.raw.tell()
 
 
-def save_event_file(target, path: EventPath, meta: dict | None = None,
-                    texts=None) -> None:
-    """Write path to target as JSONL (write_event_path with meta as extra
-    header fields and the given event texts), then its sidecar
-    target + SIDECAR_SUFFIX, bound to the bytes as written."""
-    with open(target, "wb") as raw:
-        fp = _DigestingWriter(raw)
-        write_event_path(path, fp, extra_meta=meta, texts=texts)
-    events = np.stack((path.times, path.signs, path.log1p_mags), dtype=float)
-    with open(f"{target}{SIDECAR_SUFFIX}", "wb") as raw:
-        raw.write(fp.sha256.digest())
-        np.save(raw, events, allow_pickle=False)
-
-
 # bytes in the longest event line: two 24-character float reprs, sign -1
 _LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
 _inherited = ()       # in a formatter process: (blocks, shared, slot size)
@@ -462,26 +449,48 @@ def _formatted(blocks: list[tuple[np.ndarray, ...]], workers: int):
             yield text(*ahead.popleft())
 
 
-def save_event_files(jobs, meta: dict | None = None, workers: int = 1):
-    """save_event_file(target, path, meta) for each (target, path) of
-    jobs, in order, yielding each target once its files are written.
+def save_event_files(jobs, meta: dict | None = None,
+                     workers: int = 1) -> None:
+    """Write each (target, path) of jobs as JSONL (write_event_path with
+    meta as extra header fields), then its sidecar target +
+    SIDECAR_SUFFIX, bound to the bytes as written.
 
-    The event blocks of all the paths are formatted as one stream, in
-    file order, on min(workers, number of blocks) processes; the bytes
-    are the same for any worker count.  The processes are forked, which
-    is safe only while this process runs no other thread: callers that
-    run threads pass workers=1.  A formatter process that dies raises
-    concurrent.futures.process.BrokenProcessPool; the file being written
-    then has no sidecar.
+    Each file is written as <name>.<pid>.tmp and renamed into place once
+    all are complete; on any exception the temporary files are removed
+    and no target changes.  The event blocks of all the paths are
+    formatted as one stream, in file order, on min(workers, number of
+    blocks) forked processes, with the same bytes for any worker count.
+    Callers that run threads pass workers=1, as forking is then unsafe.
+    A dead formatter raises concurrent.futures.process.BrokenProcessPool.
     """
     jobs = list(jobs)
     blocks = [_event_blocks(path) for _, path in jobs]
     stream = _formatted([b for own in blocks for b in own], workers)
-    with contextlib.closing(stream) as texts:
-        for (target, path), own in zip(jobs, blocks):
-            save_event_file(target, path, meta,
-                            itertools.islice(texts, len(own)))
-            yield target
+    renames = []
+    try:
+        with contextlib.closing(stream) as texts:
+            for (target, path), own in zip(jobs, blocks):
+                for name in (target, f"{target}{SIDECAR_SUFFIX}"):
+                    if os.path.isdir(name):   # os.replace cannot replace it
+                        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(name))
+                    renames.append((f"{name}.{os.getpid()}.tmp", name))
+                (jsonl, _), (sidecar, _) = renames[-2:]
+                with open(jsonl, "wb") as raw:
+                    fp = _DigestingWriter(raw)
+                    write_event_path(path, fp, extra_meta=meta,
+                                     texts=itertools.islice(texts, len(own)))
+                events = np.stack((path.times, path.signs, path.log1p_mags),
+                                  dtype=float)
+                with open(sidecar, "wb") as raw:
+                    raw.write(fp.sha256.digest())
+                    np.save(raw, events, allow_pickle=False)
+        for temporary, name in renames:
+            os.replace(temporary, name)
+    except BaseException:
+        for temporary, _ in renames:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+        raise
 
 
 def _sidecar_events(name, digest: bytes) -> np.ndarray | None:

@@ -1,5 +1,12 @@
+import contextlib
+import errno
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +17,7 @@ from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 from kalpha.paths import (SIDECAR_SUFFIX, EventPath, load_event_file,
-                          read_event_path, write_event_path)
+                          simulate_many, write_event_path)
 
 
 def run(args):
@@ -89,6 +96,10 @@ class TestSimulate:
             b = (tmp_path / f"t-p{i:03d}.jsonl").read_text().splitlines()[1:]
             assert a == b
 
+    @staticmethod
+    def files(directory):
+        return {f.name: f.read_bytes() for f in directory.iterdir()}
+
     def test_dead_formatter_process_exit_3(self, tmp_path, monkeypatch,
                                            capsys):
         out = tmp_path / "p.jsonl"
@@ -96,23 +107,118 @@ class TestSimulate:
                 "3", "--out", str(out)]
         # complete files with bound sidecars, then a run whose pool dies
         assert run(base + ["--seed", "1", "--workers", "1"]) == EXIT_OK
+        before = self.files(tmp_path)
         monkeypatch.setattr(kalpha.paths, "_event_lines", die_in_child)
         capsys.readouterr()
         assert run(base + ["--seed", "2", "--workers", "2"]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
-        # no sidecar is bound to the partial JSONL: loading gives its events
-        seeds = []
-        for i in range(3):
-            target = tmp_path / f"p-p{i:03d}.jsonl"
-            with open(target) as fp:
-                parsed = read_event_path(fp)
-            loaded = load_event_file(target)
-            assert (loaded.seed, loaded.n_events) == (parsed.seed,
-                                                      parsed.n_events)
-            assert loaded.times.tobytes() == parsed.times.tobytes()
-            seeds.append(parsed.seed)
-        assert seeds[0] == 2          # the file being written when it died
+        # every target keeps its complete seed-1 file, and each loads
+        # through its sidecar, still bound to it (the JSONL parser is gone)
+        assert self.files(tmp_path) == before
+        monkeypatch.setattr(kalpha.paths, "read_event_path", None)
+        seed_1 = simulate_many(KAlphaParams(1.5), 20.0, 1, 3)
+        for i, expected in enumerate(seed_1):
+            loaded = load_event_file(tmp_path / f"p-p{i:03d}.jsonl")
+            assert (loaded.seed, loaded.spawn_key) == (1, (i,))
+            assert loaded.times.tobytes() == expected.times.tobytes()
+            assert loaded.log1p_mags.tobytes() == expected.log1p_mags.tobytes()
+
+    def test_failed_write_changes_no_target(self, tmp_path, monkeypatch,
+                                            capsys):
+        base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
+                "3", "--workers", "2", "--out", str(tmp_path / "p.jsonl")]
+        assert run(base + ["--seed", "1"]) == EXIT_OK
+        before = self.files(tmp_path)
+        write = kalpha.paths.write_event_path
+        written = []
+
+        def disk_full_on_second_file(path, fp, *args, **kwargs):
+            written.append(path)
+            if len(written) == 2:
+                fp.write('{"format_version": ')
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(path, fp, *args, **kwargs)
+
+        monkeypatch.setattr(kalpha.paths, "write_event_path",
+                            disk_full_on_second_file)
+        capsys.readouterr()
+        assert run(base + ["--seed", "2"]) == EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error: [Errno 28]")
+        assert len(written) == 2
+        # byte-identical targets and sidecars, and no temporary file
+        assert self.files(tmp_path) == before
+
+    def test_directory_target_exit_3_before_writing(self, tmp_path, capsys):
+        (tmp_path / "p-p001.jsonl").mkdir()
+        assert run(["simulate", "--alpha", "1.5", "--horizon", "20",
+                    "--paths", "2", "--seed", "1",
+                    "--out", str(tmp_path / "p.jsonl")]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["p-p001.jsonl"]
+
+    def test_runs_off_the_main_thread(self, tmp_path):
+        # where no SIGTERM handler can be set, simulate writes as before
+        out = tmp_path / "p.jsonl"
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(run(
+            ["simulate", "--alpha", "1.5", "--horizon", "20", "--seed", "1",
+             "--workers", "1", "--out", str(out)])))
+        worker.start()
+        worker.join(timeout=60)
+        assert codes == [EXIT_OK]
+        assert load_event_file(out).n_events > 0
+
+    @pytest.mark.parametrize("to, returncode, err", [
+        ("parent", -signal.SIGTERM, b""),
+        ("group", -signal.SIGTERM, b""),
+        ("formatter", EXIT_IO, b"i/o error: "),
+    ])
+    def test_sigterm_leaves_no_process_or_temporary(self, to, returncode,
+                                                    err, tmp_path):
+        # SIGTERM once two formatter processes are writing the event lines:
+        # to the simulate process alone, to its whole group, or to one
+        # formatter, which then dies as it would by default
+        src = Path(kalpha.paths.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kalpha.cli", "simulate", "--alpha", "1.5",
+             "--horizon", "3e5", "--seed", "1", "--workers", "2",
+             "--out", str(tmp_path / "p.jsonl")],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)
+        pgid = proc.pid
+        try:
+            deadline = time.monotonic() + 60
+            while not any(f.stat().st_size > 2 * 10 ** 5
+                          for f in tmp_path.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            if to == "group":
+                os.killpg(pgid, signal.SIGTERM)
+            elif to == "parent":
+                os.kill(proc.pid, signal.SIGTERM)
+            else:
+                children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+                os.kill(int(children.read_text().split()[0]), signal.SIGTERM)
+            deadline = time.monotonic() + 5
+            assert proc.wait(timeout=5) == returncode
+            while True:
+                try:
+                    os.killpg(pgid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "formatters still alive"
+                time.sleep(0.01)
+            assert proc.stderr.read().startswith(err)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pgid, signal.SIGKILL)
+            proc.wait(timeout=5)
+            proc.stderr.close()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         out1 = tmp_path / "e.jsonl"

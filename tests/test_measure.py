@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
-from scipy.optimize import brentq
 
 from kalpha.measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                             classify_support, inverse_tail, laplace_exponent,
-                            levy_density, log_mag_survival, pruitt_index,
-                            solve_crossover, tail_one_sided, truncated_moment,
-                            upper_function_integral)
+                            levy_density, pruitt_index, tail_one_sided,
+                            truncated_moment, upper_function_integral)
 from kalpha.numerics import LN2, adaptive_quad
 
 
@@ -106,8 +104,9 @@ class TestInverseTail:
         p = KAlphaParams(alpha)
         rng = np.random.default_rng(3)
         for u in 1.0 - rng.random(1000):
+            # the large-jump survival of ell = ln(1+|x|) is (ln 2 / ell)^alpha
             ell = inverse_tail(float(u), p)
-            assert log_mag_survival(ell, p) == pytest.approx(u, rel=1e-12)
+            assert (LN2 / ell) ** alpha == pytest.approx(u, rel=1e-12)
 
 
 class TestTruncatedMoment:
@@ -150,35 +149,6 @@ class TestTruncatedMoment:
             truncated_moment(0.0, 10.0, p)
         with pytest.raises(ValueError):
             truncated_moment(0.5, 0.5, p)
-
-
-class TestCrossover:
-    def test_no_root_when_ratio_small(self):
-        # alpha/eta <= e leaves the gap nonnegative everywhere
-        assert solve_crossover(1.0, KAlphaParams(1.0)) is None
-        assert solve_crossover(0.5, KAlphaParams(1.3)) is None
-        assert solve_crossover(1.9 / math.e, KAlphaParams(1.9)) is None
-        assert solve_crossover(1.9 / math.e - 1e-6, KAlphaParams(1.9)) is not None
-
-    def test_largest_root_alpha_one(self):
-        p = KAlphaParams(1.0)
-        ell = solve_crossover(0.1, p)
-        # bisection oracle on the same gap function
-        oracle = brentq(lambda l: 0.1 * l - math.log(l), 10.0, 1e3, xtol=1e-13)
-        assert ell == pytest.approx(oracle, rel=1e-10)
-        assert ell == pytest.approx(35.771520639572714, rel=1e-9)
-        assert abs(0.1 * ell - math.log(ell)) < 1e-12
-
-    def test_largest_root_alpha_three_halves(self):
-        p = KAlphaParams(1.5)
-        ell = solve_crossover(0.1, p)
-        oracle = brentq(lambda l: 0.1 * l - 1.5 * math.log(l), 20.0, 1e3,
-                        xtol=1e-13)
-        assert ell == pytest.approx(oracle, rel=1e-10)
-        assert abs(0.1 * ell - 1.5 * math.log(ell)) < 1e-12
-        # the root is the larger of the two (the smaller one sits below
-        # the gap minimum at alpha/eta = 15)
-        assert ell > 15.0
 
 
 class TestPruittIndex:

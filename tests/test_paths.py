@@ -22,9 +22,9 @@ from kalpha.numerics import LN2, LOG_FLOAT_MAX
 from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
                           _event_blocks, _event_lines, _formatted,
                           _parse_block, _parse_lines, load_event_file,
-                          read_event_path, running_sup, save_event_file,
-                          save_event_files, simulate_large_jumps,
-                          simulate_many, write_event_path)
+                          read_event_path, running_sup, save_event_files,
+                          simulate_large_jumps, simulate_many,
+                          write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
 # keep hypothesis's source-constants cache out of the working tree
@@ -396,7 +396,7 @@ class TestSidecar:
                          signs=rng.choice([-1, 1], n),
                          log1p_mags=LN2 + rng.exponential(5.0, n))
         target = tmp_path / "p.jsonl"
-        save_event_file(target, path, meta)
+        save_event_files([(target, path)], meta)
         return target, path
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
@@ -417,7 +417,7 @@ class TestSidecar:
                                              jsonl_reads):
         path = small_path(times=[1.0, 2.0], signs=[1, -1], mags=[1.0, 3.5])
         target = tmp_path / "p.jsonl"
-        save_event_file(target, path)
+        save_event_files([(target, path)])
         text = target.read_text()
         assert text.count(old) == 1
         target.write_text(text.replace(old, new))
@@ -468,10 +468,11 @@ class TestParallelWriter:
         out = tmp_path / f"w{workers}"
         out.mkdir()
         jobs = [(out / f"p{i}.jsonl", path) for i, path in enumerate(paths)]
-        saved = list(save_event_files(jobs, {"note": "x"}, workers))
-        assert saved == [target for target, _ in jobs]
+        save_event_files(jobs, {"note": "x"}, workers)
+        assert sorted(out.iterdir()) == sorted(
+            [t for t, _ in jobs] + [Path(f"{t}{SIDECAR_SUFFIX}") for t, _ in jobs])
         return [(t.read_bytes(), Path(f"{t}{SIDECAR_SUFFIX}").read_bytes())
-                for t in saved]
+                for t, _ in jobs]
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 1])
