@@ -102,18 +102,29 @@ def slv_sum(logs, coefs) -> tuple[float, float]:
     A term more than e^650 below the largest one cannot move the sum
     and is dropped, which keeps every scale factor <= 1.  A zero sum
     (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0).
+    logs and coefs may have any one shape (a broadcast view of logs is
+    not copied); the terms are formed in one array of that shape, and
+    the inputs are copied only when a zero or negligible term is dropped.
     """
     logs = np.asarray(logs, dtype=float)
     coefs = np.asarray(coefs, dtype=float)
     live = coefs != 0.0
     if not live.any():
         return -math.inf, 0.0
-    logs, coefs = logs[live], coefs[live]
-    log_term = logs + np.log(np.abs(coefs))
-    keep = log_term > log_term.max() - 650.0
-    logs, coefs = logs[keep], coefs[keep]
+    if not live.all():
+        logs, coefs = logs[live], coefs[live]
+    term = np.abs(coefs)
+    np.log(term, out=term)
+    term += logs
+    keep = term > term.max() - 650.0
+    if not keep.all():
+        logs, coefs = logs[keep], coefs[keep]
+        term = np.empty_like(coefs)
     ref = float(logs.max())
-    total = math.fsum(coefs * np.exp(logs - ref))
+    np.subtract(logs, ref, out=term)
+    np.exp(term, out=term)
+    term *= coefs
+    total = math.fsum(term.ravel())
     return (ref, total) if total != 0.0 else (-math.inf, 0.0)
 
 

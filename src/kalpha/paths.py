@@ -28,6 +28,7 @@ import collections
 import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -367,11 +368,6 @@ def read_event_path(fp) -> EventPath:
 # path files: JSONL plus a binary sidecar bound to its bytes
 # ---------------------------------------------------------------------------
 
-def _file_digest(name) -> bytes:
-    with open(name, "rb") as fp:
-        return hashlib.file_digest(fp, "sha256").digest()
-
-
 class _DigestingWriter:
     """Takes text writes for a binary file and keeps the SHA-256 of the
     bytes written."""
@@ -449,6 +445,17 @@ def _formatted(blocks: list[tuple[np.ndarray, ...]], workers: int):
             yield text(*ahead.popleft())
 
 
+def _save_rows(raw, rows) -> None:
+    """Write the equal-length 1-d rows as one (len(rows), n) float64 .npy
+    array, the bytes numpy.save gives for their stack, one row at a time
+    (the stacked copy is never formed)."""
+    np.lib.format.write_array_header_1_0(
+        raw, {"descr": "<f8", "fortran_order": False,
+              "shape": (len(rows), len(rows[0]))})
+    for row in rows:
+        raw.write(np.ascontiguousarray(row, dtype="<f8"))
+
+
 def save_event_files(jobs, meta: dict | None = None,
                      workers: int = 1) -> None:
     """Write each (target, path) of jobs as JSONL (write_event_path with
@@ -479,11 +486,9 @@ def save_event_files(jobs, meta: dict | None = None,
                     fp = _DigestingWriter(raw)
                     write_event_path(path, fp, extra_meta=meta,
                                      texts=itertools.islice(texts, len(own)))
-                events = np.stack((path.times, path.signs, path.log1p_mags),
-                                  dtype=float)
                 with open(sidecar, "wb") as raw:
                     raw.write(fp.sha256.digest())
-                    np.save(raw, events, allow_pickle=False)
+                    _save_rows(raw, (path.times, path.signs, path.log1p_mags))
         for temporary, name in renames:
             os.replace(temporary, name)
     except BaseException:
@@ -518,8 +523,12 @@ def load_event_file(name) -> EventPath:
     read_event_path checks it.  Arrays from a sidecar pass every
     EventPath check; if they fail one, the JSONL is parsed instead.
     """
-    events = _sidecar_events(name, _file_digest(name))
-    with open(name) as fp:
+    with io.TextIOWrapper(open(name, "rb")) as fp:
+        # the hash, the header and any parse all read this one open file,
+        # so a file renamed over name meanwhile cannot mix two paths
+        digest = hashlib.file_digest(fp.buffer, "sha256").digest()
+        fp.buffer.seek(0)
+        events = _sidecar_events(name, digest)
         if events is not None:
             header = _read_header(fp)
             # one array per row, so a path does not keep the float signs

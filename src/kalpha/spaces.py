@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import LN2, SLV_ZERO, SignedLogValue, slv_sum
-from .paths import EventPath
+from .paths import BLOCK, EventPath
 
 _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
@@ -411,7 +411,8 @@ def _record(ref: float, total: float) -> SignedLogValue:
     return SignedLogValue(1 if total > 0 else -1, ref + math.log(abs(total)))
 
 
-def _segment_levels(lj: list, signs: list) -> tuple[list, list]:
+def _segment_levels(lj: np.ndarray,
+                    signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Segment levels of the regrouped pairing sum, in one stack pass.
 
     Node i of the max-Cartesian tree of the jump sizes (ties: the
@@ -423,20 +424,54 @@ def _segment_levels(lj: list, signs: list) -> tuple[list, list]:
     magnitude at most the subtree size.  Popping every smaller entry
     when i arrives both closes their ranges at i and hands their levels
     to i, so each event is pushed and popped once.
+
+    The pass walks BLOCK events at a time as Python floats and writes a
+    (float64) and hi (intp) into arrays, so only one block and the stack
+    are Python objects.  The stack carries across blocks: slot 0 of a
+    block's lists stands for the top entry left by earlier blocks (+inf
+    when there is none, so it is never popped), and popping it sets that
+    entry's hi in the array and brings up the next one.  Every product
+    and sum is the per-event recursion's, in its order, for any BLOCK.
     """
     n = len(lj)
-    a = [0.0] * n
-    hi = [n] * n
-    stack: list[int] = []
-    exp = math.exp
-    for i, (x, s) in enumerate(zip(lj, signs)):
-        acc = float(s)
-        while stack and lj[stack[-1]] < x:
-            p = stack.pop()
-            hi[p] = i
-            acc += a[p] * exp(lj[p] - x)
-        a[i] = acc
-        stack.append(i)
+    a = np.empty(n)
+    hi = np.empty(n, dtype=np.intp)
+    carry_x: list[float] = []     # stack entries left by earlier blocks:
+    carry_a: list[float] = []     # their lj, level and index
+    carry_i: list[int] = []
+    exp, inf = math.exp, math.inf
+    for start in range(0, n, BLOCK):
+        xs = lj[start:start + BLOCK].tolist()
+        ss = signs[start:start + BLOCK].tolist()
+        m = len(xs)
+        x_at = [carry_x[-1] if carry_x else inf, *xs]
+        a_at = [carry_a[-1] if carry_a else 0.0] + [0.0] * m
+        # local positions j = 1 .. m; adding start - 1 makes them global
+        # indices and turns this fill into n (no larger jump follows)
+        hi_at = [n - start + 1] * (m + 1)
+        stack = [0]
+        for j, (x, s) in enumerate(zip(xs, ss), 1):
+            acc = float(s)
+            while x_at[stack[-1]] < x:
+                p = stack.pop()
+                acc += a_at[p] * exp(x_at[p] - x)
+                if p:
+                    hi_at[p] = j
+                else:
+                    hi[carry_i.pop()] = start + j - 1
+                    carry_x.pop()
+                    carry_a.pop()
+                    x_at[0] = carry_x[-1] if carry_x else inf
+                    a_at[0] = carry_a[-1] if carry_a else 0.0
+                    stack.append(0)
+            a_at[j] = acc
+            stack.append(j)
+        for p in stack[1:]:
+            carry_x.append(x_at[p])
+            carry_a.append(a_at[p])
+            carry_i.append(start + p - 1)
+        a[start:start + m] = a_at[1:]
+        np.add(hi_at[1:], start - 1, out=hi[start:start + m])
     return a, hi
 
 
@@ -459,19 +494,33 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
     a huge jump makes it significant even when phi(horizon) is tiny.
     Only the jumps with |x| > 1 are paired: the rest of the process lies
     in S' and cannot change whether the pairing is bounded.
+
+    Memory stays a fixed few float64 arrays of the path's length: phi
+    is evaluated BLOCK events at a time into one array, the levels and
+    hi are freed once the value is summed, and the cross-check reuses
+    lj through a broadcast view instead of a concatenated copy.
     """
     lj = path.log_jumps
-    signs = path.signs.astype(float)
-    phi_at = np.asarray(phi.deriv(0, path.times), dtype=float)
+    signs = path.signs
+    n = len(lj)
     phi_end = float(phi.deriv(0, path.horizon))
+    phi_ext = np.empty(n + 1)             # phi at every event, then at the horizon
+    phi_ext[n] = phi_end
+    phi_at = phi_ext[:n]
+    for start in range(0, n, BLOCK):
+        phi_at[start:start + BLOCK] = phi.deriv(0, path.times[start:start + BLOCK])
 
-    # int signs: -1 and +1 are shared objects, so that list allocates no
-    # per-event floats
-    a, hi = _segment_levels(lj.tolist(), path.signs.tolist())
-    phi_next = np.append(phi_at, phi_end)[np.asarray(hi, dtype=np.intp)]
-    ref_v, tot_v = slv_sum(lj, np.asarray(a) * (phi_at - phi_next))
-    ref_c, tot_c = slv_sum(np.concatenate([lj, lj]),
-                           np.concatenate([signs * phi_at, -signs * phi_end]))
+    a, hi = _segment_levels(lj, signs)
+    for start in range(0, n, BLOCK):      # a * (phi_at - phi_next), in place
+        block = slice(start, start + BLOCK)
+        a[block] *= phi_at[block] - phi_ext[hi[block]]
+    del hi
+    ref_v, tot_v = slv_sum(lj, a)
+    del a
+    terms = np.empty((2, n))
+    np.multiply(signs, phi_at, out=terms[0])
+    np.multiply(signs, -phi_end, out=terms[1])
+    ref_c, tot_c = slv_sum(np.broadcast_to(lj, (2, n)), terms)
     value, cross = _record(ref_v, tot_v), _record(ref_c, tot_c)
 
     # compare the exact totals at one reference log, not the rounded logs

@@ -16,7 +16,7 @@ import kalpha.paths
 from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
-from kalpha.paths import (SIDECAR_SUFFIX, EventPath, load_event_file,
+from kalpha.paths import (BLOCK, SIDECAR_SUFFIX, EventPath, load_event_file,
                           simulate_many, write_event_path)
 
 
@@ -427,14 +427,19 @@ class TestPair:
         assert doc["value_sign"] in (-1, 0, 1)
         assert isinstance(doc["truncation_warning"], bool)
 
-    def test_monotone_magnitudes_exit_0(self, tmp_path, capsys):
-        # every event outgrows all before it, so the max-Cartesian tree of
-        # the jump sizes is a single chain as long as the path
-        n = 10_000
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "tied"])
+    def test_monotone_magnitudes_exit_0(self, tmp_path, capsys, order):
+        # the max-Cartesian tree of the jump sizes is a single chain as long
+        # as the path: every event outgrows all before it (increasing), or
+        # none does, so the stack holds every event across all three block
+        # edges (decreasing, tied)
+        n = 3 * BLOCK + 5
+        mags = {"increasing": np.linspace(1.0, 50.0, n),
+                "decreasing": np.linspace(50.0, 1.0, n),
+                "tied": np.full(n, 7.0)}[order]
         path = EventPath(params=KAlphaParams(1.5), horizon=10.0, seed=0,
                          times=np.linspace(0.0, 10.0, n, endpoint=False),
-                         signs=np.ones(n, dtype=np.int64),
-                         log1p_mags=np.linspace(1.0, 50.0, n))
+                         signs=np.ones(n, dtype=np.int64), log1p_mags=mags)
         infile = tmp_path / "monotone.jsonl"
         with open(infile, "w") as fp:
             write_event_path(path, fp)

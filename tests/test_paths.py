@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import os
 import tempfile
 import time
 from fractions import Fraction
@@ -408,6 +409,10 @@ class TestSidecar:
         assert jsonl_reads == []
         assert_same_path(loaded, parse_jsonl(target))
         assert_same_path(loaded, path)
+        # the rows are written one at a time, as numpy.save writes the stack
+        events = np.stack((path.times, path.signs, path.log1p_mags), dtype=float)
+        payload = Path(f"{target}{SIDECAR_SUFFIX}").read_bytes()[32:]
+        assert payload == npy_bytes(events, allow_pickle=False)
 
     @pytest.mark.parametrize("old, new", [
         ('"log1p_mag": 3.5}', '"log1p_mag": 3.6}'),
@@ -441,6 +446,26 @@ class TestSidecar:
         assert UNPICKLED == []
         assert len(jsonl_reads) == 1
         assert_same_path(loaded, path)
+
+    def test_file_renamed_over_mid_load_is_read_whole(self, tmp_path,
+                                                      monkeypatch):
+        # b replaces a (as simulate's final os.replace would) after a's
+        # hash and sidecar are read: the load must still be one file's
+        # header and events, here a's, never b's header with a's arrays
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        path_a = simulate_large_jumps(KAlphaParams(1.5), 40.0, 1)
+        path_b = simulate_large_jumps(KAlphaParams(0.8), 70.0, 2)
+        assert path_a.n_events != path_b.n_events
+        save_event_files([(a, path_a), (b, path_b)])
+        sidecar_events = kalpha.paths._sidecar_events
+
+        def then_replaced(name, digest):
+            events = sidecar_events(name, digest)
+            os.replace(b, a)
+            return events
+
+        monkeypatch.setattr(kalpha.paths, "_sidecar_events", then_replaced)
+        assert_same_path(load_event_file(a), path_a)
 
     def test_read_never_writes_a_sidecar(self, tmp_path):
         path = small_path(times=[1.0], signs=[1], mags=[2.0])

@@ -1,8 +1,10 @@
 import math
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from kalpha import spaces
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, slv_sum
-from kalpha.paths import EventPath, simulate_large_jumps
-from kalpha.spaces import (Bump, ExpPoly, Gaussian, log_k_norm, log_kbeta_norm,
-                           log_s_norm, pair_white_noise, parse_test_function)
+from kalpha.paths import BLOCK, EventPath, simulate_large_jumps
+from kalpha.spaces import (Bump, ExpPoly, Gaussian, _segment_levels, log_k_norm,
+                           log_kbeta_norm, log_s_norm, pair_white_noise,
+                           parse_test_function)
 
 # database=None turns the example database off, but hypothesis still caches
 # the constants it reads from the source when tests are collected; keep that
@@ -506,6 +510,31 @@ def adversarial_pairings(draw):
     return path, phi
 
 
+def reference_levels(lj, signs):
+    """_segment_levels as the per-event recursion over whole-path lists."""
+    n = len(lj)
+    a, hi, stack = [0.0] * n, [n] * n, []
+    for i, (x, s) in enumerate(zip(lj, signs)):
+        acc = float(s)
+        while stack and lj[stack[-1]] < x:
+            p = stack.pop()
+            hi[p] = i
+            acc += a[p] * math.exp(lj[p] - x)
+        a[i] = acc
+        stack.append(i)
+    return a, hi
+
+
+def assert_levels_match_reference(path):
+    lj, signs = path.log_jumps, path.signs
+    a, hi = _segment_levels(lj, signs)
+    ref_a, ref_hi = reference_levels(lj.tolist(), signs.tolist())
+    assert (a.dtype, hi.dtype) == (np.float64, np.intp)
+    assert a.tobytes() == np.array(ref_a, dtype=float).tobytes()
+    assert hi.tolist() == ref_hi
+    return hi
+
+
 class TestPairingKernel:
     @settings(derandomize=True, database=None, deadline=None)
     @given(adversarial_pairings())
@@ -515,6 +544,43 @@ class TestPairingKernel:
         res = pair_white_noise(path, phi)
         got = res.value.decode()
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # the stack carries across blocks of any size, bit for bit
+        for block in (1, 3, 7, BLOCK):
+            with mock.patch.object(spaces, "BLOCK", block):
+                assert_levels_match_reference(path)
+                assert pair_white_noise(path, phi) == res
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_record_held_across_block_edges(self, n):
+        # event 1 outgrows everything until the last event, so it stays on
+        # the stack over every block edge and is closed from the last block
+        rng = np.random.default_rng(n)
+        mags = LN2 + rng.exponential(2.0, n)
+        mags[1], mags[-1] = 60.0, 70.0
+        path = manual_path(times=(np.arange(n) + 0.5) * (10.0 / n),
+                           signs=rng.choice([-1, 1], n), mags=mags)
+        hi = assert_levels_match_reference(path)
+        assert (hi[1], hi[-1]) == (n - 1, n)
+
+    def test_memory_is_a_few_arrays_of_the_path(self):
+        # At its peak the pairing holds about seven float64 arrays of the
+        # path's length (log jumps, phi, levels, hi, then the summed terms
+        # and the copies slv_sum makes of the live ones) plus one block of
+        # Python floats; 10 arrays leaves room for that and numpy's
+        # temporaries, while whole-path Python lists of levels and indices
+        # would cost about 17 arrays' worth.
+        path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
+        n = path.n_events
+        assert n >= 100_000
+        phi = Bump(2.5e4, 2e4)
+        assert not tracemalloc.is_tracing()   # the peak must be this call's
+        tracemalloc.start()
+        try:
+            pair_white_noise(path, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * n
 
 
 class TestDescriptors:
