@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .measure import (ENVELOPE_PARAMS, ConsistencyError, EnvelopeSpec,
                       KAlphaParams, classify_support)
 from .numerics import QuadratureError
 from .paths import (RNG_NAME, load_event_file, save_event_files,
-                    simulate_large_jumps, simulate_many)
+                    simulate_large_jumps)
 from .spaces import pair_white_noise, parse_descriptor, parse_test_function
 
 EXIT_OK = 0
@@ -224,15 +225,18 @@ def _cmd_simulate(args) -> int:
 
     out = Path(args.out)
     if args.paths == 1:
-        jobs = [(out, simulate_large_jumps(params, args.horizon, seed))]
+        targets, spawn_keys = [out], [()]
     else:
-        ensemble = simulate_many(params, args.horizon, seed, args.paths)
-        jobs = [(out.with_name(f"{out.stem}-p{i:03d}{out.suffix}"), path_obj)
-                for i, path_obj in enumerate(ensemble)]
+        targets = [out.with_name(f"{out.stem}-p{i:03d}{out.suffix}")
+                   for i in range(args.paths)]
+        spawn_keys = [(i,) for i in range(args.paths)]
+    # drawn one at a time as the files are written (simulate_many's rule)
+    jobs = ((target, simulate_large_jumps(params, args.horizon, seed, key))
+            for target, key in zip(targets, spawn_keys))
 
     with _sigterm_unwinds():
         save_event_files(jobs, meta, workers)
-    print(*(target for target, _ in jobs), sep="\n")
+    print(*targets, sep="\n")
     return EXIT_OK
 
 
@@ -250,21 +254,20 @@ def _cmd_diagnose(args) -> int:
         if not args.infiles:
             raise ValueError("--envelope needs at least one --in path file")
         env = parse_envelope(args.envelope)
-        paths = [load_event_file(f) for f in args.infiles]
-        report = build_exceedance_report(paths, env, burn_in=args.burn_in)
+        report = build_exceedance_report(map(load_event_file, args.infiles),
+                                         env, burn_in=args.burn_in)
         quantiles = report.last_exceedance_quantiles()
         return _emit(args, "exceedance_report", {
             "envelope": env.describe(),
             "burn_in": report.burn_in,
             "horizon": report.horizon,
             "per_path": [
-                {"file": str(f), "alpha": p.params.alpha, "seed": p.seed,
+                {"file": str(f), "alpha": p.alpha, "seed": p.seed,
                  "n_events": p.n_events,
-                 "intervals": [[s, e] for s, e in ivs],
+                 "intervals": [[s, e] for s, e in p.intervals],
                  "last_exceedance_t": last}
-                for f, p, ivs, last in zip(args.infiles, paths,
-                                           report.intervals,
-                                           report.last_exceedance_times)
+                for f, p, last in zip(args.infiles, report.paths,
+                                      report.last_exceedance_times)
             ],
             "aggregate": {
                 "n_paths": report.n_paths,
@@ -323,10 +326,13 @@ def _cmd_diagnose(args) -> int:
     if not args.infiles:
         raise ValueError("--growth needs at least one --in path file")
     eta = _required_fields(args.growth, ("eta",))["eta"]
-    paths = [load_event_file(f) for f in args.infiles]
+    first = load_event_file(args.infiles[0])
+    alpha = first.params.alpha
+    paths = itertools.chain([first], map(load_event_file, args.infiles[1:]))
+    del first                       # the scan holds one path at a time
     rows = [(t, lvl.sign, lvl.logmag) for t, lvl in growth_scan(paths, eta)]
     return _emit(args, "growth_scan", {
-        "alpha": paths[0].params.alpha,
+        "alpha": alpha,
         "eta": eta,
         "rows": [{"t": t, "sign": sign, "log_stat": log_stat if sign else None}
                  for t, sign, log_stat in rows],

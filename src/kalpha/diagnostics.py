@@ -50,17 +50,32 @@ def envelope_exceedances(path: EventPath, env: EnvelopeSpec) -> list[tuple[float
 
 
 @dataclass(frozen=True)
+class PathExceedances:
+    """One path's exceedance intervals, with the fields a report names the
+    path by."""
+
+    alpha: float
+    seed: int
+    n_events: int
+    intervals: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True)
 class ExceedanceReport:
     """Per-path exceedance intervals plus ensemble aggregates."""
 
     envelope: EnvelopeSpec
     horizon: float
     burn_in: float
-    intervals: tuple[tuple[tuple[float, float], ...], ...]
+    paths: tuple[PathExceedances, ...]
 
     @property
     def n_paths(self) -> int:
-        return len(self.intervals)
+        return len(self.paths)
+
+    @property
+    def intervals(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        return tuple(p.intervals for p in self.paths)
 
     @property
     def last_exceedance_times(self) -> tuple[float | None, ...]:
@@ -91,46 +106,75 @@ class ExceedanceReport:
 
 def build_exceedance_report(paths, env: EnvelopeSpec,
                             burn_in: float = DEFAULT_BURN_IN) -> ExceedanceReport:
-    paths = list(paths)
-    if len({p.horizon for p in paths}) != 1:
-        raise ValueError("paths in a report must share the horizon" if paths
-                         else "need at least one path")
-    return ExceedanceReport(
-        envelope=env, horizon=paths[0].horizon, burn_in=burn_in,
-        intervals=tuple(tuple(envelope_exceedances(p, env)) for p in paths))
-
-
-def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
-    """max over paths of t^(-1/eta) * sup-level(t) at dyadic times.
-
-    Single paths decay in this statistic (one early jump divided by a
-    growing power); only ensembles over long horizons show the growth
-    signature.  Levels stay in log domain because they routinely
-    overflow floats.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    paths = list(paths)
-    if not paths:
+    """The report over paths, which may be a one-shot iterable such as a
+    generator of loaded files: each path is reduced to its
+    PathExceedances as it arrives, so one path is held at a time.  A
+    path whose horizon differs from the first one's is refused when it
+    arrives."""
+    per_path = []
+    for path in paths:
+        if per_path and path.horizon != horizon:
+            raise ValueError("paths in a report must share the horizon")
+        horizon = path.horizon
+        per_path.append(PathExceedances(
+            alpha=path.params.alpha, seed=path.seed, n_events=path.n_events,
+            intervals=tuple(envelope_exceedances(path, env))))
+        del path                    # freed before the next one is drawn
+    if not per_path:
         raise ValueError("need at least one path")
-    alpha = paths[0].params.alpha
-    if any(p.params.alpha != alpha for p in paths):
-        raise ValueError("paths in a scan must share parameters")
-    horizon = min(p.horizon for p in paths)
+    return ExceedanceReport(envelope=env, horizon=horizon, burn_in=burn_in,
+                            paths=tuple(per_path))
+
+
+def _dyadic_times(horizon: float) -> list[float]:
+    """1, 2, 4, ... up to horizon."""
     ts = []
     t = 1.0
     while t <= horizon:
         ts.append(t)
         t *= 2.0
+    return ts
+
+
+def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
+    """max over paths of t^(-1/eta) * sup-level(t) at dyadic times up to
+    the shortest horizon.
+
+    Single paths decay in this statistic (one early jump divided by a
+    growing power); only ensembles over long horizons show the growth
+    signature.  Levels stay in log domain because they routinely
+    overflow floats.  paths may be a one-shot iterable, one path held at
+    a time: each path's levels go into a running maximum on a dyadic
+    grid that grows to the longest horizon seen, cut at the shortest
+    once all are in.  max is exact, so the rows do not depend on the
+    order of the paths.
+    """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    alpha = None
+    horizon = math.inf
     # best sup level at each t over the paths; rounding is monotone, so
     # adding the weight's log to the best equals the best of the sums
-    best = np.full(len(ts), -math.inf)
-    for p in paths:
-        times, levels = running_sup(p)
-        np.maximum(best, levels[np.searchsorted(times, ts, side="right") - 1],
-                   out=best)
+    best = np.empty(0)
+    for path in paths:
+        if alpha is None:
+            alpha = path.params.alpha
+        elif path.params.alpha != alpha:
+            raise ValueError("paths in a scan must share parameters")
+        horizon = min(horizon, path.horizon)
+        ts = _dyadic_times(path.horizon)
+        if len(ts) > len(best):
+            best = np.append(best, np.full(len(ts) - len(best), -math.inf))
+        times, levels = running_sup(path)
+        sampled = levels[np.searchsorted(times, ts, side="right") - 1]
+        del path, times, levels     # freed before the next path is drawn
+        mine = best[:len(ts)]
+        np.maximum(mine, sampled, out=mine)
+    if alpha is None:
+        raise ValueError("need at least one path")
+    ts = _dyadic_times(horizon)
     return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
-            for t, lvl in zip(ts, best.tolist())]
+            for t, lvl in zip(ts, best[:len(ts)].tolist())]
 
 
 @dataclass(frozen=True)

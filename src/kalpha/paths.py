@@ -15,11 +15,14 @@ ensemble.
 JSONL is the one path format users read and write.  save_event_files
 writes each JSONL with <file>.events beside it: the SHA-256 of the JSONL
 bytes as written, then the (3, n) float64 array of times, signs and
-log1p magnitudes in .npy form; a call that fails changes no file.
+log1p magnitudes in .npy form; a call that fails changes no file.  It
+draws its paths lazily from any iterable and holds a bounded number of
+them, so an ensemble of any size is written in fixed memory.
 load_event_file takes the arrays from the sidecar only when the digest
 matches the JSONL, the payload is that array (no pickle) and it passes
-every EventPath check; otherwise it parses the JSONL.  A read never
-writes a sidecar.
+every EventPath check; otherwise it parses the JSONL.  It reads each row
+into its own array, so a load holds little more than the path it
+returns.  A read never writes a sidecar.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ class EventPath:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.horizon == math.inf:
             raise ValueError("horizon must be finite, got inf")
+        # no float temporaries of the path's length: int64 signs are kept
+        # as given, and the order check compares rather than subtracts
         t = _readonly(np.asarray(self.times, dtype=float))
         s = np.asarray(self.signs)
         m = _readonly(np.asarray(self.log1p_mags, dtype=float))
@@ -88,10 +93,10 @@ class EventPath:
             raise ValueError("event arrays must have equal length")
         if not np.all((s == 1) | (s == -1)):
             raise ValueError("event signs must be -1 or +1")
-        s = _readonly(s.astype(np.int64))
+        s = _readonly(s.astype(np.int64, copy=False))
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
             raise ValueError("event times and magnitudes must be finite")
-        if len(t) and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("event times must be strictly increasing")
         if len(t) and (t[0] < 0.0 or t[-1] > self.horizon):
             raise ValueError("event times must lie in [0, horizon]")
@@ -388,61 +393,103 @@ class _DigestingWriter:
 
 # bytes in the longest event line: two 24-character float reprs, sign -1
 _LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
-_inherited = ()       # in a formatter process: (blocks, shared, slot size)
+_SLOT = _LINE_MAX * BLOCK       # holds a block's rows (24 bytes an event) or text
+_inherited = None               # in a formatter process: the shared buffer
 
 
-def _inherit(*state) -> None:
+def _inherit(shared) -> None:
     global _inherited
-    _inherited = state
+    _inherited = shared
 
 
-def _format_into(i: int, k: int) -> int:
-    """Write the encoded event lines of inherited block i into slot k of
-    the shared buffer; returns their length in bytes."""
-    blocks, shared, slot = _inherited
-    data = _event_lines(*blocks[i]).encode()
-    memoryview(shared)[k * slot:(k + 1) * slot][:len(data)] = data
+def _format_into(k: int, m: int) -> int:
+    """Format the m-event block whose rows (times, int64 signs, log1p
+    mags) are in slot k of the shared buffer, and write its encoded
+    event lines over them; returns their length in bytes."""
+    shared, at = _inherited, k * _SLOT
+    rows = (np.frombuffer(shared, dtype, m, at + 8 * m * r)
+            for r, dtype in enumerate((np.float64, np.int64, np.float64)))
+    data = _event_lines(*rows).encode()
+    shared[at:at + len(data)] = data
     return len(data)
 
 
-def _formatted(blocks: list[tuple[np.ndarray, ...]], workers: int):
-    """_event_lines of each block, in order.
+def _formatted(jobs, workers: int):
+    """Each (target, path) of jobs, then the _event_lines text of each of
+    its blocks, in order.
 
-    With two or more workers (at most one per block) the blocks are
-    formatted by a pool of forked processes.  They inherit the blocks
-    and write each text into one of 2 * workers + 1 slots of a shared
-    buffer, so no block or text is pickled, at most that many blocks are
-    in flight, and the texts never pass through the pool's threads,
-    which would keep the memory they received them in.  With one worker,
-    or where fork is unavailable, the blocks are formatted here.
+    jobs are drawn one at a time and only between files, so a path is
+    never drawn while another one's texts are being taken.  With two or
+    more workers the blocks are formatted by a pool of that many forked
+    processes, started before the first path is drawn.  Each block's
+    rows go into one of 2 * workers + 1 slots of a shared buffer, and the
+    process formatting it writes the text over them, so no path, block
+    or text is inherited or pickled and none passes through the pool's
+    threads.  At most that many blocks are in flight, and at most that
+    many paths are held, the one whose texts are being taken included.
+    With one worker, or where fork is unavailable, the blocks are
+    formatted here.
     """
-    workers = min(workers, len(blocks))
     fork = None
     if workers > 1:
         import multiprocessing  # imported where used, not with the package
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
     if fork is None:
-        yield from itertools.starmap(_event_lines, blocks)
+        for target, path in jobs:
+            yield target, path
+            yield from itertools.starmap(_event_lines, _event_blocks(path))
         return
     import mmap
     from concurrent.futures import ProcessPoolExecutor
     slots = 2 * workers + 1
-    slot = _LINE_MAX * max(len(times) for times, _, _ in blocks)
-
-    with (mmap.mmap(-1, slots * slot) as shared,
+    jobs = iter(jobs)
+    with (mmap.mmap(-1, slots * _SLOT) as shared,
           ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                              initargs=(blocks, shared, slot)) as pool):
-        def text(k, future):
-            return shared[k * slot:k * slot + future.result()].decode()
+                              initargs=(shared,)) as pool):
+        pool.submit(int)                # the first submit forks every worker
+        ahead = collections.deque()     # drawn jobs and their blocks' (slot, future)
+        rest = iter(())                 # the last drawn path's unsubmitted blocks
+        waiting = submitted = in_flight = 0    # waiting: jobs in ahead
 
-        ahead = collections.deque()
-        for i in range(len(blocks)):
-            if len(ahead) == slots:     # block i reuses the oldest's slot
-                yield text(*ahead.popleft())
-            ahead.append((i % slots, pool.submit(_format_into, i, i % slots)))
+        def fill(draw: bool) -> None:
+            """Submit blocks while a slot is free, drawing jobs if draw."""
+            nonlocal rest, waiting, submitted, in_flight
+            while in_flight < slots:
+                block = next(rest, None)
+                if block is None:
+                    # the file being written is the slots-th path held
+                    job = next(jobs, None) if draw and waiting < slots - 1 else None
+                    if job is None:
+                        return
+                    ahead.append(job)
+                    rest = iter(_event_blocks(job[1]))
+                    waiting += 1
+                    continue
+                k = submitted % slots   # its last user's text has been taken
+                shared.seek(k * _SLOT)
+                for row in block:
+                    shared.write(row)
+                ahead.append((k, pool.submit(_format_into, k, len(block[0]))))
+                submitted += 1
+                in_flight += 1
+
+        fill(True)
         while ahead:
-            yield text(*ahead.popleft())
+            entry = ahead.popleft()
+            if isinstance(entry[1], EventPath):     # a file ends, the next begins
+                waiting -= 1
+                fill(True)
+                yield entry
+                continue
+            k, future = entry
+            n_bytes = future.result()
+            text = shared[k * _SLOT:k * _SLOT + n_bytes].decode()
+            in_flight -= 1
+            fill(False)
+            yield text
+            if not ahead:               # resumed between files
+                fill(True)
 
 
 def _save_rows(raw, rows) -> None:
@@ -462,30 +509,32 @@ def save_event_files(jobs, meta: dict | None = None,
     meta as extra header fields), then its sidecar target +
     SIDECAR_SUFFIX, bound to the bytes as written.
 
-    Each file is written as <name>.<pid>.tmp and renamed into place once
-    all are complete; on any exception the temporary files are removed
-    and no target changes.  The event blocks of all the paths are
-    formatted as one stream, in file order, on min(workers, number of
-    blocks) forked processes, with the same bytes for any worker count.
-    Callers that run threads pass workers=1, as forking is then unsafe.
-    A dead formatter raises concurrent.futures.process.BrokenProcessPool.
+    jobs may be any iterable, a generator included: it is drawn lazily
+    and at most 2 * workers + 1 of its paths are held at a time, so
+    memory does not grow with the number of paths.  Each file is written
+    as <name>.<pid>.tmp and renamed into place once all are complete; on
+    any exception, from jobs too, the temporary files are removed and no
+    target changes.  The event blocks of all the paths are formatted as
+    one stream, in file order, on workers forked processes
+    (_formatted), with the same bytes for any worker count.  Callers
+    that run threads pass workers=1, as forking is then unsafe.  A dead
+    formatter raises concurrent.futures.process.BrokenProcessPool.
     """
-    jobs = list(jobs)
-    blocks = [_event_blocks(path) for _, path in jobs]
-    stream = _formatted([b for own in blocks for b in own], workers)
     renames = []
     try:
-        with contextlib.closing(stream) as texts:
-            for (target, path), own in zip(jobs, blocks):
+        # the stream gives each job, then its texts, which the body takes
+        with contextlib.closing(_formatted(jobs, workers)) as stream:
+            for target, path in stream:
                 for name in (target, f"{target}{SIDECAR_SUFFIX}"):
                     if os.path.isdir(name):   # os.replace cannot replace it
                         raise IsADirectoryError(errno.EISDIR, "Is a directory", str(name))
                     renames.append((f"{name}.{os.getpid()}.tmp", name))
                 (jsonl, _), (sidecar, _) = renames[-2:]
+                n_blocks = -(-path.n_events // BLOCK)
                 with open(jsonl, "wb") as raw:
                     fp = _DigestingWriter(raw)
                     write_event_path(path, fp, extra_meta=meta,
-                                     texts=itertools.islice(texts, len(own)))
+                                     texts=itertools.islice(stream, n_blocks))
                 with open(sidecar, "wb") as raw:
                     raw.write(fp.sha256.digest())
                     _save_rows(raw, (path.times, path.signs, path.log1p_mags))
@@ -498,21 +547,45 @@ def save_event_files(jobs, meta: dict | None = None,
         raise
 
 
-def _sidecar_events(name, digest: bytes) -> np.ndarray | None:
-    """The (3, n) float64 event array in name's sidecar, or None when
-    there is no sidecar, it holds another digest, or its payload is not
-    such an array in .npy form (pickled objects are never loaded)."""
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
+    """The times, signs (as int64) and log1p magnitudes in name's
+    sidecar, or None when there is no sidecar, it holds another digest,
+    its payload is not a (3, n) float64 array in .npy form (pickled
+    objects are never loaded) or a sign is not -1 or +1.
+
+    Each row is read into its own array once the .npy header and the
+    payload's length are checked; the signs are converted in place a
+    block at a time, so the (3, n) array is never formed."""
     try:
         with open(f"{name}{SIDECAR_SUFFIX}", "rb") as fp:
             if fp.read(len(digest)) != digest:
                 return None
-            events = np.lib.format.read_array(fp, allow_pickle=False)
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fp))
+            if read_header is None:
+                return None
+            shape, fortran_order, dtype = read_header(fp)
+            if (dtype != np.float64 or fortran_order or len(shape) != 2
+                    or shape[0] != 3
+                    or os.fstat(fp.fileno()).st_size - fp.tell() != 24 * shape[1]):
+                return None
+            times, signs, mags = (np.empty(shape[1], dtype)
+                                  for dtype in (np.float64, np.int64, np.float64))
+            for row in (times, signs.view(np.float64), mags):
+                if fp.readinto(row) != row.nbytes:
+                    return None
     except (OSError, ValueError, MemoryError):
-        # MemoryError: a forged .npy header can claim more elements than fit
         return None
-    if events.dtype != np.float64 or events.ndim != 2 or events.shape[0] != 3:
-        return None
-    return events
+    as_float = signs.view(np.float64)
+    for start in range(0, len(signs), BLOCK):
+        block = as_float[start:start + BLOCK]
+        if not np.all((block == 1.0) | (block == -1.0)):
+            return None
+        signs[start:start + BLOCK] = block      # numpy copies the overlap first
+    return times, signs, mags
 
 
 def load_event_file(name) -> EventPath:
@@ -522,6 +595,8 @@ def load_event_file(name) -> EventPath:
     The header is always read from the JSONL and checked as
     read_event_path checks it.  Arrays from a sidecar pass every
     EventPath check; if they fail one, the JSONL is parsed instead.
+    A sidecar load holds the three returned arrays and a few boolean
+    arrays of the path's length, nothing more.
     """
     with io.TextIOWrapper(open(name, "rb")) as fp:
         # the hash, the header and any parse all read this one open file,
@@ -531,8 +606,7 @@ def load_event_file(name) -> EventPath:
         events = _sidecar_events(name, digest)
         if events is not None:
             header = _read_header(fp)
-            # one array per row, so a path does not keep the float signs
-            times, signs, mags = map(np.array, events)
+            times, signs, mags = events
             try:
                 return EventPath(**header, times=times, signs=signs,
                                  log1p_mags=mags)

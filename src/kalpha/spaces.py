@@ -22,6 +22,7 @@ cross-check.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,26 +427,26 @@ def _segment_levels(lj: np.ndarray,
     to i, so each event is pushed and popped once.
 
     The pass walks BLOCK events at a time as Python floats and writes a
-    (float64) and hi (intp) into arrays, so only one block and the stack
-    are Python objects.  The stack carries across blocks: slot 0 of a
-    block's lists stands for the top entry left by earlier blocks (+inf
-    when there is none, so it is never popped), and popping it sets that
-    entry's hi in the array and brings up the next one.  Every product
-    and sum is the per-event recursion's, in its order, for any BLOCK.
+    (float64) and hi (intp) into arrays, so only one block is Python
+    objects.  The stack carries across blocks as the indices of its
+    entries, 8 bytes each in an array('q'); their lj and levels are read
+    back from lj and a.  Slot 0 of a block's lists stands for the top
+    entry left by earlier blocks (+inf when there is none, so it is
+    never popped), and popping it sets that entry's hi in the array and
+    brings up the next one.  Every product and sum is the per-event
+    recursion's, in its order, for any BLOCK.
     """
     n = len(lj)
     a = np.empty(n)
     hi = np.empty(n, dtype=np.intp)
-    carry_x: list[float] = []     # stack entries left by earlier blocks:
-    carry_a: list[float] = []     # their lj, level and index
-    carry_i: list[int] = []
+    carry = array("q")            # indices of the entries left by earlier blocks
     exp, inf = math.exp, math.inf
     for start in range(0, n, BLOCK):
         xs = lj[start:start + BLOCK].tolist()
         ss = signs[start:start + BLOCK].tolist()
         m = len(xs)
-        x_at = [carry_x[-1] if carry_x else inf, *xs]
-        a_at = [carry_a[-1] if carry_a else 0.0] + [0.0] * m
+        x_at = [float(lj[carry[-1]]) if carry else inf, *xs]
+        a_at = [float(a[carry[-1]]) if carry else 0.0] + [0.0] * m
         # local positions j = 1 .. m; adding start - 1 makes them global
         # indices and turns this fill into n (no larger jump follows)
         hi_at = [n - start + 1] * (m + 1)
@@ -458,18 +459,13 @@ def _segment_levels(lj: np.ndarray,
                 if p:
                     hi_at[p] = j
                 else:
-                    hi[carry_i.pop()] = start + j - 1
-                    carry_x.pop()
-                    carry_a.pop()
-                    x_at[0] = carry_x[-1] if carry_x else inf
-                    a_at[0] = carry_a[-1] if carry_a else 0.0
+                    hi[carry.pop()] = start + j - 1
+                    x_at[0] = float(lj[carry[-1]]) if carry else inf
+                    a_at[0] = float(a[carry[-1]]) if carry else 0.0
                     stack.append(0)
             a_at[j] = acc
             stack.append(j)
-        for p in stack[1:]:
-            carry_x.append(x_at[p])
-            carry_a.append(a_at[p])
-            carry_i.append(start + p - 1)
+        carry.extend(start + p - 1 for p in stack[1:])
         a[start:start + m] = a_at[1:]
         np.add(hi_at[1:], start - 1, out=hi[start:start + m])
     return a, hi

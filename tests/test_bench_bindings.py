@@ -2,13 +2,16 @@
 name; a rename or deletion must fail here rather than in a traced
 benchmark run.  perfbench is read, never changed."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import os
 from pathlib import Path
 
 import pytest
 
-from kalpha import diagnostics, paths, spaces
+from kalpha import cli, diagnostics, paths, spaces
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -65,3 +68,33 @@ def test_pairing_sums_through_slv_sum():
     totals = tracer.layer_totals()
     assert totals["spaces.pair_white_noise.calls"] == 2
     assert totals["numerics.slv_sum.calls"] == 5
+
+
+@pytest.mark.parametrize("n_paths", [3, 8])
+def test_simulate_draws_and_writes_every_path_here(n_paths, tmp_path):
+    # simulate draws each path and writes each file in its own process,
+    # whichever processes format the event lines, and draws a path only
+    # between files, so no draw is counted in a write (8 paths of two
+    # blocks each are more than 2 workers draw ahead)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as listed:
+            assert cli.main(["simulate", "--alpha", "1.5", "--horizon", "4000",
+                             "--seed", "5", "--paths", str(n_paths),
+                             "--workers", "2",
+                             "--out", str(tmp_path / "p.jsonl")]) == 0
+    finally:
+        tracer.uninstall()
+    files = listed.getvalue().split()
+    events = [paths.load_event_file(f).n_events for f in files]
+    assert all(paths.BLOCK < n <= 2 * paths.BLOCK for n in events)
+    totals = tracer.layer_totals()
+    assert totals["paths.simulate_large_jumps.calls"] == n_paths
+    assert totals["paths.simulate_large_jumps.events"] == sum(events)
+    assert totals["paths.write_event_path.calls"] == n_paths
+    assert totals["paths.write_event_path.bytes"] == sum(map(os.path.getsize, files))
+    name = dict(zip(tracer.ids, (tracer.names[i] for i in tracer.name_of)))
+    assert all(name.get(parent) != "paths.write_event_path"
+               for sid, parent in zip(tracer.ids, tracer.parents)
+               if name[sid] == "paths.simulate_large_jumps")

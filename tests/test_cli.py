@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -150,6 +151,34 @@ class TestSimulate:
         # byte-identical targets and sidecars, and no temporary file
         assert self.files(tmp_path) == before
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_draw_changes_no_target(self, workers, tmp_path,
+                                           monkeypatch, capsys):
+        # the paths are drawn as the files are written: a draw that fails
+        # after earlier files are written leaves every target as it was;
+        # the formatter processes exist before the first path is drawn
+        base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
+                "4", "--workers", str(workers), "--out", str(tmp_path / "p.jsonl")]
+        assert run(base + ["--seed", "1"]) == EXIT_OK
+        before = self.files(tmp_path)
+        draw = kalpha.cli.simulate_large_jumps
+        formatters = []
+
+        def fails_on_third_path(params, horizon, seed, spawn_key):
+            formatters.append(len(multiprocessing.active_children()))
+            if spawn_key == (2,):
+                raise ValueError("a sampled log magnitude exceeds the float range")
+            return draw(params, horizon, seed, spawn_key)
+
+        monkeypatch.setattr(kalpha.cli, "simulate_large_jumps",
+                            fails_on_third_path)
+        capsys.readouterr()
+        assert run(base + ["--seed", "2"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: a sampled log magnitude")
+        assert formatters == [0 if workers == 1 else workers] * 3
+        assert self.files(tmp_path) == before
+
     def test_directory_target_exit_3_before_writing(self, tmp_path, capsys):
         (tmp_path / "p-p001.jsonl").mkdir()
         assert run(["simulate", "--alpha", "1.5", "--horizon", "20",
@@ -272,6 +301,30 @@ class TestDiagnose:
                     "--envelope", "pow:beta=0.5"]) == EXIT_USAGE
         assert run(["diagnose", "--in", str(sample_path_file),
                     "--envelope", "spiral:k=2"]) == EXIT_USAGE
+
+    def test_mixed_horizons_exit_2_without_report(self, tmp_path, capsys):
+        # files are read one at a time, so the horizon mismatch of the
+        # second file is reported before the malformed third one is read
+        files = []
+        for horizon in ("20", "30"):
+            out = tmp_path / f"h{horizon}.jsonl"
+            assert run(["simulate", "--alpha", "1.5", "--horizon", horizon,
+                        "--seed", "1", "--out", str(out)]) == EXIT_OK
+            files.append(str(out))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        rpt = tmp_path / "r.json"
+        capsys.readouterr()
+        for infiles in (files, files[::-1], files + [str(bad)]):
+            assert run(["diagnose", "--envelope", "exp:c=1", "--json",
+                        str(rpt), "--in", *infiles]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "error: paths in a report must share the horizon\n"
+            assert not rpt.exists()
+        assert run(["diagnose", "--envelope", "exp:c=1", "--json", str(rpt),
+                    "--in", str(bad), *files]) == EXIT_USAGE
+        assert "invalid JSON" in capsys.readouterr().err
+        assert not rpt.exists()
 
     def test_missing_input_exit_3(self, tmp_path):
         assert run(["diagnose", "--in", str(tmp_path / "nope.jsonl"),

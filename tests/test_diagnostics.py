@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kalpha.diagnostics import (ExceedanceReport, build_exceedance_report,
+from kalpha.diagnostics import (ExceedanceReport, PathExceedances,
+                                build_exceedance_report,
                                 envelope_exceedances, growth_scan,
                                 moment_scan, pruitt_slope)
 from kalpha.measure import (EnvelopeSpec, KAlphaParams, pruitt_index,
                             truncated_moment)
-from kalpha.paths import EventPath, simulate_many
+from kalpha.numerics import SignedLogValue
+from kalpha.paths import EventPath, running_sup, simulate_many
 from util_stats import intervals_match_grid
 
 
@@ -126,7 +128,10 @@ class TestExceedanceReport:
         rep = ExceedanceReport(
             envelope=EnvelopeSpec("power", beta=2.0), horizon=100.0,
             burn_in=10.0,
-            intervals=(((1.0, 60.0),), (), ((2.0, 5.0), (20.0, 30.0))))
+            paths=tuple(PathExceedances(alpha=1.5, seed=0, n_events=2,
+                                        intervals=ivs)
+                        for ivs in (((1.0, 60.0),), (),
+                                    ((2.0, 5.0), (20.0, 30.0)))))
         assert rep.last_exceedance_times == (60.0, None, 30.0)
         assert rep.last_in_final_half_fraction == pytest.approx(1 / 3)
         assert rep.exceedance_fraction == pytest.approx(2 / 3)
@@ -165,6 +170,55 @@ class TestGrowthScan:
             growth_scan([], 1.0)
         with pytest.raises(ValueError):
             growth_scan([make_path(alpha=1.0), make_path(alpha=1.5)], 1.0)
+
+
+def reference_growth_scan(paths, eta):
+    """growth_scan over a list: the dyadic grid of the shortest horizon,
+    and the best level over all the paths at each of its times."""
+    horizon = min(p.horizon for p in paths)
+    ts = [2.0 ** k for k in range(64) if 2.0 ** k <= horizon]
+    best = [max(levels[np.searchsorted(times, t, side="right") - 1]
+                for times, levels in map(running_sup, paths)) for t in ts]
+    return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
+            for t, lvl in zip(ts, best)]
+
+
+class TestStreaming:
+    """build_exceedance_report and growth_scan take one-shot iterables and
+    hold one path at a time; the results equal the list form."""
+
+    @staticmethod
+    def ensemble(horizon, seed, n=6):
+        return simulate_many(KAlphaParams(1.5), horizon, seed, n)
+
+    @pytest.mark.parametrize("order", ["short-first", "long-first", "mixed"])
+    def test_growth_scan_generator_equals_list(self, order):
+        short, long_ = self.ensemble(40.0, 3), self.ensemble(300.0, 4)
+        paths = {"short-first": short + long_, "long-first": long_ + short,
+                 "mixed": [p for pair in zip(long_, short) for p in pair]}[order]
+        rows = growth_scan((p for p in paths), 0.5)
+        assert rows == growth_scan(paths, 0.5) == reference_growth_scan(paths, 0.5)
+        assert [t for t, _ in rows] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+    def test_growth_scan_one_horizon_generator_equals_list(self):
+        paths = self.ensemble(1024.0, 42, 20)
+        assert growth_scan(iter(paths), 0.5) == reference_growth_scan(paths, 0.5)
+
+    def test_report_generator_equals_list(self):
+        paths = self.ensemble(100.0, 42, 12)
+        env = EnvelopeSpec("exponential", c=1.0)
+        report = build_exceedance_report((p for p in paths), env)
+        assert report == build_exceedance_report(paths, env)
+        assert report.paths == tuple(
+            PathExceedances(alpha=1.5, seed=42, n_events=p.n_events,
+                            intervals=tuple(envelope_exceedances(p, env)))
+            for p in paths)
+
+    @pytest.mark.parametrize("horizons", [(10.0, 20.0), (20.0, 10.0)])
+    def test_report_horizon_mismatch_in_either_order(self, horizons):
+        paths = (make_path(horizon=h) for h in horizons)
+        with pytest.raises(ValueError, match="share the horizon"):
+            build_exceedance_report(paths, EnvelopeSpec("power", beta=2.0))
 
 
 class TestMomentScan:

@@ -7,6 +7,7 @@ import math
 import os
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,6 +468,27 @@ class TestSidecar:
         monkeypatch.setattr(kalpha.paths, "_sidecar_events", then_replaced)
         assert_same_path(load_event_file(a), path_a)
 
+    def test_load_is_a_few_arrays_of_the_path(self, tmp_path):
+        # the three returned arrays, plus boolean checks of the path's
+        # length; the (3, n) payload and a float copy of the signs are
+        # never formed (5 arrays leaves room for numpy's temporaries; the
+        # whole payload plus row copies and EventPath's float temporaries
+        # cost about 8)
+        path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
+        n = path.n_events
+        assert n >= 100_000
+        target = tmp_path / "p.jsonl"
+        save_event_files([(target, path)])
+        assert not tracemalloc.is_tracing()   # the peak must be this call's
+        tracemalloc.start()
+        try:
+            loaded = load_event_file(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_path(loaded, path)
+        assert peak <= 5 * 8 * n
+
     def test_read_never_writes_a_sidecar(self, tmp_path):
         path = small_path(times=[1.0], signs=[1], mags=[2.0])
         target = tmp_path / "p.jsonl"
@@ -489,11 +511,12 @@ class TestParallelWriter:
     process pool; the files must not depend on the worker count."""
 
     @staticmethod
-    def written(tmp_path, paths, workers):
-        out = tmp_path / f"w{workers}"
+    def written(tmp_path, paths, workers, lazy=False):
+        out = tmp_path / f"w{workers}{'-lazy' if lazy else ''}"
         out.mkdir()
         jobs = [(out / f"p{i}.jsonl", path) for i, path in enumerate(paths)]
-        save_event_files(jobs, {"note": "x"}, workers)
+        save_event_files((job for job in jobs) if lazy else jobs,
+                         {"note": "x"}, workers)
         assert sorted(out.iterdir()) == sorted(
             [t for t, _ in jobs] + [Path(f"{t}{SIDECAR_SUFFIX}") for t, _ in jobs])
         return [(t.read_bytes(), Path(f"{t}{SIDECAR_SUFFIX}").read_bytes())
@@ -518,6 +541,37 @@ class TestParallelWriter:
         for (jsonl, _), path in zip(one, paths):
             assert jsonl.count(b"\n") == path.n_events + 1
 
+    def test_generator_fed_files_match_list_fed(self, tmp_path):
+        # two paths of more blocks than 2 workers have slots, back to back
+        paths = [block_path(n, seed) for seed, n in enumerate(
+            [0, 1, BLOCK - 1, BLOCK + 1, 0, 2 * BLOCK + 1, 1, BLOCK + 1,
+             5 * BLOCK + 1, 5 * BLOCK + 1, 0])]
+        listed = self.written(tmp_path, paths, 1)
+        for workers in (1, 2, 5):
+            assert self.written(tmp_path, paths, workers, lazy=True) == listed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_paths(self, workers, tmp_path):
+        # the paths are drawn from the generator as their files are
+        # written, and only those with blocks in flight are held
+        def peak(count):
+            out = tmp_path / f"{count}"
+            out.mkdir()
+            jobs = ((out / f"p{i}.jsonl", block_path(BLOCK + 1, i))
+                    for i in range(count))
+            assert not tracemalloc.is_tracing()   # the peak must be this call's
+            tracemalloc.start()
+            try:
+                save_event_files(jobs, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)         # first-use costs: lazy imports, the pool's machinery
+        few, many = peak(16), peak(64)
+        # holding every path would make many about 3 times few
+        assert many < 1.25 * few
+
     def test_longest_lines_fit_their_slot(self, tmp_path):
         # 23-character reprs for t and log1p_mag, and sign -1
         n = BLOCK + 1
@@ -531,12 +585,14 @@ class TestParallelWriter:
     def test_slow_writer_gets_every_block(self):
         # the workers run ahead while each text waits to be written, so a
         # slot reused before its text is taken would show here
-        blocks = [_event_blocks(block_path(50, seed))[0] for seed in range(12)]
+        jobs = [(seed, block_path(n, seed)) for seed, n in
+                enumerate([50] * 6 + [0, 2 * BLOCK + 1] + [50] * 6)]
         got = []
-        for text in _formatted(blocks, 2):
+        for item in _formatted(jobs, 2):
             time.sleep(0.02)
-            got.append(text)
-        assert got == list(itertools.starmap(_event_lines, blocks))
+            got.append(item if isinstance(item, str) else item[0])
+        assert got == [item for seed, path in jobs for item in (
+            seed, *itertools.starmap(_event_lines, _event_blocks(path)))]
 
     def test_sidecar_digest_is_the_file_on_disk(self, tmp_path):
         paths = [block_path(BLOCK + 1), block_path(7, 1)]

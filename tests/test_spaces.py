@@ -562,16 +562,24 @@ class TestPairingKernel:
         hi = assert_levels_match_reference(path)
         assert (hi[1], hi[-1]) == (n - 1, n)
 
-    def test_memory_is_a_few_arrays_of_the_path(self):
+    @pytest.mark.parametrize("order", ["random", "decreasing", "tied"])
+    def test_memory_is_a_few_arrays_of_the_path(self, order):
         # At its peak the pairing holds about seven float64 arrays of the
         # path's length (log jumps, phi, levels, hi, then the summed terms
         # and the copies slv_sum makes of the live ones) plus one block of
-        # Python floats; 10 arrays leaves room for that and numpy's
-        # temporaries, while whole-path Python lists of levels and indices
-        # would cost about 17 arrays' worth.
+        # Python floats.  On decreasing or tied magnitudes every event
+        # stays on the stack across every block edge; carried as 8-byte
+        # indices that adds about one array more.  10 arrays leaves room
+        # for numpy's temporaries, while whole-path Python lists, or a
+        # stack of Python objects, cost about 17 or 18 arrays' worth.
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         n = path.n_events
         assert n >= 100_000
+        if order != "random":
+            mags = (np.linspace(50.0, 1.0, n) if order == "decreasing"
+                    else np.full(n, 7.0))
+            path = manual_path(alpha=1.5, horizon=path.horizon,
+                               times=path.times, signs=path.signs, mags=mags)
         phi = Bump(2.5e4, 2e4)
         assert not tracemalloc.is_tracing()   # the peak must be this call's
         tracemalloc.start()
