@@ -218,6 +218,7 @@ def _cmd_simulate(args) -> int:
     workers = _available_cpus() if args.workers is None else args.workers
     if workers < 1:
         raise ValueError("--workers must be at least 1")
+    workers = min(workers, _available_cpus())   # more would only contend
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
                        "paths": args.paths}
@@ -408,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, default=1,
                      help="write this many paths with derived seeds")
     sim.add_argument("--workers", type=int, default=None,
-                     help="processes that format the event lines; defaults "
-                          "to the available CPU count")
+                     help="processes that format the event lines, at most "
+                          "the available CPU count (the default)")
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")

@@ -173,6 +173,10 @@ def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
     if alpha is None:
         raise ValueError("need at least one path")
     ts = _dyadic_times(horizon)
+    # the largest t has the largest weight exponent ln(t)/eta
+    if ts and not math.log(ts[-1]) / eta < math.inf:
+        raise ValueError(f"eta={eta!r} is too small: ln(t)/eta overflows a "
+                         f"float at t={ts[-1]!r}")
     return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
             for t, lvl in zip(ts, best[:len(ts)].tolist())]
 
@@ -249,6 +253,9 @@ def pruitt_slope(params: KAlphaParams, etas, r_grid) -> PruittSlopeReport:
         except OverflowError:
             raise ValueError(f"r^eta overflows a float at eta={eta:g}, "
                              f"r={r_grid[-1]:g}") from None
+        if math.inf in seq:         # h-bar near the float limit, as alpha -> 0
+            raise ValueError(f"r^eta h-bar(r) overflows a float at eta={eta:g}, "
+                             f"alpha={params.alpha!r}")
         values[eta] = seq
         tail_up[eta] = seq[-1] > seq[-2]
         if seq[-1] < seq[-2]:

@@ -42,7 +42,11 @@ class KAlphaParams:
             raise ValueError(
                 f"alpha must lie in the open interval (0, 2), got {self.alpha!r}")
         a = self.alpha
-        object.__setattr__(self, "trunc_mass", 2.0 / (a * LN2 ** a))
+        trunc_mass = 2.0 / (a * LN2 ** a)
+        if trunc_mass == math.inf:      # alpha below about 1.11e-308
+            raise ValueError(f"alpha={a!r} makes the large-jump rate "
+                             f"2/(alpha ln^alpha 2) overflow a float")
+        object.__setattr__(self, "trunc_mass", trunc_mass)
 
 
 def jump_moments(eta, caps, alpha: float, tol: float) -> list[float]:

@@ -178,12 +178,14 @@ def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # einsum, not BLAS: a BLAS product would load its code and work
     # buffer, a lasting rise in resident memory for a few panels
     y = y.reshape(-1, len(_NODES))
-    resk = np.einsum("pk,k->p", y, _WK)
-    if not np.isfinite(resk).all():
+    with np.errstate(over="ignore"):     # checked below
+        value = np.einsum("pk,k->p", y, _WK) * h
+        error = np.abs(np.einsum("pk,k->p", y, _WK_MINUS_G) * h)
+    if not (np.isfinite(value).all() and np.isfinite(error).all()):
         bad = x[~np.isfinite(y.ravel())]
         raise QuadratureError(f"integrand not finite at u={float(bad[0])!r}"
                               if bad.size else "panel sums overflow a float")
-    return resk * h, np.abs(np.einsum("pk,k->p", y, _WK_MINUS_G) * h)
+    return value, error
 
 
 def _adaptive(f, lo: np.ndarray, hi: np.ndarray, tol: float,

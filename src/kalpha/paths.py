@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,20 +416,21 @@ def _format_into(k: int, m: int) -> int:
 
 
 def _formatted(jobs, workers: int):
-    """Each (target, path) of jobs, then the _event_lines text of each of
-    its blocks, in order.
+    """(target, path, texts) for each (target, path) of jobs, where texts
+    yields the _event_lines text of each of the path's blocks, in order,
+    and is taken whole before the next file is asked for; texts is None
+    where write_event_path is left to format them.
 
-    jobs are drawn one at a time and only between files, so a path is
-    never drawn while another one's texts are being taken.  With two or
-    more workers the blocks are formatted by a pool of that many forked
-    processes, started before the first path is drawn.  Each block's
-    rows go into one of 2 * workers + 1 slots of a shared buffer, and the
-    process formatting it writes the text over them, so no path, block
-    or text is inherited or pickled and none passes through the pool's
-    threads.  At most that many blocks are in flight, and at most that
-    many paths are held, the one whose texts are being taken included.
-    With one worker, or where fork is unavailable, the blocks are
-    formatted here.
+    jobs are drawn only between files, so a path is never drawn while
+    another one's texts are being taken.  With two or more workers the
+    blocks are formatted by a pool of that many forked processes, started
+    before the first path is drawn.  Each block's rows go into one of
+    2 * workers + 1 slots of a shared buffer, and the process formatting
+    it writes the text over them, so no path, block or text is inherited
+    or pickled and none passes through the pool's threads.  At most that
+    many blocks are in flight, and at most that many paths are held, the
+    one whose texts are being taken included.  With one worker, or where
+    fork is unavailable, every texts is None.
     """
     fork = None
     if workers > 1:
@@ -437,59 +439,47 @@ def _formatted(jobs, workers: int):
             fork = multiprocessing.get_context("fork")
     if fork is None:
         for target, path in jobs:
-            yield target, path
-            yield from itertools.starmap(_event_lines, _event_blocks(path))
+            yield target, path, None
         return
     import mmap
     from concurrent.futures import ProcessPoolExecutor
     slots = 2 * workers + 1
-    jobs = iter(jobs)
     with (mmap.mmap(-1, slots * _SLOT) as shared,
           ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
                               initargs=(shared,)) as pool):
         pool.submit(int)                # the first submit forks every worker
-        ahead = collections.deque()     # drawn jobs and their blocks' (slot, future)
-        rest = iter(())                 # the last drawn path's unsubmitted blocks
-        waiting = submitted = in_flight = 0    # waiting: jobs in ahead
+        free = collections.deque(range(slots))  # slots not in use
+        files = collections.deque()     # drawn: (job, (slot, future)s, unsent blocks)
 
-        def fill(draw: bool) -> None:
-            """Submit blocks while a slot is free, drawing jobs if draw."""
-            nonlocal rest, waiting, submitted, in_flight
-            while in_flight < slots:
-                block = next(rest, None)
-                if block is None:
-                    # the file being written is the slots-th path held
-                    job = next(jobs, None) if draw and waiting < slots - 1 else None
-                    if job is None:
-                        return
-                    ahead.append(job)
-                    rest = iter(_event_blocks(job[1]))
-                    waiting += 1
-                    continue
-                k = submitted % slots   # its last user's text has been taken
-                shared.seek(k * _SLOT)
-                for row in block:
-                    shared.write(row)
-                ahead.append((k, pool.submit(_format_into, k, len(block[0]))))
-                submitted += 1
-                in_flight += 1
+        def submit() -> None:
+            """Give the free slots to the files' blocks, in file order."""
+            for _, pending, blocks in files:
+                for block in itertools.islice(blocks, len(free)):
+                    k = free.popleft()
+                    shared.seek(k * _SLOT)
+                    for row in block:
+                        shared.write(row)
+                    pending.append((k, pool.submit(_format_into, k, len(block[0]))))
 
-        fill(True)
-        while ahead:
-            entry = ahead.popleft()
-            if isinstance(entry[1], EventPath):     # a file ends, the next begins
-                waiting -= 1
-                fill(True)
-                yield entry
-                continue
-            k, future = entry
-            n_bytes = future.result()
-            text = shared[k * _SLOT:k * _SLOT + n_bytes].decode()
-            in_flight -= 1
-            fill(False)
-            yield text
-            if not ahead:               # resumed between files
-                fill(True)
+        def texts(pending):
+            # a taken slot goes first to this file's next block, so pending
+            # is empty only once every block of the file is taken
+            while pending:
+                k, future = pending.popleft()
+                text = shared[k * _SLOT:k * _SLOT + future.result()].decode()
+                free.append(k)
+                submit()
+                yield text
+
+        for job in jobs:
+            files.append((job, collections.deque(), iter(_event_blocks(job[1]))))
+            submit()
+            while not (free and len(files) < slots):
+                yield *files[0][0], texts(files[0][1])
+                files.popleft()         # only now: its texts are taken
+        while files:
+            yield *files[0][0], texts(files[0][1])
+            files.popleft()
 
 
 def _save_rows(raw, rows) -> None:
@@ -522,19 +512,16 @@ def save_event_files(jobs, meta: dict | None = None,
     """
     renames = []
     try:
-        # the stream gives each job, then its texts, which the body takes
         with contextlib.closing(_formatted(jobs, workers)) as stream:
-            for target, path in stream:
+            for target, path, texts in stream:
                 for name in (target, f"{target}{SIDECAR_SUFFIX}"):
                     if os.path.isdir(name):   # os.replace cannot replace it
                         raise IsADirectoryError(errno.EISDIR, "Is a directory", str(name))
                     renames.append((f"{name}.{os.getpid()}.tmp", name))
                 (jsonl, _), (sidecar, _) = renames[-2:]
-                n_blocks = -(-path.n_events // BLOCK)
                 with open(jsonl, "wb") as raw:
                     fp = _DigestingWriter(raw)
-                    write_event_path(path, fp, extra_meta=meta,
-                                     texts=itertools.islice(stream, n_blocks))
+                    write_event_path(path, fp, extra_meta=meta, texts=texts)
                 with open(sidecar, "wb") as raw:
                     raw.write(fp.sha256.digest())
                     _save_rows(raw, (path.times, path.signs, path.log1p_mags))
@@ -551,9 +538,21 @@ _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                 (2, 0): np.lib.format.read_array_header_2_0}
 
 
+def _open_regular(name):
+    """name opened for binary reading; OSError unless it is a regular file.
+
+    The open does not wait for a writer, as a plain open of a FIFO would."""
+    fd = os.open(name, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError(errno.EINVAL, "not a regular file", str(name))
+    return open(fd, "rb")
+
+
 def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
     """The times, signs (as int64) and log1p magnitudes in name's
-    sidecar, or None when there is no sidecar, it holds another digest,
+    sidecar, or None when there is no sidecar or it is not a regular
+    file, it holds another digest,
     its payload is not a (3, n) float64 array in .npy form (pickled
     objects are never loaded) or a sign is not -1 or +1.
 
@@ -561,7 +560,7 @@ def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
     payload's length are checked; the signs are converted in place a
     block at a time, so the (3, n) array is never formed."""
     try:
-        with open(f"{name}{SIDECAR_SUFFIX}", "rb") as fp:
+        with _open_regular(f"{name}{SIDECAR_SUFFIX}") as fp:
             if fp.read(len(digest)) != digest:
                 return None
             read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fp))
@@ -593,12 +592,13 @@ def load_event_file(name) -> EventPath:
     the file's bytes, else with read_event_path.
 
     The header is always read from the JSONL and checked as
-    read_event_path checks it.  Arrays from a sidecar pass every
+    read_event_path checks it; a file that is not a regular one (a
+    directory, a FIFO) raises OSError.  Arrays from a sidecar pass every
     EventPath check; if they fail one, the JSONL is parsed instead.
     A sidecar load holds the three returned arrays and a few boolean
     arrays of the path's length, nothing more.
     """
-    with io.TextIOWrapper(open(name, "rb")) as fp:
+    with io.TextIOWrapper(_open_regular(name)) as fp:
         # the hash, the header and any parse all read this one open file,
         # so a file renamed over name meanwhile cannot mix two paths
         digest = hashlib.file_digest(fp.buffer, "sha256").digest()

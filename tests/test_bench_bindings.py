@@ -1,12 +1,15 @@
 """The traced benchmark (perfbench/tracing.py) binds kalpha functions by
 name; a rename or deletion must fail here rather than in a traced
-benchmark run.  perfbench is read, never changed."""
+benchmark run.  The benchmark's own smoke test (perfbench/smoke.py) runs
+here too.  perfbench is read, never changed."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,14 @@ def test_simulate_draws_and_writes_every_path_here(n_paths, tmp_path):
     assert all(name.get(parent) != "paths.write_event_path"
                for sid, parent in zip(tracer.ids, tracer.parents)
                if name[sid] == "paths.simulate_large_jumps")
+
+
+def test_benchmark_smoke_passes():
+    # perfbench/smoke.py runs every workload at tiny sizes, traced and
+    # not, with every output check that does not need full sizes; a
+    # change that breaks a benchmark output check fails here
+    root = TRACING.parents[1]
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "smoke: ok"

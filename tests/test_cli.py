@@ -151,12 +151,13 @@ class TestSimulate:
         # byte-identical targets and sidecars, and no temporary file
         assert self.files(tmp_path) == before
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_failed_draw_changes_no_target(self, workers, tmp_path,
                                            monkeypatch, capsys):
         # the paths are drawn as the files are written: a draw that fails
         # after earlier files are written leaves every target as it was;
-        # the formatter processes exist before the first path is drawn
+        # the formatter processes, no more than the CPUs, exist before the
+        # first path is drawn
         base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
                 "4", "--workers", str(workers), "--out", str(tmp_path / "p.jsonl")]
         assert run(base + ["--seed", "1"]) == EXIT_OK
@@ -176,7 +177,8 @@ class TestSimulate:
         assert run(base + ["--seed", "2"]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: a sampled log magnitude")
-        assert formatters == [0 if workers == 1 else workers] * 3
+        pool = min(workers, kalpha.cli._available_cpus())
+        assert formatters == [0 if pool == 1 else pool] * 3
         assert self.files(tmp_path) == before
 
     def test_directory_target_exit_3_before_writing(self, tmp_path, capsys):
@@ -454,6 +456,19 @@ class TestClassify:
         assert capsys.readouterr().err.startswith("internal consistency error: ")
         assert not rpt.exists()
 
+    @pytest.mark.parametrize("alpha", ["1.2e-308", "1e-307", "1e-306"])
+    def test_panel_overflow_exits_4_without_report(self, alpha, tmp_path,
+                                                   capsys):
+        # just above the rate's float floor the panel sums overflow once
+        # scaled by the panel width; that is a QuadratureError, not a
+        # warning (warnings are errors here) and a verdict read from inf
+        rpt = tmp_path / "r.json"
+        assert run(["classify", "--alpha", alpha, "--betas", "2",
+                    "--json", str(rpt)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == ("internal consistency error: "
+                                           "panel sums overflow a float\n")
+        assert not rpt.exists()
+
     @pytest.mark.parametrize("alpha, beta", [
         ("0.5", "2.0001"), ("0.5", "2.001"), ("1.0001", "3"),
         ("0.5", "2.00001"), ("0.5", "2.000003")])
@@ -590,6 +605,13 @@ class TestBadInput:
         ["diagnose", "--in", "{path}", "--envelope", "powexp:c=1"],
         ["diagnose", "--in", "{path}", "--envelope", "expo:c=1"],
         ["classify", "--alpha", "1.0", "--betas", "2,1"],
+        # below alpha ~1.11e-308 the rate 2/(alpha ln^alpha 2) overflows
+        ["simulate", "--alpha", "1e-310", "--horizon", "10", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
+        ["diagnose", "--alpha", "1e-310", "--pruitt", "etas=0.1,rs=10,100"],
+        ["classify", "--alpha", "1e-310", "--betas", "2"],
+        ["diagnose", "--alpha", "1e-307", "--pruitt", "etas=0.5,rs=10,100"],
+        ["diagnose", "--in", "{path}", "--growth", "eta=1e-310"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
@@ -597,7 +619,9 @@ class TestBadInput:
             "moment-cap-overflows", "simulate-horizon-beyond-memory",
             "envelope-exp-with-beta", "envelope-pow-with-c",
             "envelope-exponential-with-beta", "envelope-powexp-without-beta",
-            "envelope-unknown-name", "betas-one"])
+            "envelope-unknown-name", "betas-one", "simulate-rate-overflows",
+            "pruitt-rate-overflows", "classify-rate-overflows",
+            "pruitt-hbar-overflows", "growth-eta-weight-overflows"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -740,6 +764,44 @@ class TestBadInput:
         assert run(argv) == EXIT_USAGE
         assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
         assert not any(out.iterdir())
+
+
+class TestNonRegularFiles:
+    """A path file or sidecar that is a FIFO or a directory never blocks
+    a load: the sidecar is skipped, the path file exits 3."""
+
+    @staticmethod
+    def cli(*args):
+        # a subprocess, so a load that blocks on a FIFO fails the test
+        src = Path(kalpha.paths.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "kalpha.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_sidecar_falls_back_to_the_parse(self, kind, sample_path_file,
+                                             tmp_path):
+        args = ["diagnose", "--in", sample_path_file, "--envelope", "exp:c=1"]
+        expected = self.cli(*args)
+        sidecar = Path(f"{sample_path_file}{SIDECAR_SUFFIX}")
+        sidecar.unlink()
+        os.mkfifo(sidecar) if kind == "fifo" else sidecar.mkdir()
+        done = self.cli(*args)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert strip_timestamps(done.stdout) == strip_timestamps(expected.stdout)
+
+    @pytest.mark.parametrize("command", [
+        ["diagnose", "--envelope", "exp:c=1"], ["diagnose", "--growth", "eta=0.5"],
+        ["pair", "--phi", "bump:center=5,width=2"]])
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_path_file_exits_3(self, kind, command, tmp_path):
+        infile = tmp_path / "p.jsonl"
+        os.mkfifo(infile) if kind == "fifo" else infile.mkdir()
+        done = self.cli(*command, "--in", infile)
+        assert done.returncode == EXIT_IO
+        assert done.stderr == (f"i/o error: [Errno {errno.EINVAL}] not a "
+                               f"regular file: '{infile}'\n")
 
 
 class TestHelpers:

@@ -584,15 +584,23 @@ class TestParallelWriter:
 
     def test_slow_writer_gets_every_block(self):
         # the workers run ahead while each text waits to be written, so a
-        # slot reused before its text is taken would show here
-        jobs = [(seed, block_path(n, seed)) for seed, n in
-                enumerate([50] * 6 + [0, 2 * BLOCK + 1] + [50] * 6)]
+        # slot reused before its text is taken would show here; the
+        # 5 * BLOCK + 1 path has more blocks than 2 workers have slots, so
+        # its own taken slots must go back to its next blocks
+        jobs = [(seed, block_path(n, seed)) for seed, n in enumerate(
+            [50] * 6 + [0, 2 * BLOCK + 1, 5 * BLOCK + 1] + [50] * 6)]
         got = []
-        for item in _formatted(jobs, 2):
-            time.sleep(0.02)
-            got.append(item if isinstance(item, str) else item[0])
-        assert got == [item for seed, path in jobs for item in (
-            seed, *itertools.starmap(_event_lines, _event_blocks(path)))]
+        for seed, path, texts in _formatted(jobs, 2):
+            got.append((seed, path))
+            for text in texts:
+                time.sleep(0.02)
+                got.append(text)
+        assert got == [item for job in jobs for item in (
+            job, *itertools.starmap(_event_lines, _event_blocks(job[1])))]
+
+    def test_serial_stream_leaves_formatting_to_the_writer(self):
+        jobs = [(seed, block_path(n, seed)) for seed, n in enumerate([0, 50])]
+        assert list(_formatted(jobs, 1)) == [(*job, None) for job in jobs]
 
     def test_sidecar_digest_is_the_file_on_disk(self, tmp_path):
         paths = [block_path(BLOCK + 1), block_path(7, 1)]
