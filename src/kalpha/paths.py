@@ -471,15 +471,15 @@ def _formatted(jobs, workers: int):
                 submit()
                 yield text
 
-        for job in jobs:
-            files.append((job, collections.deque(), iter(_event_blocks(job[1]))))
-            submit()
-            while not (free and len(files) < slots):
-                yield *files[0][0], texts(files[0][1])
-                files.popleft()         # only now: its texts are taken
-        while files:
+        jobs = iter(jobs)
+        while True:
+            while free and len(files) < slots and (job := next(jobs, None)) is not None:
+                files.append((job, collections.deque(), iter(_event_blocks(job[1]))))
+                submit()
+            if not files:
+                return
             yield *files[0][0], texts(files[0][1])
-            files.popleft()
+            files.popleft()             # only now: its texts are taken
 
 
 def _save_rows(raw, rows) -> None:
@@ -551,10 +551,10 @@ def _open_regular(name):
 
 def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
     """The times, signs (as int64) and log1p magnitudes in name's
-    sidecar, or None when there is no sidecar or it is not a regular
-    file, it holds another digest,
-    its payload is not a (3, n) float64 array in .npy form (pickled
-    objects are never loaded) or a sign is not -1 or +1.
+    sidecar, or None when the sidecar is missing or not a regular file,
+    holds another digest, has a payload that is not a (3, n) float64
+    array in .npy form (pickled objects are never loaded) or has a sign
+    that is not -1 or +1.
 
     Each row is read into its own array once the .npy header and the
     payload's length are checked; the signs are converted in place a

@@ -221,6 +221,7 @@ def test_criterion_8_laplace_exponent():
             failures, time.monotonic() - t0, 30.0)
 
 
+@pytest.mark.usefixtures("pool_as_asked")
 def test_criterion_9_simulate_determinism(tmp_path):
     failures = []
     t0 = time.monotonic()

@@ -42,6 +42,9 @@ def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+# the CLI with its --workers cap lifted, as the pool_as_asked fixture does
+POOL_AS_ASKED = ("import sys, kalpha.cli as cli; cli._available_cpus = lambda: 8; "
+                 "sys.exit(cli.main())")
 TEST_PID = os.getpid()
 FORMAT_EVENT_LINES = kalpha.paths._event_lines
 
@@ -85,6 +88,7 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "(0, 2)" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("pool_as_asked")
     def test_multi_path_worker_invariance(self, tmp_path):
         base = ["simulate", "--alpha", "1.0", "--horizon", "20", "--seed",
                 "7", "--paths", "4"]
@@ -101,6 +105,7 @@ class TestSimulate:
     def files(directory):
         return {f.name: f.read_bytes() for f in directory.iterdir()}
 
+    @pytest.mark.usefixtures("pool_as_asked")
     def test_dead_formatter_process_exit_3(self, tmp_path, monkeypatch,
                                            capsys):
         out = tmp_path / "p.jsonl"
@@ -125,6 +130,7 @@ class TestSimulate:
             assert loaded.times.tobytes() == expected.times.tobytes()
             assert loaded.log1p_mags.tobytes() == expected.log1p_mags.tobytes()
 
+    @pytest.mark.usefixtures("pool_as_asked")
     def test_failed_write_changes_no_target(self, tmp_path, monkeypatch,
                                             capsys):
         base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
@@ -215,7 +221,7 @@ class TestSimulate:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "kalpha.cli", "simulate", "--alpha", "1.5",
+            [sys.executable, "-c", POOL_AS_ASKED, "simulate", "--alpha", "1.5",
              "--horizon", "3e5", "--seed", "1", "--workers", "2",
              "--out", str(tmp_path / "p.jsonl")],
             env=env, start_new_session=True, stdout=subprocess.DEVNULL,

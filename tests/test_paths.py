@@ -609,6 +609,7 @@ class TestParallelWriter:
 
 
 class TestEnsembles:
+    @pytest.mark.usefixtures("pool_as_asked")
     def test_worker_count_does_not_change_files(self, tmp_path):
         # event sections and sidecar payloads: the headers, and so the
         # sidecar digests, differ by their manifest timestamps
