@@ -3,7 +3,7 @@
 Jump magnitudes in this package routinely exceed the native float range
 (a single large jump can have ln(1+|x|) in the thousands), so all path
 arithmetic is carried as (sign, ln of magnitude) pairs, and signed sums
-of such numbers are formed exactly, in one array pass, by slv_sum.  The
+of such numbers are formed exactly, BLOCK terms at a time, by slv_sum.  The
 quadrature engine is one adaptive Gauss-Kronrod kernel over a positive
 lower limit (every measure integral starts at u = ln 2 or x = 1, away
 from the u = 0 pole of the jump density).  Integrands map a float array
@@ -20,6 +20,7 @@ integrates an envelope exp(c x^p) in y = c^(1/p) x).
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,9 @@ import numpy as np
 
 LN2 = math.log(2.0)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# elements an array kernel works on at a time (slv_sum's terms, a path's
+# events), so its scratch stays a fixed size whatever the input's
+BLOCK = 8192
 
 # Consecutive dyadic blocks that must fail to decay before an improper
 # integral is declared divergent.
@@ -92,6 +96,31 @@ class SignedLogValue:
 SLV_ZERO = SignedLogValue(0, -math.inf)
 
 
+def _term_blocks(logs, coefs):
+    """(logs, coefs) of each run of at most BLOCK terms, as float arrays.
+
+    The inputs are broadcast against each other as views and walked row
+    by row in blocks, so a broadcast input is never expanded and only one
+    block is ever converted to float."""
+    logs, coefs = np.broadcast_arrays(np.atleast_1d(logs), np.atleast_1d(coefs))
+    for row in np.ndindex(logs.shape[:-1]):
+        row_logs, row_coefs = logs[row], coefs[row]
+        for start in range(0, len(row_logs), BLOCK):
+            yield (np.asarray(row_logs[start:start + BLOCK], dtype=float),
+                   np.asarray(row_coefs[start:start + BLOCK], dtype=float))
+
+
+def _live_terms(logs, coefs):
+    """logs and coefs of the nonzero coefs, with the log of each term."""
+    live = coefs != 0.0
+    if not live.all():
+        logs, coefs = logs[live], coefs[live]
+    term = np.abs(coefs)
+    np.log(term, out=term)
+    term += logs
+    return logs, coefs, term
+
+
 def slv_sum(logs, coefs) -> tuple[float, float]:
     """sum_i coefs_i * e^logs_i as (ref, total), the sum being total * e^ref.
 
@@ -101,30 +130,53 @@ def slv_sum(logs, coefs) -> tuple[float, float]:
     per term and the total does not depend on the order of the terms.
     A term more than e^650 below the largest one cannot move the sum
     and is dropped, which keeps every scale factor <= 1.  A zero sum
-    (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0).
-    logs and coefs may have any one shape (a broadcast view of logs is
-    not copied); the terms are formed in one array of that shape, and
-    the inputs are copied only when a zero or negligible term is dropped.
+    (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0); a
+    NaN or infinite term raises ValueError.
+
+    logs and coefs may be any arrays that broadcast together (a
+    broadcast view is not expanded) and are read BLOCK terms at a time
+    in three passes: the largest term, then ref among the kept terms
+    (skipped when no live term is dropped), then one math.fsum over the
+    scaled blocks.  So no term array, mask or copy of the inputs' size
+    is formed, and as fsum is exact the result does not depend on BLOCK.
     """
-    logs = np.asarray(logs, dtype=float)
-    coefs = np.asarray(coefs, dtype=float)
-    live = coefs != 0.0
-    if not live.any():
+    top = ref = -math.inf
+    low = math.inf
+    for block in _term_blocks(logs, coefs):
+        block_logs, _, term = _live_terms(*block)
+        if len(term):
+            block_top = float(term.max())
+            if not block_top < math.inf:      # a NaN or infinite term
+                raise ValueError(f"slv_sum got a term of log {block_top!r}; "
+                                 "terms must be finite or zero")
+            top = max(top, block_top)
+            low = min(low, float(term.min()))
+            ref = max(ref, float(block_logs.max()))
+    if top == -math.inf:
         return -math.inf, 0.0
-    if not live.all():
-        logs, coefs = logs[live], coefs[live]
-    term = np.abs(coefs)
-    np.log(term, out=term)
-    term += logs
-    keep = term > term.max() - 650.0
-    if not keep.all():
-        logs, coefs = logs[keep], coefs[keep]
-        term = np.empty_like(coefs)
-    ref = float(logs.max())
-    np.subtract(logs, ref, out=term)
-    np.exp(term, out=term)
-    term *= coefs
-    total = math.fsum(term.ravel())
+    cut = top - 650.0
+    dropping = not low > cut
+
+    def kept(block):
+        block_logs, block_coefs, term = _live_terms(*block)
+        if dropping:
+            keep = term > cut
+            block_logs, block_coefs = block_logs[keep], block_coefs[keep]
+        return block_logs, block_coefs
+
+    if dropping:        # the top term is always kept
+        ref = max(float(block_logs.max())
+                  for block_logs, _ in map(kept, _term_blocks(logs, coefs))
+                  if len(block_logs))
+
+    def scaled():
+        for block_logs, block_coefs in map(kept, _term_blocks(logs, coefs)):
+            term = block_logs - ref
+            np.exp(term, out=term)
+            term *= block_coefs
+            yield term.tolist()
+
+    total = math.fsum(itertools.chain.from_iterable(scaled()))
     return (ref, total) if total != 0.0 else (-math.inf, 0.0)
 
 

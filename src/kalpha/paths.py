@@ -10,7 +10,10 @@ magnitudes are never materialised as native floats because ell = ln(1+|x|)
 can reach the thousands.  Everything is driven by numpy's Philox generator
 (counter based, 64-bit) keyed through SeedSequence(entropy=seed,
 spawn_key=...), so paths are reproducible one at a time or as an
-ensemble.
+ensemble.  A path is drawn in place into the three arrays it returns,
+and its running sup is formed in its two output arrays, each with one
+block of BLOCK events as scratch, so the length of path a machine can
+hold is set by those arrays alone.
 
 JSONL is the one path format users read and write.  save_event_files
 writes each JSONL with <file>.events beside it: the SHA-256 of the JSONL
@@ -42,13 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import KAlphaParams, inverse_tail
-from .numerics import LN2
+from .numerics import BLOCK, LN2
 
 RNG_NAME = "philox4x64"
 FORMAT_VERSION = 1
-BLOCK = 8192                      # event lines written or read at a time
 EVENT_FIELDS = ("t", "sign", "log1p_mag")
 SIDECAR_SUFFIX = ".events"
+
+
+# numpy's largest Poisson mean: int64's max less ten of its square roots
+_POISSON_MEAN_MAX = (np.iinfo(np.int64).max
+                     - 10.0 * math.sqrt(np.iinfo(np.int64).max))
 
 
 def derive_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -114,8 +121,13 @@ class EventPath:
     @property
     def log_jumps(self) -> np.ndarray:
         """ln |jump| = ln(e^m - 1) for each event's log1p magnitude m."""
-        m = self.log1p_mags
-        return m + np.log1p(-np.exp(-m))
+        return _log_jumps(self.log1p_mags)
+
+
+def _log_jumps(m: np.ndarray) -> np.ndarray:
+    """ln(e^m - 1) elementwise, so a block of m gives that block of
+    EventPath.log_jumps bit for bit."""
+    return m + np.log1p(-np.exp(-m))
 
 
 def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
@@ -125,54 +137,86 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
     Draw order is fixed and part of the reproducibility contract:
     event count (Poisson with mean trunc_mass * horizon), then event
     times (sorted uniforms), then fair signs, then magnitudes via the
-    inverse tail transform on independent uniforms in (0, 1].
+    inverse tail transform on independent uniforms in (0, 1].  Each
+    array is drawn and transformed in place, BLOCK events at a time
+    where a transform would need a temporary, so the call holds the
+    three returned arrays and one block of scratch.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    expected = params.trunc_mass * horizon
+    if not expected <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"the expected event count trunc_mass * horizon = {expected!r} "
+            f"at alpha={params.alpha!r} is beyond {_POISSON_MEAN_MAX:.4g}, "
+            f"the most a Poisson count can be drawn for")
     rng = derive_rng(seed, spawn_key)
-    n = int(rng.poisson(params.trunc_mass * horizon))
-    times = np.sort(rng.random(n) * horizon)
+    n = int(rng.poisson(expected))
+    times = rng.random(n)
+    times *= horizon
+    times.sort()
     # sorted uniforms tie with probability ~0; nudge upward so the
     # strictly-increasing invariant holds
-    if np.any(np.diff(times) <= 0):
+    if not np.all(times[1:] > times[:-1]):
         for i in range(1, n):
             if times[i] <= times[i - 1]:
                 times[i] = np.nextafter(times[i - 1], np.inf)
-    signs = rng.integers(0, 2, n) * 2 - 1
-    u = 1.0 - rng.random(n)            # uniform on (0, 1]
-    with np.errstate(over="ignore"):
-        mags = inverse_tail(u, params)
-    if np.isinf(mags).any():
-        raise ValueError(
-            f"a sampled log magnitude ln(1+|x|) exceeds the float range "
-            f"at alpha={params.alpha!r}; a smaller alpha or a longer "
-            f"horizon makes such draws likelier")
+    signs = rng.integers(0, 2, n)
+    signs *= 2
+    signs -= 1
+    mags = rng.random(n)
+    np.subtract(1.0, mags, out=mags)    # uniform on (0, 1]
+    for start in range(0, n, BLOCK):
+        block = mags[start:start + BLOCK]
+        with np.errstate(over="ignore"):
+            block[:] = inverse_tail(block, params)
+        if np.isinf(block).any():
+            raise ValueError(
+                f"a sampled log magnitude ln(1+|x|) exceeds the float range "
+                f"at alpha={params.alpha!r}; a smaller alpha or a longer "
+                f"horizon makes such draws likelier")
     return EventPath(params=params, horizon=float(horizon), seed=int(seed),
                      times=times, signs=signs, log1p_mags=mags,
                      spawn_key=tuple(spawn_key))
 
 
-def _log_prefix_sums(lj: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """ln |K_i| for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n.
+def _log_prefix_sums(mags: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """ln |K_i| for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n,
+    lj_j being the log jump of log1p magnitude mags_j.
 
     Terms are scaled by the running maximum of lj, so they stay floats
     of magnitude at most 1.  The events split at each new record of that
     maximum; a segment is one cumsum, whose first addend is the previous
     segment's total rescaled to the new record (the online-normaliser
-    rescaling of Milakov & Gimelshein, arXiv:1805.02867).  The loop runs
-    once per record, about ln n times for i.i.d. sizes.  A prefix that
-    cancels exactly has ln |K| = -inf; a term more than e^745 below the
-    current record underflows to zero.
+    rescaling of Milakov & Gimelshein, arXiv:1805.02867).  The events
+    are taken BLOCK at a time, and a block's first addend is the last
+    block's total rescaled the same way, from its last record (by
+    e^0 = 1 when the block does not open with a new one).  So only the
+    record and the total are carried, the loop runs once per record and
+    per block, and the result is the same bit for bit for any BLOCK.  A
+    prefix that cancels exactly has ln |K| = -inf; a term more than
+    e^745 below the current record underflows to zero.
     """
-    ref = np.maximum.accumulate(lj)
-    scaled = signs * np.exp(lj - ref)
-    starts = np.flatnonzero(ref[1:] > ref[:-1]) + 1
-    for a, b in zip([0, *starts], [*starts, len(lj)]):
-        if a:
-            scaled[a] += scaled[a - 1] * math.exp(ref[a - 1] - ref[a])
-        np.cumsum(scaled[a:b], out=scaled[a:b])
-    with np.errstate(divide="ignore"):
-        return np.append(-math.inf, ref + np.log(np.abs(scaled)))
+    n = len(mags)
+    out = np.empty(n + 1)
+    out[0] = -math.inf
+    last_ref, total = -math.inf, 0.0
+    for start in range(0, n, BLOCK):
+        lj = _log_jumps(mags[start:start + BLOCK])
+        ref = np.maximum.accumulate(lj)
+        np.maximum(ref, last_ref, out=ref)
+        scaled = signs[start:start + BLOCK] * np.exp(lj - ref)
+        if start:
+            scaled[0] += total * math.exp(last_ref - ref[0])
+        starts = np.flatnonzero(ref[1:] > ref[:-1]) + 1
+        for a, b in zip([0, *starts], [*starts, len(lj)]):
+            if a:
+                scaled[a] += scaled[a - 1] * math.exp(ref[a - 1] - ref[a])
+            np.cumsum(scaled[a:b], out=scaled[a:b])
+        last_ref, total = float(ref[-1]), float(scaled[-1])
+        with np.errstate(divide="ignore"):
+            out[start + 1:start + 1 + len(lj)] = ref + np.log(np.abs(scaled))
+    return out
 
 
 def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +224,23 @@ def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (times, log_levels): times[0] = 0 with log level -inf (the
     path starts at zero), then one entry per event; the sup at any t is
-    e^log_levels[i] for the largest times[i] <= t.
+    e^log_levels[i] for the largest times[i] <= t.  The levels are
+    formed in their own array (_log_prefix_sums) and their running
+    maximum taken in place BLOCK entries at a time, the level carried
+    across block edges, so the call holds its two outputs and one block
+    of scratch.
     """
-    logmag = _log_prefix_sums(path.log_jumps, path.signs)
-    return np.append(0.0, path.times), np.maximum.accumulate(logmag)
+    times = np.empty(path.n_events + 1)
+    times[0] = 0.0
+    times[1:] = path.times
+    levels = _log_prefix_sums(path.log1p_mags, path.signs)
+    level = -math.inf
+    for start in range(0, len(levels), BLOCK):
+        block = levels[start:start + BLOCK]
+        np.maximum.accumulate(block, out=block)
+        np.maximum(block, level, out=block)
+        level = float(block[-1])
+    return times, levels
 
 
 def simulate_many(params: KAlphaParams, horizon: float, seed: int,
@@ -484,13 +541,15 @@ def _formatted(jobs, workers: int):
 
 def _save_rows(raw, rows) -> None:
     """Write the equal-length 1-d rows as one (len(rows), n) float64 .npy
-    array, the bytes numpy.save gives for their stack, one row at a time
-    (the stacked copy is never formed)."""
+    array, the bytes numpy.save gives for their stack, BLOCK elements of
+    a row at a time (neither the stacked copy nor a float copy of a
+    whole row, such as the int64 signs, is formed)."""
     np.lib.format.write_array_header_1_0(
         raw, {"descr": "<f8", "fortran_order": False,
               "shape": (len(rows), len(rows[0]))})
     for row in rows:
-        raw.write(np.ascontiguousarray(row, dtype="<f8"))
+        for start in range(0, len(row), BLOCK):
+            raw.write(np.ascontiguousarray(row[start:start + BLOCK], dtype="<f8"))
 
 
 def save_event_files(jobs, meta: dict | None = None,

@@ -491,32 +491,37 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
     Only the jumps with |x| > 1 are paired: the rest of the process lies
     in S' and cannot change whether the pairing is bounded.
 
-    Memory stays a fixed few float64 arrays of the path's length: phi
-    is evaluated BLOCK events at a time into one array, the levels and
-    hi are freed once the value is summed, and the cross-check reuses
-    lj through a broadcast view instead of a concatenated copy.
+    Memory stays a fixed few float64 arrays of the path's length (the
+    log jumps, then the levels and hi, then the two rows of cross-check
+    terms) plus one block of scratch.  phi is never held for the whole
+    path: it is evaluated BLOCK events at a time, at the events and at
+    their next larger jumps for the levels, and at the events again for
+    the cross-check terms, which are built only after the levels and hi
+    are freed.  phi acts elementwise, so each value is the one a single
+    evaluation over all the events would give.
     """
     lj = path.log_jumps
-    signs = path.signs
+    signs, times = path.signs, path.times
     n = len(lj)
     phi_end = float(phi.deriv(0, path.horizon))
-    phi_ext = np.empty(n + 1)             # phi at every event, then at the horizon
-    phi_ext[n] = phi_end
-    phi_at = phi_ext[:n]
-    for start in range(0, n, BLOCK):
-        phi_at[start:start + BLOCK] = phi.deriv(0, path.times[start:start + BLOCK])
 
     a, hi = _segment_levels(lj, signs)
     for start in range(0, n, BLOCK):      # a * (phi_at - phi_next), in place
         block = slice(start, start + BLOCK)
-        a[block] *= phi_at[block] - phi_ext[hi[block]]
+        inside = hi[block] < n
+        phi_next = np.full(len(inside), phi_end)
+        phi_next[inside] = phi.deriv(0, times[hi[block][inside]])
+        a[block] *= phi.deriv(0, times[block]) - phi_next
     del hi
     ref_v, tot_v = slv_sum(lj, a)
     del a
     terms = np.empty((2, n))
-    np.multiply(signs, phi_at, out=terms[0])
+    for start in range(0, n, BLOCK):
+        block = slice(start, start + BLOCK)
+        np.multiply(signs[block], phi.deriv(0, times[block]), out=terms[0, block])
     np.multiply(signs, -phi_end, out=terms[1])
     ref_c, tot_c = slv_sum(np.broadcast_to(lj, (2, n)), terms)
+    del terms
     value, cross = _record(ref_v, tot_v), _record(ref_c, tot_c)
 
     # compare the exact totals at one reference log, not the rounded logs

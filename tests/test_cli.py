@@ -618,6 +618,9 @@ class TestBadInput:
         ["classify", "--alpha", "1e-310", "--betas", "2"],
         ["diagnose", "--alpha", "1e-307", "--pruitt", "etas=0.5,rs=10,100"],
         ["diagnose", "--in", "{path}", "--growth", "eta=1e-310"],
+        # a finite rate, about 1.7e308, beyond any Poisson draw
+        ["simulate", "--alpha", "1.2e-308", "--horizon", "1", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
@@ -627,7 +630,8 @@ class TestBadInput:
             "envelope-exponential-with-beta", "envelope-powexp-without-beta",
             "envelope-unknown-name", "betas-one", "simulate-rate-overflows",
             "pruitt-rate-overflows", "classify-rate-overflows",
-            "pruitt-hbar-overflows", "growth-eta-weight-overflows"])
+            "pruitt-hbar-overflows", "growth-eta-weight-overflows",
+            "simulate-event-count-beyond-poisson"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -639,6 +643,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(out.iterdir())
+
+    def test_event_count_beyond_poisson_names_it(self, tmp_path, capsys):
+        assert run(["simulate", "--alpha", "1.2e-308", "--horizon", "1",
+                    "--seed", "1", "--out", str(tmp_path / "p.jsonl")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the expected event count trunc_mass * "
+                              "horizon = 1.6")
+        assert "lam value" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_log_magnitude_beyond_float_range(self, tmp_path, capsys):
         # about 1.6 expected draws of ln(1+|x|) > 1.8e308 at alpha 0.01

@@ -10,7 +10,8 @@ from kalpha.diagnostics import (ExceedanceReport, PathExceedances,
 from kalpha.measure import (EnvelopeSpec, KAlphaParams, pruitt_index,
                             truncated_moment)
 from kalpha.numerics import SignedLogValue
-from kalpha.paths import EventPath, running_sup, simulate_many
+from kalpha.paths import (EventPath, running_sup, simulate_large_jumps,
+                          simulate_many)
 from util_stats import intervals_match_grid
 
 
@@ -89,6 +90,18 @@ class TestEnvelopeExceedances:
         for path in simulate_many(p, 50.0, 33, 50):
             ivs = envelope_exceedances(path, env)
             assert intervals_match_grid(path, env, ivs)
+
+    def test_memory_is_the_running_sup(self, traced_peak):
+        # stated before the first run: running_sup's two (n + 1) outputs,
+        # one block of scratch and a boolean array of the rises, at most
+        # 3 float64 arrays of the path's length beyond the path (5 when
+        # running_sup formed its levels whole)
+        path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
+        assert path.n_events >= 100_000
+        env = EnvelopeSpec("exponential", c=1.0)
+        ivs, peak = traced_peak(envelope_exceedances, path, env)
+        assert ivs == envelope_exceedances(path, env)
+        assert peak <= 3 * 8 * path.n_events
 
 
 class TestExceedanceReport:

@@ -26,6 +26,61 @@ class TestSignedLogValue:
         assert SignedLogValue(-1, 710.0).decode() is None
 
 
+def reference_slv_sum(logs, coefs) -> tuple[float, float]:
+    """The whole-array slv_sum: one term array of the inputs' shape, the
+    live and kept terms copied out, one math.fsum."""
+    logs = np.asarray(logs, dtype=float)
+    coefs = np.asarray(coefs, dtype=float)
+    live = coefs != 0.0
+    if not live.any():
+        return -math.inf, 0.0
+    if not live.all():
+        logs, coefs = logs[live], coefs[live]
+    term = np.abs(coefs)
+    np.log(term, out=term)
+    term += logs
+    keep = term > term.max() - 650.0
+    if not keep.all():
+        logs, coefs = logs[keep], coefs[keep]
+        term = np.empty_like(coefs)
+    ref = float(logs.max())
+    np.subtract(logs, ref, out=term)
+    np.exp(term, out=term)
+    term *= coefs
+    total = math.fsum(term.ravel())
+    return (ref, total) if total != 0.0 else (-math.inf, 0.0)
+
+
+def slv_cases(n: int) -> list[tuple]:
+    """(logs, coefs) inputs, most of n terms: seeded, with zero and
+    dropped terms, exact cancellation, a broadcast view, int coefs, the
+    largest term at either end and a dropped largest log."""
+    rng = np.random.default_rng(31)
+    wide = rng.uniform(-2000.0, 2000.0, n)       # most terms are dropped
+    coefs = rng.normal(size=n)
+    coefs[::5] = 0.0
+    tied = np.full(n, 7.0)
+    alternating = np.where(np.arange(n) % 2, -1.0, 1.0)
+    lj = rng.exponential(3.0, 40)
+    return [
+        (rng.uniform(-8.0, 8.0, 50), rng.normal(size=50)),
+        (wide, coefs),
+        (np.linspace(700.0, 0.0, n), rng.normal(size=n)),   # largest first
+        (np.linspace(0.0, 700.0, n), rng.normal(size=n)),   # largest last
+        (tied, alternating),                                 # sums to zero
+        (tied[:-1], alternating[:-1]),
+        (np.broadcast_to(lj, (2, 40)),
+         np.stack([rng.normal(size=40), np.full(40, -0.25)])),
+        (lj, rng.choice([-1, 1], 40)),                       # int64 coefs
+        ([3000.0, 3000.0, 2.0], [2.5, -2.5, 0.0]),
+        (np.full(9, 5.0), np.zeros(9)),
+        # the largest log is dropped, its coef too small to matter, so
+        # ref is the largest log among the kept terms
+        (np.append(rng.uniform(0.0, 20.0, n - 1), 700.0),
+         np.append(rng.normal(size=n - 1) * 1e300, 5e-324)),
+    ]
+
+
 class TestSlvSum:
     def test_exact_cancellation(self):
         assert slv_sum([math.log(5.0), math.log(5.0)], [1.0, -1.0]) == (-math.inf, 0.0)
@@ -66,6 +121,36 @@ class TestSlvSum:
                              ids=["empty", "all-zero"])
     def test_no_live_terms_is_zero(self, logs, coefs):
         assert slv_sum(logs, coefs) == (-math.inf, 0.0)
+
+    @pytest.mark.parametrize("logs, coefs", [([1.0, 2.0], [1.0, math.nan]),
+                                             ([math.nan], [1.0]),
+                                             ([1.0, math.inf], [1.0, -1.0])],
+                             ids=["nan-coef", "nan-log", "infinite-log"])
+    def test_nonfinite_term_refused(self, logs, coefs):
+        # never a silent zero or NaN total
+        with pytest.raises(ValueError):
+            slv_sum(logs, coefs)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, numerics.BLOCK])
+    def test_matches_whole_array_reference(self, block, monkeypatch):
+        # the same ref and total, bit for bit, for any block size
+        cases = slv_cases(max(2 * block + 5, 301))
+        want = [reference_slv_sum(logs, coefs) for logs, coefs in cases]
+        monkeypatch.setattr(numerics, "BLOCK", block)
+        assert [slv_sum(logs, coefs) for logs, coefs in cases] == want
+
+    def test_broadcast_scratch_is_a_few_blocks(self, traced_peak):
+        # stated before the first run: the (2, n) terms of a broadcast
+        # view are read a block at a time, so the scratch is at most 8
+        # float64 blocks whatever n; the whole-array sum formed a (2, n)
+        # term array, 16 n bytes
+        n = 100_000
+        logs = np.broadcast_to(np.linspace(0.0, 600.0, n), (2, n))
+        coefs = np.ones((2, n))
+        coefs[1] = -0.5
+        total, peak = traced_peak(slv_sum, logs, coefs)
+        assert total == reference_slv_sum(logs, coefs)
+        assert peak <= 8 * 8 * numerics.BLOCK
 
 
 class TestAdaptiveQuad:

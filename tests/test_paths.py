@@ -7,9 +7,9 @@ import math
 import os
 import tempfile
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,11 +97,91 @@ class TestSimulateLarge:
         D = ks_statistic(mags, lambda l: 1.0 - (LN2 / l) ** p.alpha)
         assert D < 0.01
 
+    @pytest.mark.parametrize("block", [1, 3, 7, BLOCK])
+    def test_pinned_draw_at_any_block(self, block, monkeypatch):
+        # SHA-256 of the times, int64 signs and log1p magnitudes, recorded
+        # from the whole-array draw; never re-recorded
+        monkeypatch.setattr(kalpha.paths, "BLOCK", block)
+        path = simulate_large_jumps(KAlphaParams(1.5), 1e3, 42, (0,))
+        digest = hashlib.sha256()
+        for row in (path.times, path.signs, path.log1p_mags):
+            digest.update(row.tobytes())
+        assert path.signs.dtype == np.int64
+        assert digest.hexdigest() == ("3abd8453246e0ebf1fb773a97e3face2"
+                                      "e89c32d08c8ef9cfa2c0fb3f7a690d07")
+
+    def test_expected_count_beyond_poisson_refused(self):
+        # trunc_mass is about 1.7e308 here, beyond any Poisson draw
+        with pytest.raises(ValueError, match="expected event count"):
+            simulate_large_jumps(KAlphaParams(1.2e-308), 1.0, 1)
+
+    def test_memory_is_the_returned_arrays(self, traced_peak):
+        # stated before the first run: the three returned arrays, drawn
+        # and transformed in place, plus boolean checks and one block of
+        # scratch, at most 4.25 float64 arrays of the path's length (the
+        # whole-array draw held 4.38)
+        path, peak = traced_peak(simulate_large_jumps, KAlphaParams(1.5),
+                                 5e4, 42)
+        assert path.n_events >= 100_000
+        assert peak <= 4.25 * 8 * path.n_events
+
     def test_event_count_chi_square(self):
         p = KAlphaParams(1.0)
         counts = [simulate_large_jumps(p, 1.0, 10_000 + s).n_events
                   for s in range(1000)]
         assert poisson_chi2_pvalue(counts, p.trunc_mass) > 0.001
+
+
+def reference_log_prefix_sums(lj, signs):
+    """The whole-array _log_prefix_sums, on the log jumps lj."""
+    ref = np.maximum.accumulate(lj)
+    scaled = signs * np.exp(lj - ref)
+    starts = np.flatnonzero(ref[1:] > ref[:-1]) + 1
+    for a, b in zip([0, *starts], [*starts, len(lj)]):
+        if a:
+            scaled[a] += scaled[a - 1] * math.exp(ref[a - 1] - ref[a])
+        np.cumsum(scaled[a:b], out=scaled[a:b])
+    with np.errstate(divide="ignore"):
+        return np.append(-math.inf, ref + np.log(np.abs(scaled)))
+
+
+def reference_running_sup(path):
+    """The whole-array running_sup."""
+    logmag = reference_log_prefix_sums(path.log_jumps, path.signs)
+    return np.append(0.0, path.times), np.maximum.accumulate(logmag)
+
+
+def blockwise_cases(n: int) -> dict:
+    """Paths of about n events whose prefix sums stress the carry across
+    block edges: seeded, decreasing (one record), tied with alternating
+    signs (exact zeros), and a new record at every index divisible by 3,
+    7 or BLOCK, with a jump e^5000 that drowns what follows."""
+    rng = np.random.default_rng(n)
+    times = (np.arange(n) + 0.5) * (10.0 / n)
+    signs = rng.choice([-1, 1], n)
+    edges = np.flatnonzero((np.arange(n) % 3 == 0) | (np.arange(n) % 7 == 0)
+                           | (np.arange(n) % BLOCK == 0))
+    records = np.full(n, LN2)
+    records[edges] = np.linspace(1.0, 40.0, len(edges))
+    records[n // 2] = 5000.0
+    records[n // 2 + 1:][records[n // 2 + 1:] > LN2] += 5000.0
+    return {
+        "seeded": simulate_large_jumps(KAlphaParams(1.5), n / 2.3, 42),
+        "decreasing": small_path(times=times, signs=signs,
+                                 mags=np.linspace(50.0, 1.0, n)),
+        "tied": small_path(times=times, signs=np.where(np.arange(n) % 2, -1, 1),
+                           mags=np.full(n, 7.0)),
+        "records-at-edges": small_path(times=times, signs=signs, mags=records),
+    }
+
+
+def assert_running_sup_matches_reference(path):
+    want_times, want_levels = reference_running_sup(path)
+    times, levels = running_sup(path)
+    assert times.tobytes() == want_times.tobytes()
+    assert levels.tobytes() == want_levels.tobytes()
+    assert (kalpha.paths._log_prefix_sums(path.log1p_mags, path.signs).tobytes()
+            == reference_log_prefix_sums(path.log_jumps, path.signs).tobytes())
 
 
 def exact_prefix_sups(signs, log1p_mags) -> list[Fraction]:
@@ -152,10 +232,40 @@ class TestRunningSup:
 
     def test_prefix_sums_are_log_magnitudes(self):
         # K = 2, then 2 - 2 = 0 exactly, then -3
-        got = kalpha.paths._log_prefix_sums(np.log([2.0, 2.0, 3.0]),
-                                            np.array([1, -1, -1]))
-        assert got.tolist() == [-math.inf, math.log(2.0), -math.inf,
-                                math.log(3.0)]
+        path = small_path(times=[1.0, 2.0, 3.0], signs=[1, -1, -1],
+                          mags=np.log1p([2.0, 2.0, 3.0]))
+        lj = path.log_jumps
+        got = kalpha.paths._log_prefix_sums(path.log1p_mags, path.signs)
+        assert got.tolist() == [-math.inf, lj[0], -math.inf, lj[2]]
+        assert got[1:].tolist() == pytest.approx(
+            [math.log(2.0), -math.inf, math.log(3.0)], rel=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, BLOCK])
+    def test_matches_whole_array_reference(self, block, monkeypatch):
+        # the record, the scaled total and the level carry across block
+        # edges, bit for bit
+        cases = blockwise_cases(max(2 * block + 5, 300))
+        monkeypatch.setattr(kalpha.paths, "BLOCK", block)
+        for path in cases.values():
+            assert_running_sup_matches_reference(path)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(adversarial_paths())
+    def test_adversarial_paths_match_whole_array_reference(self, path):
+        for block in (1, 3, 7, BLOCK):
+            with mock.patch.object(kalpha.paths, "BLOCK", block):
+                assert_running_sup_matches_reference(path)
+
+    def test_memory_is_its_two_outputs(self, traced_peak):
+        # stated before the first run: the two (n + 1) outputs and one
+        # block of scratch, at most 2.75 float64 arrays of the path's
+        # length (the whole-array form held 5)
+        path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
+        n = path.n_events
+        assert n >= 100_000
+        (times, levels), peak = traced_peak(running_sup, path)
+        assert levels.tobytes() == reference_running_sup(path)[1].tobytes()
+        assert peak <= 2.75 * 8 * n
 
     def test_cancellation_then_new_max(self):
         # second jump overshoots: running max becomes |J1 - J2|
@@ -468,7 +578,7 @@ class TestSidecar:
         monkeypatch.setattr(kalpha.paths, "_sidecar_events", then_replaced)
         assert_same_path(load_event_file(a), path_a)
 
-    def test_load_is_a_few_arrays_of_the_path(self, tmp_path):
+    def test_load_is_a_few_arrays_of_the_path(self, tmp_path, traced_peak):
         # the three returned arrays, plus boolean checks of the path's
         # length; the (3, n) payload and a float copy of the signs are
         # never formed (5 arrays leaves room for numpy's temporaries; the
@@ -479,13 +589,7 @@ class TestSidecar:
         assert n >= 100_000
         target = tmp_path / "p.jsonl"
         save_event_files([(target, path)])
-        assert not tracemalloc.is_tracing()   # the peak must be this call's
-        tracemalloc.start()
-        try:
-            loaded = load_event_file(target)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded, peak = traced_peak(load_event_file, target)
         assert_same_path(loaded, path)
         assert peak <= 5 * 8 * n
 
@@ -551,7 +655,8 @@ class TestParallelWriter:
             assert self.written(tmp_path, paths, workers, lazy=True) == listed
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_does_not_grow_with_the_paths(self, workers, tmp_path):
+    def test_memory_does_not_grow_with_the_paths(self, workers, tmp_path,
+                                                 traced_peak):
         # the paths are drawn from the generator as their files are
         # written, and only those with blocks in flight are held
         def peak(count):
@@ -559,13 +664,7 @@ class TestParallelWriter:
             out.mkdir()
             jobs = ((out / f"p{i}.jsonl", block_path(BLOCK + 1, i))
                     for i in range(count))
-            assert not tracemalloc.is_tracing()   # the peak must be this call's
-            tracemalloc.start()
-            try:
-                save_event_files(jobs, workers=workers)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(save_event_files, jobs, None, workers)[1]
 
         peak(4)         # first-use costs: lazy imports, the pool's machinery
         few, many = peak(16), peak(64)

@@ -1,6 +1,5 @@
 import math
 import tempfile
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +13,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from kalpha import spaces
 from kalpha.measure import KAlphaParams
-from kalpha.numerics import LN2, slv_sum
+from kalpha.numerics import LN2, SignedLogValue, slv_sum
 from kalpha.paths import BLOCK, EventPath, simulate_large_jumps
 from kalpha.spaces import (Bump, ExpPoly, Gaussian, _segment_levels, log_k_norm,
                            log_kbeta_norm, log_s_norm, pair_white_noise,
@@ -544,7 +543,7 @@ class TestPairingKernel:
         res = pair_white_noise(path, phi)
         got = res.value.decode()
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-        # the stack carries across blocks of any size, bit for bit
+        # the stack and phi go by blocks of any size, bit for bit
         for block in (1, 3, 7, BLOCK):
             with mock.patch.object(spaces, "BLOCK", block):
                 assert_levels_match_reference(path)
@@ -562,16 +561,21 @@ class TestPairingKernel:
         hi = assert_levels_match_reference(path)
         assert (hi[1], hi[-1]) == (n - 1, n)
 
-    @pytest.mark.parametrize("order", ["random", "decreasing", "tied"])
-    def test_memory_is_a_few_arrays_of_the_path(self, order):
-        # At its peak the pairing holds about seven float64 arrays of the
-        # path's length (log jumps, phi, levels, hi, then the summed terms
-        # and the copies slv_sum makes of the live ones) plus one block of
-        # Python floats.  On decreasing or tied magnitudes every event
-        # stays on the stack across every block edge; carried as 8-byte
-        # indices that adds about one array more.  10 arrays leaves room
-        # for numpy's temporaries, while whole-path Python lists, or a
-        # stack of Python objects, cost about 17 or 18 arrays' worth.
+    @pytest.mark.parametrize("order, bound", [("random", 4.5),
+                                              ("decreasing", 5.5),
+                                              ("tied", 5.5)],
+                             ids=["random", "decreasing", "tied"])
+    def test_memory_is_a_few_arrays_of_the_path(self, order, bound,
+                                                traced_peak):
+        # At its peak the pairing holds three float64 arrays of the path's
+        # length: the log jumps with the levels and hi, then with the two
+        # rows of cross-check terms.  phi is evaluated a block at a time
+        # and slv_sum reads its terms a block at a time, so the rest is
+        # one block of Python floats in the stack pass, about one array
+        # at this length: 4.5 arrays in all (the whole-array form, holding
+        # phi and slv_sum's term copies, peaked at 6.75).  On decreasing
+        # or tied magnitudes every event stays on the stack across every
+        # block edge; carried as 8-byte indices that adds one array more.
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         n = path.n_events
         assert n >= 100_000
@@ -581,14 +585,22 @@ class TestPairingKernel:
             path = manual_path(alpha=1.5, horizon=path.horizon,
                                times=path.times, signs=path.signs, mags=mags)
         phi = Bump(2.5e4, 2e4)
-        assert not tracemalloc.is_tracing()   # the peak must be this call's
-        tracemalloc.start()
-        try:
-            pair_white_noise(path, phi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 8 * n
+        _, peak = traced_peak(pair_white_noise, path, phi)
+        assert peak <= bound * 8 * n
+
+    @pytest.mark.parametrize("phi, sign, logmag, warn", [
+        (Bump(5e3, 4e3), 1, "0x1.6502999639011p+8", False),
+        (Gaussian(8e3, 2e3), 1, "0x1.fa7666401e3a4p+9", True)],
+        ids=["bump", "gaussian"])
+    def test_pinned_pairing(self, phi, sign, logmag, warn):
+        # recorded from the whole-array pairing on this seeded path of
+        # 23,091 events; never re-recorded
+        path = simulate_large_jumps(KAlphaParams(1.5), 1e4, 7)
+        res = pair_white_noise(path, phi)
+        pinned = SignedLogValue(sign, float.fromhex(logmag))
+        assert (res.value, res.crosscheck) == (pinned, pinned)
+        assert res.rel_err == 0.0
+        assert res.truncation_warning is warn
 
 
 class TestDescriptors:
