@@ -22,8 +22,7 @@ from .numerics import (LN2, QuadratureError, QuadResult, SignedLogValue,
                        SLV_ZERO, SubdivisionLimitError, adaptive_quad,
                        quad_partition, slv_sum)
 from .paths import (EventPath, load_event_file, read_event_path, running_sup,
-                    save_event_files, simulate_large_jumps, simulate_many,
-                    write_event_path)
+                    save_event_files, simulate_large_jumps, write_event_path)
 from .spaces import (Bump, ExpPoly, Gaussian, PairingResult, TestFunction,
                      log_k_norm, log_kbeta_norm, log_s_norm, pair_white_noise,
                      parse_descriptor, parse_test_function)
@@ -36,7 +35,7 @@ __all__ = [
     "ConsistencyError", "levy_density", "tail_one_sided", "inverse_tail",
     "truncated_moment", "truncated_moments", "pruitt_index", "pruitt_indices",
     "laplace_exponent", "upper_function_integral", "classify_support",
-    "EventPath", "simulate_large_jumps", "simulate_many", "running_sup",
+    "EventPath", "simulate_large_jumps", "running_sup",
     "write_event_path", "read_event_path", "save_event_files",
     "load_event_file",
     "ExceedanceReport", "MomentScan", "PruittSlopeReport",

@@ -231,7 +231,8 @@ def _cmd_simulate(args) -> int:
         targets = [out.with_name(f"{out.stem}-p{i:03d}{out.suffix}")
                    for i in range(args.paths)]
         spawn_keys = [(i,) for i in range(args.paths)]
-    # drawn one at a time as the files are written (simulate_many's rule)
+    # drawn one at a time as the files are written; path i has spawn_key
+    # (i,), so it is the same path in an ensemble of any size
     jobs = ((target, simulate_large_jumps(params, args.horizon, seed, key))
             for target, key in zip(targets, spawn_keys))
 

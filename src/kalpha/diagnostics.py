@@ -25,19 +25,19 @@ LAST_EXCEEDANCE_QS = (0.1, 0.25, 0.5, 0.75, 0.9)
 def envelope_exceedances(path: EventPath, env: EnvelopeSpec) -> list[tuple[float, float]]:
     """Exact intervals on which the running sup exceeds the envelope.
 
-    The sup process is piecewise constant, so an exceedance can begin
-    only at an event time (or at t = 1, where comparison starts) and
-    ends where the increasing envelope crosses the current level; the
-    end time is computed from the level's log magnitude.  Intervals
+    The sup process is a step function (running_sup gives its steps),
+    so an exceedance can begin only at a step (or at t = 1, where
+    comparison starts) and ends at the next step or where the increasing
+    envelope crosses the step's level, whichever comes first; the
+    crossing time is computed from the level's log magnitude.  Intervals
     are disjoint, time ordered and clipped to [1, horizon].
     """
     times, levels = running_sup(path)
-    # a run of equal levels is one interval; it ends at the next rise
-    rises = np.flatnonzero(levels[1:] > levels[:-1]) + 1
-    ends = np.append(times[rises[1:]], path.horizon)
+    # the first step, (0, -inf), exceeds nothing
+    ends = np.append(times[2:], path.horizon)
     out: list[list[float]] = []
-    for t0, t1, level in zip(times[rises].tolist(), ends.tolist(),
-                             levels[rises].tolist()):
+    for t0, t1, level in zip(times[1:].tolist(), ends.tolist(),
+                             levels[1:].tolist()):
         a = max(t0, 1.0)
         end = min(t1, env.crossing_time(level))
         if end <= a:

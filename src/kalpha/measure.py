@@ -323,14 +323,15 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     verdict of the quadrature engine; disagreement raises
     ConsistencyError.
 
+    The integrand is taken at unit tail mass, without the tail's factor
+    1/alpha, which would overflow the quadrature's sums as alpha -> 0.
     An exponential kind exp(c x^p) is integrated in its own scale
-    y = c^(1/p) x, as c^(-1/p) times the integral over [c^(1/p), inf) of
-    its integrand at c = 1, whose decay starts near y = 1 whatever c.
+    y = c^(1/p) x, over [c^(1/p), inf) at c = 1, whose decay starts near
+    y = 1 whatever c.  The result is scaled once by c^(-1/p) / alpha.
     Raises ValueError when I exceeds the float range.
     """
     a = p.alpha
-    log_alpha = math.log(a)
-    # ln c^(-1/p); 0 (and no rescaling) for a power envelope or c = 1
+    # ln c^(-1/p); 0 for a power envelope or c = 1
     log_scale = 0.0 if env.kind == "power" else -math.log(env.c) / env._p
     if log_scale > LOG_FLOAT_MAX:
         raise ValueError(f"envelope {env.describe()}: c^(-1/p) and the "
@@ -338,7 +339,7 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     unit = replace(env, c=1.0) if log_scale else env
 
     def integrand(y):
-        return np.exp(-log_alpha - a * unit.log_tail_argument(y))
+        return np.exp(-a * unit.log_tail_argument(y))
 
     analytic = env.converges_at(a)
     res = adaptive_quad(integrand, math.exp(-log_scale), math.inf, tol=1e-9)
@@ -348,13 +349,12 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
             f"envelope {env.describe()} at alpha={a:g}: analytic says "
             f"{'convergent' if analytic else 'divergent'} but quadrature says "
             f"{'convergent' if numeric else 'divergent'}")
-    if log_scale:
-        scale = math.exp(log_scale)
-        res = QuadResult(res.value * scale, res.abs_error * scale,
-                         res.subdivisions, res.diverged)
-        if res.value == math.inf:
-            raise ValueError(f"envelope {env.describe()} at alpha={a:g}: the "
-                             "upper-function integral exceeds the float range")
+    scale = math.exp(log_scale)     # a finite float; / a may overflow to inf
+    res = QuadResult(res.value * scale / a, res.abs_error * scale / a,
+                     res.subdivisions, res.diverged)
+    if res.value == math.inf:
+        raise ValueError(f"envelope {env.describe()} at alpha={a:g}: the "
+                         "upper-function integral exceeds the float range")
     return UpperFunctionResult(analytic, res.value if analytic else None, res)
 
 

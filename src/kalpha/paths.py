@@ -11,16 +11,18 @@ can reach the thousands.  Everything is driven by numpy's Philox generator
 (counter based, 64-bit) keyed through SeedSequence(entropy=seed,
 spawn_key=...), so paths are reproducible one at a time or as an
 ensemble.  A path is drawn in place into the three arrays it returns,
-and its running sup is formed in its two output arrays, each with one
-block of BLOCK events as scratch, so the length of path a machine can
-hold is set by those arrays alone.
+with one block of BLOCK events as scratch, so the length of path a
+machine can hold is set by those arrays alone.  Its running sup is
+returned as its steps, the events at which |K| sets a record, found in
+one pass over the path a block at a time.
 
 JSONL is the one path format users read and write.  save_event_files
 writes each JSONL with <file>.events beside it: the SHA-256 of the JSONL
 bytes as written, then the (3, n) float64 array of times, signs and
-log1p magnitudes in .npy form; a call that fails changes no file.  It
-draws its paths lazily from any iterable and holds a bounded number of
-them, so an ensemble of any size is written in fixed memory.
+log1p magnitudes in .npy form (version 1.0 header); a call that fails
+changes no file.  It draws its paths lazily from any iterable and holds
+a bounded number of them, so an ensemble of any size is written in
+fixed memory.
 load_event_file takes the arrays from the sidecar only when the digest
 matches the JSONL, the payload is that array (no pickle) and it passes
 every EventPath check; otherwise it parses the JSONL.  It reads each row
@@ -180,9 +182,15 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
                      spawn_key=tuple(spawn_key))
 
 
-def _log_prefix_sums(mags: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """ln |K_i| for K_0 = 0 and K_i = sum_{j<=i} s_j e^{lj_j}, i = 1..n,
-    lj_j being the log jump of log1p magnitude mags_j.
+def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of the running maximum of |path value|, which rises only
+    at event times.
+
+    Returns (times, log_levels): first (0, -inf), as the path starts at
+    zero, then the time and ln |K| of each event at which |K| exceeds
+    every earlier value, K_i = sum_{j<=i} s_j e^{lj_j} being the path
+    value after event i.  The sup at any t is e^log_levels[i] for the
+    largest times[i] <= t, each step lasting until the next one.
 
     Terms are scaled by the running maximum of lj, so they stay floats
     of magnitude at most 1.  The events split at each new record of that
@@ -192,16 +200,16 @@ def _log_prefix_sums(mags: np.ndarray, signs: np.ndarray) -> np.ndarray:
     are taken BLOCK at a time, and a block's first addend is the last
     block's total rescaled the same way, from its last record (by
     e^0 = 1 when the block does not open with a new one).  So only the
-    record and the total are carried, the loop runs once per record and
-    per block, and the result is the same bit for bit for any BLOCK.  A
+    record, the total and the level are carried, the loop runs once per
+    record and per block, the call holds its steps and one block of
+    scratch, and every step is the same bit for bit for any BLOCK.  A
     prefix that cancels exactly has ln |K| = -inf; a term more than
     e^745 below the current record underflows to zero.
     """
-    n = len(mags)
-    out = np.empty(n + 1)
-    out[0] = -math.inf
-    last_ref, total = -math.inf, 0.0
-    for start in range(0, n, BLOCK):
+    mags, signs = path.log1p_mags, path.signs
+    times, levels = [np.zeros(1)], [np.full(1, -math.inf)]
+    last_ref, total, level = -math.inf, 0.0, -math.inf
+    for start in range(0, path.n_events, BLOCK):
         lj = _log_jumps(mags[start:start + BLOCK])
         ref = np.maximum.accumulate(lj)
         np.maximum(ref, last_ref, out=ref)
@@ -215,45 +223,13 @@ def _log_prefix_sums(mags: np.ndarray, signs: np.ndarray) -> np.ndarray:
             np.cumsum(scaled[a:b], out=scaled[a:b])
         last_ref, total = float(ref[-1]), float(scaled[-1])
         with np.errstate(divide="ignore"):
-            out[start + 1:start + 1 + len(lj)] = ref + np.log(np.abs(scaled))
-    return out
-
-
-def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
-    """Running maximum of |path value|, which changes only at event times.
-
-    Returns (times, log_levels): times[0] = 0 with log level -inf (the
-    path starts at zero), then one entry per event; the sup at any t is
-    e^log_levels[i] for the largest times[i] <= t.  The levels are
-    formed in their own array (_log_prefix_sums) and their running
-    maximum taken in place BLOCK entries at a time, the level carried
-    across block edges, so the call holds its two outputs and one block
-    of scratch.
-    """
-    times = np.empty(path.n_events + 1)
-    times[0] = 0.0
-    times[1:] = path.times
-    levels = _log_prefix_sums(path.log1p_mags, path.signs)
-    level = -math.inf
-    for start in range(0, len(levels), BLOCK):
-        block = levels[start:start + BLOCK]
-        np.maximum.accumulate(block, out=block)
-        np.maximum(block, level, out=block)
-        level = float(block[-1])
-    return times, levels
-
-
-def simulate_many(params: KAlphaParams, horizon: float, seed: int,
-                  n_paths: int) -> list[EventPath]:
-    """n_paths independent large-jump paths with derived seeds.
-
-    Path i uses spawn_key (i,), so each path is the same whether it is
-    drawn alone or as part of any ensemble.
-    """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    return [simulate_large_jumps(params, horizon, seed, spawn_key=(i,))
-            for i in range(n_paths)]
+            lk = ref + np.log(np.abs(scaled))
+        best = np.maximum.accumulate(np.append(level, lk))
+        rises = np.flatnonzero(best[1:] > best[:-1])
+        times.append(path.times[start + rises])
+        levels.append(lk[rises])
+        level = float(best[-1])
+    return np.concatenate(times), np.concatenate(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +569,6 @@ def save_event_files(jobs, meta: dict | None = None,
         raise
 
 
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _open_regular(name):
     """name opened for binary reading; OSError unless it is a regular file.
 
@@ -612,20 +584,20 @@ def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
     """The times, signs (as int64) and log1p magnitudes in name's
     sidecar, or None when the sidecar is missing or not a regular file,
     holds another digest, has a payload that is not a (3, n) float64
-    array in .npy form (pickled objects are never loaded) or has a sign
-    that is not -1 or +1.
+    array in .npy form with the version 1.0 header _save_rows writes
+    (pickled objects are never loaded) or has a sign that is not -1 or
+    +1.
 
     Each row is read into its own array once the .npy header and the
     payload's length are checked; the signs are converted in place a
     block at a time, so the (3, n) array is never formed."""
     try:
         with _open_regular(f"{name}{SIDECAR_SUFFIX}") as fp:
-            if fp.read(len(digest)) != digest:
+            if (fp.read(len(digest)) != digest
+                    or np.lib.format.read_magic(fp) != (1, 0)):
                 return None
-            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fp))
-            if read_header is None:
-                return None
-            shape, fortran_order, dtype = read_header(fp)
+            shape, fortran_order, dtype = (
+                np.lib.format.read_array_header_1_0(fp))
             if (dtype != np.float64 or fortran_order or len(shape) != 2
                     or shape[0] != 3
                     or os.fstat(fp.fileno()).st_size - fp.tell() != 24 * shape[1]):

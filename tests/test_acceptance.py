@@ -20,7 +20,7 @@ from kalpha.diagnostics import (build_exceedance_report, moment_scan,
 from kalpha.measure import (EnvelopeSpec, KAlphaParams, laplace_exponent,
                             tail_one_sided, upper_function_integral)
 from kalpha.numerics import LN2, adaptive_quad
-from kalpha.paths import simulate_large_jumps, simulate_many
+from kalpha.paths import simulate_large_jumps
 from kalpha.spaces import Bump, Gaussian, pair_white_noise
 from util_stats import ks_statistic, poisson_chi2_pvalue
 
@@ -154,7 +154,8 @@ def test_criterion_6_envelope_behaviour_regression():
     power_fracs = {}
     exp_fracs = {}
     for horizon in (10.0, 100.0, 1000.0):
-        paths = simulate_many(p, horizon, 42, 200)
+        paths = [simulate_large_jumps(p, horizon, 42, spawn_key=(i,))
+                 for i in range(200)]
         power_fracs[horizon] = build_exceedance_report(
             paths, power, burn_in=10.0).exceedance_fraction
         exp_fracs[horizon] = build_exceedance_report(

@@ -18,7 +18,7 @@ from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 from kalpha.paths import (BLOCK, SIDECAR_SUFFIX, EventPath, load_event_file,
-                          simulate_many, write_event_path)
+                          simulate_large_jumps, write_event_path)
 
 
 def run(args):
@@ -123,7 +123,9 @@ class TestSimulate:
         # through its sidecar, still bound to it (the JSONL parser is gone)
         assert self.files(tmp_path) == before
         monkeypatch.setattr(kalpha.paths, "read_event_path", None)
-        seed_1 = simulate_many(KAlphaParams(1.5), 20.0, 1, 3)
+        p = KAlphaParams(1.5)
+        seed_1 = [simulate_large_jumps(p, 20.0, 1, spawn_key=(i,))
+                  for i in range(3)]
         for i, expected in enumerate(seed_1):
             loaded = load_event_file(tmp_path / f"p-p{i:03d}.jsonl")
             assert (loaded.seed, loaded.spawn_key) == (1, (i,))
@@ -462,18 +464,23 @@ class TestClassify:
         assert capsys.readouterr().err.startswith("internal consistency error: ")
         assert not rpt.exists()
 
-    @pytest.mark.parametrize("alpha", ["1.2e-308", "1e-307", "1e-306"])
-    def test_panel_overflow_exits_4_without_report(self, alpha, tmp_path,
-                                                   capsys):
-        # just above the rate's float floor the panel sums overflow once
-        # scaled by the panel width; that is a QuadratureError, not a
-        # warning (warnings are errors here) and a verdict read from inf
+    @pytest.mark.parametrize("alpha, in_k_beta_1e307", [
+        ("1.2e-308", False), ("1e-307", False), ("1e-306", True)],
+        ids=["1.2e-308", "1e-307", "1e-306"])
+    def test_tiny_alpha_gives_closed_form_verdicts(self, alpha,
+                                                   in_k_beta_1e307,
+                                                   tmp_path, capsys):
+        # just above the rate's float floor the tail's factor 1/alpha is
+        # near the float limit; the integrands leave it out, so no panel
+        # sum overflows, and the verdicts are the closed form's: in
+        # K'_beta exactly when alpha * beta > 1 (0.12, 1 - 1.1e-16 and 10)
         rpt = tmp_path / "r.json"
-        assert run(["classify", "--alpha", alpha, "--betas", "2",
-                    "--json", str(rpt)]) == EXIT_INTERNAL
-        assert capsys.readouterr().err == ("internal consistency error: "
-                                           "panel sums overflow a float\n")
-        assert not rpt.exists()
+        assert run(["classify", "--alpha", alpha, "--betas", "2,1e307",
+                    "--json", str(rpt)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads(rpt.read_text())
+        assert (report["in_S_prime"], report["in_K_prime"]) == (False, False)
+        assert report["in_K_beta"] == {"2": False, "1e+307": in_k_beta_1e307}
 
     @pytest.mark.parametrize("alpha, beta", [
         ("0.5", "2.0001"), ("0.5", "2.001"), ("1.0001", "3"),

@@ -10,8 +10,7 @@ from kalpha.diagnostics import (ExceedanceReport, PathExceedances,
 from kalpha.measure import (EnvelopeSpec, KAlphaParams, pruitt_index,
                             truncated_moment)
 from kalpha.numerics import SignedLogValue
-from kalpha.paths import (EventPath, running_sup, simulate_large_jumps,
-                          simulate_many)
+from kalpha.paths import EventPath, running_sup, simulate_large_jumps
 from util_stats import intervals_match_grid
 
 
@@ -76,7 +75,8 @@ class TestEnvelopeExceedances:
     def test_intervals_disjoint_ordered(self):
         p = KAlphaParams(1.5)
         env = EnvelopeSpec("exponential", c=1.0)
-        for path in simulate_many(p, 50.0, 21, 10):
+        for path in [simulate_large_jumps(p, 50.0, 21, spawn_key=(i,))
+                     for i in range(10)]:
             ivs = envelope_exceedances(path, env)
             for (s1, e1), (s2, e2) in zip(ivs, ivs[1:]):
                 assert s1 < e1 <= s2 < e2
@@ -87,27 +87,30 @@ class TestEnvelopeExceedances:
                                      EnvelopeSpec("power", beta=2.0)])
     def test_matches_dense_grid_oracle_on_ensemble(self, env):
         p = KAlphaParams(1.5)
-        for path in simulate_many(p, 50.0, 33, 50):
+        for path in [simulate_large_jumps(p, 50.0, 33, spawn_key=(i,))
+                     for i in range(50)]:
             ivs = envelope_exceedances(path, env)
             assert intervals_match_grid(path, env, ivs)
 
-    def test_memory_is_the_running_sup(self, traced_peak):
-        # stated before the first run: running_sup's two (n + 1) outputs,
-        # one block of scratch and a boolean array of the rises, at most
-        # 3 float64 arrays of the path's length beyond the path (5 when
-        # running_sup formed its levels whole)
+    def test_memory_is_one_block_and_the_steps(self, traced_peak):
+        # stated before the first run: running_sup's few arrays of one
+        # block and its steps, then the steps' intervals, at most 0.75
+        # float64 arrays of the path's length beyond the path (3 when
+        # running_sup returned a level per event, 5 when it formed its
+        # levels whole)
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         assert path.n_events >= 100_000
         env = EnvelopeSpec("exponential", c=1.0)
         ivs, peak = traced_peak(envelope_exceedances, path, env)
         assert ivs == envelope_exceedances(path, env)
-        assert peak <= 3 * 8 * path.n_events
+        assert peak <= 0.75 * 8 * path.n_events
 
 
 class TestExceedanceReport:
     def test_aggregates(self):
         p = KAlphaParams(1.5)
-        paths = simulate_many(p, 100.0, 42, 40)
+        paths = [simulate_large_jumps(p, 100.0, 42, spawn_key=(i,))
+                 for i in range(40)]
         rep = build_exceedance_report(paths, EnvelopeSpec("power", beta=2.0))
         assert rep.n_paths == 40
         assert 0.0 <= rep.exceedance_fraction <= 1.0
@@ -170,7 +173,8 @@ class TestGrowthScan:
         """200 paths at alpha=1.5 over horizon 1024: the eta=0.5 statistic
         at t=2^10 dwarfs the one at t=2^3 (recorded regression values)."""
         p = KAlphaParams(1.5)
-        paths = simulate_many(p, 1024.0, 42, 200)
+        paths = [simulate_large_jumps(p, 1024.0, 42, spawn_key=(i,))
+                 for i in range(200)]
         rows = dict((t, lvl) for t, lvl in growth_scan(paths, 0.5))
         assert rows[1024.0].logmag > rows[8.0].logmag
         assert rows[8.0].logmag == pytest.approx(119.3544531982493, rel=1e-9)
@@ -202,7 +206,9 @@ class TestStreaming:
 
     @staticmethod
     def ensemble(horizon, seed, n=6):
-        return simulate_many(KAlphaParams(1.5), horizon, seed, n)
+        p = KAlphaParams(1.5)
+        return [simulate_large_jumps(p, horizon, seed, spawn_key=(i,))
+                for i in range(n)]
 
     @pytest.mark.parametrize("order", ["short-first", "long-first", "mixed"])
     def test_growth_scan_generator_equals_list(self, order):

@@ -416,6 +416,20 @@ class TestUpperFunction:
             upper_function_integral(EnvelopeSpec("exponential", c=c),
                                     KAlphaParams(1.5))
 
+    def test_tiny_alpha_integrates_at_unit_tail_mass(self):
+        # the tail's factor 1/alpha ~ 1e306 stays out of the panel sums,
+        # which it overflowed, and is applied once, after the quadrature,
+        # also on top of a tiny c's scale
+        p = KAlphaParams(1e-306)
+        assert not upper_function_integral(
+            EnvelopeSpec("exponential", c=1e-300), p).convergent
+        # past x = 1 the integrand is x^(-alpha*beta) = x^(-10), so
+        # I = 1/(9 alpha)
+        r = upper_function_integral(
+            EnvelopeSpec("power_exponential", c=1.0, beta=1e307), p)
+        assert r.convergent
+        assert r.value == pytest.approx(1.0 / (9.0 * 1e-306), rel=1e-9)
+
     def test_boundary_band_at_alpha_half(self):
         # exp(t^beta) has block ratio 2^(1 - alpha*beta), read as "no
         # decay" once it reaches 1 - 1e-6: for 0 < alpha*beta - 1 <= band

@@ -25,8 +25,7 @@ from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
                           _event_blocks, _event_lines, _formatted,
                           _parse_block, _parse_lines, load_event_file,
                           read_event_path, running_sup, save_event_files,
-                          simulate_large_jumps, simulate_many,
-                          write_event_path)
+                          simulate_large_jumps, write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
 # keep hypothesis's source-constants cache out of the working tree
@@ -133,7 +132,9 @@ class TestSimulateLarge:
 
 
 def reference_log_prefix_sums(lj, signs):
-    """The whole-array _log_prefix_sums, on the log jumps lj."""
+    """ln |K_i| for K_0 = 0 and each prefix sum K_i of the jumps
+    s_j e^{lj_j}, in whole arrays: the blockwise running_sup's arithmetic
+    in its order."""
     ref = np.maximum.accumulate(lj)
     scaled = signs * np.exp(lj - ref)
     starts = np.flatnonzero(ref[1:] > ref[:-1]) + 1
@@ -145,10 +146,25 @@ def reference_log_prefix_sums(lj, signs):
         return np.append(-math.inf, ref + np.log(np.abs(scaled)))
 
 
-def reference_running_sup(path):
-    """The whole-array running_sup."""
+def reference_sup_levels(path):
+    """The whole-array running sup: its log level at time 0, then at
+    each event."""
     logmag = reference_log_prefix_sums(path.log_jumps, path.signs)
-    return np.append(0.0, path.times), np.maximum.accumulate(logmag)
+    return np.maximum.accumulate(logmag)
+
+
+def reference_running_sup(path):
+    """reference_sup_levels compressed to its steps: (0, -inf), then each
+    event at which the level rises."""
+    levels = reference_sup_levels(path)
+    steps = np.append(0, np.flatnonzero(levels[1:] > levels[:-1]) + 1)
+    return np.append(0.0, path.times)[steps], levels[steps]
+
+
+def sup_at_events(path):
+    """The log sup at each event of path, read off running_sup's steps."""
+    times, levels = running_sup(path)
+    return levels[np.searchsorted(times, path.times, side="right") - 1]
 
 
 def blockwise_cases(n: int) -> dict:
@@ -180,8 +196,8 @@ def assert_running_sup_matches_reference(path):
     times, levels = running_sup(path)
     assert times.tobytes() == want_times.tobytes()
     assert levels.tobytes() == want_levels.tobytes()
-    assert (kalpha.paths._log_prefix_sums(path.log1p_mags, path.signs).tobytes()
-            == reference_log_prefix_sums(path.log_jumps, path.signs).tobytes())
+    assert (sup_at_events(path).tobytes()
+            == reference_sup_levels(path)[1:].tobytes())
 
 
 def exact_prefix_sups(signs, log1p_mags) -> list[Fraction]:
@@ -231,14 +247,23 @@ class TestRunningSup:
         assert math.exp(levels[1]) == pytest.approx(math.expm1(ell), rel=1e-12)
 
     def test_prefix_sums_are_log_magnitudes(self):
-        # K = 2, then 2 - 2 = 0 exactly, then -3
+        # K = 2, then 2 - 2 = 0 exactly (no step), then -3
         path = small_path(times=[1.0, 2.0, 3.0], signs=[1, -1, -1],
                           mags=np.log1p([2.0, 2.0, 3.0]))
         lj = path.log_jumps
-        got = kalpha.paths._log_prefix_sums(path.log1p_mags, path.signs)
-        assert got.tolist() == [-math.inf, lj[0], -math.inf, lj[2]]
-        assert got[1:].tolist() == pytest.approx(
-            [math.log(2.0), -math.inf, math.log(3.0)], rel=1e-15)
+        times, levels = running_sup(path)
+        assert times.tolist() == [0.0, 1.0, 3.0]
+        assert levels.tolist() == [-math.inf, lj[0], lj[2]]
+        assert levels[1:].tolist() == pytest.approx(
+            [math.log(2.0), math.log(3.0)], rel=1e-15)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(adversarial_paths())
+    def test_steps_rise_strictly_at_event_times(self, path):
+        times, levels = running_sup(path)
+        assert (times[0], levels[0]) == (0.0, -math.inf)
+        assert np.all(levels[1:] > levels[:-1])
+        assert np.all(np.isin(times[1:], path.times))
 
     @pytest.mark.parametrize("block", [1, 3, 7, BLOCK])
     def test_matches_whole_array_reference(self, block, monkeypatch):
@@ -256,16 +281,17 @@ class TestRunningSup:
             with mock.patch.object(kalpha.paths, "BLOCK", block):
                 assert_running_sup_matches_reference(path)
 
-    def test_memory_is_its_two_outputs(self, traced_peak):
-        # stated before the first run: the two (n + 1) outputs and one
-        # block of scratch, at most 2.75 float64 arrays of the path's
-        # length (the whole-array form held 5)
+    def test_memory_is_one_block_and_the_steps(self, traced_peak):
+        # stated before the first run: a few arrays of one block and the
+        # steps (a few dozen here), at most 0.75 float64 arrays of the
+        # path's length (2.75 when the per-event outputs were filled by
+        # blocks, 5 when they were formed whole)
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         n = path.n_events
         assert n >= 100_000
         (times, levels), peak = traced_peak(running_sup, path)
         assert levels.tobytes() == reference_running_sup(path)[1].tobytes()
-        assert peak <= 2.75 * 8 * n
+        assert peak <= 0.75 * 8 * n
 
     def test_cancellation_then_new_max(self):
         # second jump overshoots: running max becomes |J1 - J2|
@@ -284,7 +310,7 @@ class TestRunningSup:
             signs = rng.choice([-1, 1], len(times))
             mags = rng.uniform(LN2, 3.0, len(times))
             path = small_path(times=times, signs=signs, mags=mags)
-            got = np.exp(running_sup(path)[1][1:])
+            got = np.exp(sup_at_events(path))
             want = native_prefix_sups(signs, mags)
             assert list(got) == pytest.approx(list(want), rel=1e-11)
 
@@ -312,19 +338,18 @@ class TestRunningSup:
         # 3 e^5000 (e^5000 + 2 e^5000), and 3 e^5000 again
         path = small_path(times=[1.0, 2.0, 3.0, 4.0], signs=[1, 1, 1, -1],
                           mags=[1.0, 5000.0, 5000.0 + LN2, 2.0])
-        _, levels = running_sup(path)
         want = [math.log(math.e - 1.0), 5000.0, 5000.0 + math.log(3.0),
                 5000.0 + math.log(3.0)]
         # an absolute error in ln(level) is a relative error in the level;
         # the ulp of 5000 is 9.1e-13
-        assert levels[1:].tolist() == pytest.approx(want, rel=0.0, abs=1e-11)
+        assert sup_at_events(path).tolist() == pytest.approx(want, rel=0.0,
+                                                             abs=1e-11)
 
     @settings(derandomize=True, database=None, deadline=None)
     @given(adversarial_paths())
     def test_matches_exact_rational_sups(self, path):
         want = exact_prefix_sups(path.signs.tolist(), path.log1p_mags.tolist())
-        _, levels = running_sup(path)
-        got = np.exp(levels[1:]).tolist()
+        got = np.exp(sup_at_events(path)).tolist()
         assert got == pytest.approx([float(w) for w in want], rel=1e-12, abs=0.0)
 
 
@@ -461,6 +486,12 @@ def npz_bytes(events):
     return buf.getvalue()
 
 
+def version_2_header(digest, events):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, events, version=(2, 0))
+    return digest + buf.getvalue()
+
+
 def huge_header(digest, events):
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
@@ -482,6 +513,7 @@ BAD_SIDECARS = {
     "npz-payload": lambda d, e: d + npz_bytes(e),
     "fails-event-checks": lambda d, e: d + npy_bytes(e[:, ::-1].copy()),
     "shape-beyond-memory": huge_header,
+    "version-2-header": version_2_header,
 }
 
 
@@ -727,12 +759,14 @@ class TestEnsembles:
 
     def test_paths_are_independent_streams(self):
         p = KAlphaParams(1.0)
-        ens = simulate_many(p, 5.0, 42, 3)
+        ens = [simulate_large_jumps(p, 5.0, 42, spawn_key=(i,))
+               for i in range(3)]
         assert len({tuple(e.times.tolist()) for e in ens}) == 3
 
     def test_spawn_key_recorded(self):
         p = KAlphaParams(1.0)
-        ens = simulate_many(p, 5.0, 42, 2)
+        ens = [simulate_large_jumps(p, 5.0, 42, spawn_key=(i,))
+               for i in range(2)]
         assert ens[0].spawn_key == (0,)
         assert ens[1].spawn_key == (1,)
 
