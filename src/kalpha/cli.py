@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -393,7 +394,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The kalpha parser, built once per process: parsing keeps no state
+    in it, and every default it hands out is immutable."""
     parser = argparse.ArgumentParser(
         prog="kalpha",
         description="Simulate heavy-tailed log-Pareto jump paths and verify "
@@ -415,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")
-    diag.add_argument("--in", dest="infiles", nargs="*", default=[])
+    diag.add_argument("--in", dest="infiles", nargs="*", default=())
     diag.add_argument("--envelope", default=None,
                       help='e.g. "exp:c=1.0", "pow:beta=2"')
     diag.add_argument("--burn-in", type=_finite_float, default=DEFAULT_BURN_IN)

@@ -93,7 +93,7 @@ def levy_density(x: float, p: KAlphaParams) -> float:
 
 def tail_one_sided(r: float, p: KAlphaParams) -> float:
     """Mass of the truncated measure on (r, inf), for r >= 1."""
-    if r < 1.0:
+    if not r >= 1.0:                # NaN included
         raise ValueError(f"tail defined for r >= 1, got {r!r}")
     return 1.0 / (p.alpha * math.log1p(r) ** p.alpha)
 
@@ -119,8 +119,8 @@ def truncated_moments(eta: float, caps, p: KAlphaParams) -> list[float]:
     Equals 2 * integral over [ln 2, ln(1+X)] of (e^u - 1)^eta u^-(1+alpha).
     Unbounded as X grows, whatever eta > 0.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:                 # NaN included
+        raise ValueError(f"eta must be positive, got {eta!r}")
     caps = [float(X) for X in caps]
     if any(X < 1.0 for X in caps):
         raise ValueError("cap X must be >= 1")
@@ -173,8 +173,8 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
     switches to its asymptotic value 1 once lam*x > 745 to avoid
     underflow churn.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not lam >= 0:                # NaN included
+        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
     if lam == 0.0:
         return 0.0
     a = p.alpha
@@ -185,12 +185,24 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
     u_switch = (math.log1p(ratio) if ratio < math.inf
                 else math.log(745.0) - log_lam)
 
-    def integrand(u):
-        # lam (e^u - 1), in logs where e^u overflows (there e^u - 1 = e^u)
-        big = u >= LOG_FLOAT_MAX
-        x = np.where(big, np.exp(log_lam + u),
-                     lam * np.expm1(np.where(big, 0.0, u)))
-        return -np.expm1(-x) * u ** (-1.0 - a)
+    if u_switch < LOG_FLOAT_MAX:
+        def integrand(u):
+            # no node reaches e^u's overflow (u <= u_switch), so the
+            # operations of the branch below, in place
+            x = np.expm1(u)
+            x *= lam
+            np.negative(x, out=x)
+            np.expm1(x, out=x)
+            np.negative(x, out=x)
+            x *= u ** (-1.0 - a)
+            return x
+    else:
+        def integrand(u):
+            # lam (e^u - 1), in logs where e^u overflows (there e^u - 1 = e^u)
+            big = u >= LOG_FLOAT_MAX
+            x = np.where(big, np.exp(log_lam + u),
+                         lam * np.expm1(np.where(big, 0.0, u)))
+            return -np.expm1(-x) * u ** (-1.0 - a)
 
     # beyond the switch the factor is exactly 1 in floats, so the tail
     # integrates in closed form; the head is split into doubling chunks

@@ -213,81 +213,104 @@ _NODES = np.array([-x for x in _XGK] + [x for x in _XGK[-2::-1]])
 _MIRRORED = (*range(8), *range(6, -1, -1))
 _WK = np.array([_WGK[k] for k in _MIRRORED])
 _WK_MINUS_G = _WK - [_WG[k // 2] if k % 2 else 0.0 for k in _MIRRORED]
+# both rules as the rows of one matrix, so that one einsum gives each
+# panel's value and error; laid out (2, 15) so that each sum runs over
+# contiguous rows, in the order, and with the bits, of a one-rule einsum
+_WEIGHTS = np.stack([_WK, _WK_MINUS_G])
 # Panels each interval starts with, evaluated in the first integrand call.
 _START_PANELS = 8
-_STEPS = np.array([k / _START_PANELS for k in range(_START_PANELS + 1)])
+# the fractions of an interval at its panel edges, as a column
+_STEPS = np.array([[k / _START_PANELS] for k in range(_START_PANELS + 1)])
 
 
-def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod values and error estimates of the panels [a_j, b_j],
-    all from one call of f on the flat array of their nodes."""
-    h = 0.5 * (b - a)
-    x = ((a + h)[:, None] + h[:, None] * _NODES).ravel()
+def _gk15(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gauss-Kronrod value and error estimate of each panel [a, b] along a
+    last axis of 2; a and b are arrays of any one shape, and all the
+    nodes go to one call of f as one flat array."""
+    h = b - a
+    h *= 0.5
+    x = h[..., None] * _NODES
+    x += (a + h)[..., None]
+    x = x.ravel()
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise TypeError(f"integrand returned shape {y.shape} for nodes of "
                         f"shape {x.shape}; it must map arrays elementwise")
     # einsum, not BLAS: a BLAS product would load its code and work
     # buffer, a lasting rise in resident memory for a few panels
-    y = y.reshape(-1, len(_NODES))
     with np.errstate(over="ignore"):     # checked below
-        value = np.einsum("pk,k->p", y, _WK) * h
-        error = np.abs(np.einsum("pk,k->p", y, _WK_MINUS_G) * h)
-    if not (np.isfinite(value).all() and np.isfinite(error).all()):
-        bad = x[~np.isfinite(y.ravel())]
+        sums = np.einsum("pk,jk->pj", y.reshape(-1, len(_NODES)), _WEIGHTS)
+        sums *= h.reshape(-1, 1)
+    np.abs(sums[:, 1], out=sums[:, 1])
+    if not np.isfinite(sums).all():
+        bad = x[~np.isfinite(y)]
         raise QuadratureError(f"integrand not finite at u={float(bad[0])!r}"
                               if bad.size else "panel sums overflow a float")
-    return value, error
+    return sums.reshape(*h.shape, 2)
+
+
+def _settle(totals, out: list, tol: float, budget: int) -> list[float] | None:
+    """Error target of each interval from its totals (value, error,
+    panels), 0.0 for one that is done, which is recorded in out; None
+    when all are done.
+
+    An interval is done when its error is at most tol or, once rounding
+    dominates, 1e-13 of its value; one of no panels was done in an
+    earlier round.  One not done at budget panels raises."""
+    targets = []
+    for i, (v, e, n) in enumerate(totals):
+        target = max(tol, abs(v) * 1e-13)
+        if not n or e <= target:
+            if n:
+                out[i] = (v, e, n)
+            target = 0.0
+        elif n >= budget:
+            raise SubdivisionLimitError(
+                f"no convergence after {n} panels (error ~ {e:.3g})")
+        targets.append(target)
+    return targets if any(targets) else None
 
 
 def _adaptive(f, lo: np.ndarray, hi: np.ndarray, tol: float,
               budget: int) -> list[tuple[float, float, int]]:
     """Integrate f over each interval [lo_i, hi_i] to absolute tolerance
-    tol, as (value, error, panels) per interval.
+    tol, as (value, error, panels) per interval (see _settle for when
+    one is done).
 
-    Every interval starts as _START_PANELS equal panels.  An interval is
-    done when its summed error is at most tol or, once rounding
-    dominates, 1e-13 of its value.  Each round bisects, in one integrand
-    call, every panel of an unfinished interval whose error exceeds its
-    width's share of that target; at least one panel always does.  The
-    totals are summed afresh from the live panels each round, in an
-    order set by the interval's own refinement alone, so an interval's
-    result does not depend on the others integrated with it.
+    Every interval starts as _START_PANELS equal panels, evaluated in
+    one pass on a (panel, interval) grid whose totals are summed over
+    the panel axis, in panel order from 0.0 as bincount adds them; most
+    intervals are done there.  Each later round bisects, in one
+    integrand call, every panel of an unfinished interval whose error
+    exceeds its width's share of that interval's target; at least one
+    panel always does.  The totals are summed afresh from the live
+    panels each round, in an order set by the interval's own refinement
+    alone, so an interval's result does not depend on the others
+    integrated with it.
     """
     m = len(lo)
     width = hi - lo
-    grid = lo[:, None] + width[:, None] * _STEPS
-    grid[:, -1] = hi
-    a = grid[:, :-1].ravel()
-    b = grid[:, 1:].ravel()
-    owner = np.arange(m).repeat(_START_PANELS)
-    val, err = _gk15(f, a, b)
+    grid = width * _STEPS
+    grid += lo
+    grid[-1] = hi
+    sums = _gk15(f, grid[:-1], grid[1:])
     out: list = [None] * m
-    while True:
-        # per-interval bookkeeping in plain floats: m is small and numpy
-        # reductions on tiny arrays cost more than the loop
-        targets = [0.0] * m
-        finished = False
-        for i, (v, e, n) in enumerate(zip(
-                np.bincount(owner, val, minlength=m).tolist(),
-                np.bincount(owner, err, minlength=m).tolist(),
-                np.bincount(owner, minlength=m).tolist())):
-            if not n:
-                continue            # finished in an earlier round
-            target = max(tol, abs(v) * 1e-13)
-            if e <= target:
-                out[i] = (v, e, n)
-                finished = True
-            elif n >= budget:
-                raise SubdivisionLimitError(
-                    f"no convergence after {n} panels (error ~ {e:.3g})")
-            else:
-                targets[i] = target
-        if not any(targets):
-            return out
+    # reducing the leading axis adds whole (m, 2) rows, one panel after
+    # another, onto 0.0: the bits of bincount (a reduction along one
+    # column would sum its 8 panels pairwise)
+    targets = _settle(((v, e, _START_PANELS) for v, e in
+                       np.add.reduce(sums, axis=0).tolist()), out, tol, budget)
+    if targets is None:
+        return out
+    # the rest go on panel by panel, in the grid's order: each interval's
+    # panels stay in its own panel order, and so do its sums
+    a, b = grid[:-1].ravel(), grid[1:].ravel()
+    val, err = sums.reshape(-1, 2).T
+    owner = np.tile(np.arange(m), _START_PANELS)
+    while targets is not None:
         panel_target = np.array(targets)[owner]
-        if finished:
-            live = panel_target > 0.0
+        live = panel_target > 0.0
+        if not live.all():
             a, b, val, err, owner, panel_target = (
                 a[live], b[live], val[live], err[live], owner[live],
                 panel_target[live])
@@ -300,13 +323,21 @@ def _adaptive(f, lo: np.ndarray, hi: np.ndarray, tol: float,
             raise QuadratureError(f"interval [{float(pa[j])!r}, "
                                   f"{float(pb[j])!r}] collapsed below float "
                                   "resolution")
-        cv, ce = _gk15(f, np.concatenate([pa, mid]), np.concatenate([mid, pb]))
+        cv, ce = _gk15(f, np.concatenate([pa, mid]),
+                       np.concatenate([mid, pb])).T
         keep = ~split
         a = np.concatenate([a[keep], pa, mid])
         b = np.concatenate([b[keep], mid, pb])
         val = np.concatenate([val[keep], cv])
         err = np.concatenate([err[keep], ce])
         owner = np.concatenate([owner[keep], owner[split], owner[split]])
+        # per-interval bookkeeping in plain floats: m is small and numpy
+        # reductions on tiny arrays cost more than the loop
+        targets = _settle(zip(np.bincount(owner, val, minlength=m).tolist(),
+                              np.bincount(owner, err, minlength=m).tolist(),
+                              np.bincount(owner, minlength=m).tolist()),
+                          out, tol, budget)
+    return out
 
 
 def _tail_verdict(blocks: list[float]) -> tuple[float, float] | None:

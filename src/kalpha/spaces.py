@@ -426,11 +426,13 @@ def _segment_levels(lj: np.ndarray,
     when i arrives both closes their ranges at i and hands their levels
     to i, so each event is pushed and popped once.
 
-    The pass walks BLOCK events at a time as Python floats and writes a
-    (float64) and hi (intp) into arrays, so only one block is Python
-    objects.  The stack carries across blocks as the indices of its
+    The pass walks BLOCK events at a time and writes a (float64) and hi
+    (intp) into arrays, so only one block is scratch: the jumps as a list
+    of Python floats, read at every step, and the levels and hi as an
+    array('d') and an array('q'), 8 bytes an entry rather than a Python
+    object each.  The stack carries across blocks as the indices of its
     entries, 8 bytes each in an array('q'); their lj and levels are read
-    back from lj and a.  Slot 0 of a block's lists stands for the top
+    back from lj and a.  Slot 0 of a block's scratch stands for the top
     entry left by earlier blocks (+inf when there is none, so it is
     never popped), and popping it sets that entry's hi in the array and
     brings up the next one.  Every product and sum is the per-event
@@ -442,16 +444,17 @@ def _segment_levels(lj: np.ndarray,
     carry = array("q")            # indices of the entries left by earlier blocks
     exp, inf = math.exp, math.inf
     for start in range(0, n, BLOCK):
-        xs = lj[start:start + BLOCK].tolist()
-        ss = signs[start:start + BLOCK].tolist()
-        m = len(xs)
-        x_at = [float(lj[carry[-1]]) if carry else inf, *xs]
-        a_at = [float(a[carry[-1]]) if carry else 0.0] + [0.0] * m
+        x_at = lj[start:start + BLOCK].tolist()
+        m = len(x_at)
+        x_at.insert(0, float(lj[carry[-1]]) if carry else inf)
+        a_at = array("d", [0.0]) * (m + 1)
+        a_at[0] = float(a[carry[-1]]) if carry else 0.0
         # local positions j = 1 .. m; adding start - 1 makes them global
         # indices and turns this fill into n (no larger jump follows)
-        hi_at = [n - start + 1] * (m + 1)
+        hi_at = array("q", [n - start + 1]) * (m + 1)
         stack = [0]
-        for j, (x, s) in enumerate(zip(xs, ss), 1):
+        for j, s in enumerate(signs[start:start + m].tolist(), 1):
+            x = x_at[j]
             acc = float(s)
             while x_at[stack[-1]] < x:
                 p = stack.pop()

@@ -15,7 +15,7 @@ import pytest
 
 import kalpha.paths
 from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                        main, parse_envelope, validate_document)
+                        _build_parser, main, parse_envelope, validate_document)
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 from kalpha.paths import (BLOCK, SIDECAR_SUFFIX, EventPath, load_event_file,
                           simulate_large_jumps, write_event_path)
@@ -867,3 +867,39 @@ class TestHelpers:
         for line in lines[1:]:
             rec = json.loads(line)
             assert json.loads(json.dumps(rec)) == rec
+
+
+class TestParser:
+    """main() builds its parser once per process; no call sees another's
+    options."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_different_subcommands_in_one_process(self, sample_path_file,
+                                                  tmp_path, capsys):
+        pair, classify = tmp_path / "pair.json", tmp_path / "classify.json"
+        assert run(["pair", "--in", str(sample_path_file), "--phi",
+                    "bump:center=50,width=40", "--json", str(pair)]) == EXIT_OK
+        assert run(["classify", "--alpha", "1.5", "--betas", "2",
+                    "--json", str(classify)]) == EXIT_OK
+        assert json.loads(pair.read_text())["kind"] == "pairing"
+        doc = json.loads(classify.read_text())
+        assert (doc["kind"], doc["in_K_prime"]) == ("support_verdict", True)
+        assert doc["manifest"]["params"] == {"alpha": 1.5, "betas": [2.0]}
+
+    def test_in_files_do_not_carry_over(self, sample_path_file, tmp_path,
+                                        capsys):
+        assert run(["diagnose", "--envelope", "exp:c=1", "--json",
+                    str(tmp_path / "env.json"),
+                    "--in", str(sample_path_file)]) == EXIT_OK
+        args = _build_parser().parse_args(
+            ["diagnose", "--alpha", "1.5", "--pruitt", "etas=0.5,rs=10,100"])
+        assert args.infiles == ()
+        assert run(["diagnose", "--alpha", "1.5", "--pruitt",
+                    "etas=0.5,rs=10,100", "--json",
+                    str(tmp_path / "pruitt.json")]) == EXIT_OK
+        capsys.readouterr()
+        # a mode that needs --in files still finds none
+        assert run(["diagnose", "--growth", "eta=0.5"]) == EXIT_USAGE
+        assert "--growth needs at least one --in" in capsys.readouterr().err

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from kalpha import measure
 from kalpha.measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                             classify_support, inverse_tail, laplace_exponent,
                             levy_density, pruitt_index, tail_one_sided,
-                            truncated_moment, upper_function_integral)
+                            truncated_moment, truncated_moments,
+                            upper_function_integral)
 from kalpha.numerics import LN2, adaptive_quad
 
 
@@ -65,6 +67,10 @@ class TestTail:
     def test_domain(self):
         with pytest.raises(ValueError):
             tail_one_sided(0.5, KAlphaParams(1.0))
+
+    def test_nan_radius_refused(self):
+        with pytest.raises(ValueError, match="r >= 1"):
+            tail_one_sided(math.nan, KAlphaParams(1.5))
 
     def test_decreasing_to_zero(self):
         p = KAlphaParams(0.5)
@@ -150,6 +156,11 @@ class TestTruncatedMoment:
         with pytest.raises(ValueError):
             truncated_moment(0.5, 0.5, p)
 
+    def test_nan_eta_refused(self):
+        # a ValueError (exit 2), not the quadrature's exit-4 QuadratureError
+        with pytest.raises(ValueError, match="eta must be positive"):
+            truncated_moments(math.nan, [10.0, 100.0], KAlphaParams(1.5))
+
 
 class TestPruittIndex:
     def test_at_truncation_boundary(self):
@@ -229,6 +240,43 @@ class TestLaplaceExponent:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             laplace_exponent(-1.0, KAlphaParams(1.0))
+
+    def test_nan_rejected(self):
+        # not the saturated value tail_one_sided(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            laplace_exponent(math.nan, KAlphaParams(1.5))
+
+    @pytest.mark.parametrize("alpha, lam, rounds, panels, head, value", [
+        (1.5, 1e-6, 1, [8] * 5,
+         ["0x1.04bede5f32c20p-19", "0x1.581ca63422e3cp-19",
+          "0x1.8fb9ec889345ap-16", "0x1.e54addfb55598p-9",
+          "0x1.a2fb83f7667fdp-9"], "0x1.cf959a575de76p-7"),
+        (0.1, 3e-6, 2, [8, 8, 8, 10, 8],
+         ["0x1.15df3c07be34dp-17", "0x1.397aff1e3eb99p-15",
+          "0x1.0fd1bb97c2956p-10", "0x1.bb6a4f077832dp-3",
+          "0x1.22b81daa69e86p-3"], "0x1.f2f48f5751eccp+2"),
+    ], ids=["converged", "refined"])
+    def test_pinned_head(self, alpha, lam, rounds, panels, head, value,
+                         monkeypatch):
+        # recorded from the engine that summed every round with bincount
+        # and the integrand with the overflow branch; never re-recorded.
+        # A head that converges at once costs one integrand call.
+        calls, results = [], []
+        partition = measure.quad_partition
+
+        def recorded(f, edges, tol):
+            def counted(u):
+                calls.append(u.size)
+                return f(u)
+            results.extend(partition(counted, edges, tol))
+            return results
+
+        monkeypatch.setattr(measure, "quad_partition", recorded)
+        v = laplace_exponent(lam, KAlphaParams(alpha))
+        assert len(calls) == rounds
+        assert [r.subdivisions for r in results] == panels
+        assert [r.value for r in results] == list(map(float.fromhex, head))
+        assert v == float.fromhex(value)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("lam", [4e-306, 1e-310, 5e-324])
@@ -325,6 +373,14 @@ class TestEnvelopeSpec:
 
 
 class TestUpperFunction:
+    def test_pinned_exponential(self):
+        # recorded from the engine that summed every round with bincount;
+        # twelve doubling blocks, each settled in its first round
+        r = upper_function_integral(EnvelopeSpec("exponential", c=1.0),
+                                    KAlphaParams(1.5))
+        assert r.quad.subdivisions == 96
+        assert r.value == float.fromhex("0x1.3de2b948e60b2p+0")
+
     def test_power_always_divergent(self):
         for alpha in (0.5, 1.0, 1.5):
             r = upper_function_integral(EnvelopeSpec("power", beta=2.0),

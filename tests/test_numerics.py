@@ -339,3 +339,44 @@ class TestQuadPartition:
         assert calls == [2 * 8 * 15]
         assert [r.value for r in parts] == pytest.approx([1.0, 1.0], rel=1e-15)
         assert [r.subdivisions for r in parts] == [8, 8]
+
+
+def counting(f, calls):
+    """f, recording the node count of each call (one call per round)."""
+    def counted(u):
+        calls.append(u.size)
+        return f(u)
+    return counted
+
+
+class TestPinnedPanels:
+    """Rounds, panel counts and values of calls that settle in one, two
+    and more rounds, recorded from the engine that summed every round's
+    totals with bincount; never re-recorded.  The first round is now
+    summed over its panel axis, and the panels and bits must not move."""
+
+    @pytest.mark.parametrize("f, lo, hi, tol, rounds, panels, value", [
+        (lambda u: np.exp(-u), 1.0, 5.0, 1e-12, 1, 8, "0x1.71cf136acb9e9p-2"),
+        (lambda u: np.exp(-u), 1.0, 30.0, 1e-13, 2, 10, "0x1.78b56362ce8a2p-2"),
+        (lambda u: u ** -2.5, 1.0, 10.0, 1e-12, 3, 11, "0x1.4a8a17cb952e4p-1"),
+        (wavy, 0.5, 40.0, 1e-12, 6, 55, "0x1.5af6d0c0e00b6p+1"),
+        (lambda u: u ** -2.0, 1.0, math.inf, 1e-10, 1, 96,
+         "0x1.fffffffffffffp-1"),
+    ], ids=["one-round", "two-rounds", "three-rounds", "wavy", "improper"])
+    def test_adaptive_quad(self, f, lo, hi, tol, rounds, panels, value):
+        calls = []
+        res = adaptive_quad(counting(f, calls), lo, hi, tol)
+        assert len(calls) == rounds
+        assert res.subdivisions == panels
+        assert res.value == float.fromhex(value)
+
+    def test_partition(self):
+        # each interval settles in its own round, three in all
+        calls = []
+        parts = quad_partition(counting(wavy, calls), [0.5, 1.0, 2.5, 7.0, 40.0],
+                               tol=1e-12)
+        assert calls == [4 * 8 * 15, 16 * 15, 32 * 15]
+        assert [r.subdivisions for r in parts] == [8, 8, 8, 32]
+        assert [r.value for r in parts] == [float.fromhex(v) for v in (
+            "0x1.26b729369c8b2p+0", "0x1.2e50b58494223p-1",
+            "0x1.117e394970ffep-1", "0x1.bd3c039083ea0p-2")]

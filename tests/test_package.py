@@ -1,4 +1,10 @@
-"""The package's export list names only what it defines."""
+"""The package's export list names only what it defines, and importing
+it loads nothing that only the CLI or the writer pool needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import kalpha
 
@@ -13,3 +19,17 @@ def test_star_import():
     namespace = {}
     exec("from kalpha import *", namespace)
     assert set(kalpha.__all__) <= set(namespace)
+
+
+def test_import_loads_no_cli_or_pool_modules():
+    # a fresh interpreter, so modules the tests loaded do not count; the
+    # parser and the pool are loaded by the commands that use them
+    src = str(Path(kalpha.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, kalpha; print(*sorted(m for m in ('argparse', "
+            "'multiprocessing', 'concurrent.futures', 'mmap') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
