@@ -16,13 +16,17 @@ machine can hold is set by those arrays alone.  Its running sup is
 returned as its steps, the events at which |K| sets a record, found in
 one pass over the path a block at a time.
 
-JSONL is the one path format users read and write.  save_event_files
-writes each JSONL with <file>.events beside it: the SHA-256 of the JSONL
-bytes as written, then the (3, n) float64 array of times, signs and
-log1p magnitudes in .npy form (version 1.0 header); a call that fails
-changes no file.  It draws its paths lazily from any iterable and holds
-a bounded number of them, so an ensemble of any size is written in
-fixed memory.
+JSONL is the one path format users read and write.  Its event lines are
+formatted a block at a time by _event_lines, a numpy kernel that writes
+each float as repr does: it finds repr's shortest digits exactly for
+1e-4 <= x < 1e16 (a Dekker product and exact comparisons) and asks repr
+itself, one float at a time, for any x it cannot decide (about 1% of a
+simulated path's).  save_event_files writes each JSONL with
+<file>.events beside it: the SHA-256 of the JSONL bytes as written,
+then the (3, n) float64 array of times, signs and log1p magnitudes in
+.npy form (version 1.0 header); a call that fails changes no file.  It
+draws its paths lazily from any iterable and holds a bounded number of
+them, so an ensemble of any size is written in fixed memory.
 load_event_file takes the arrays from the sidecar only when the digest
 matches the JSONL, the payload is that array (no pickle) and it passes
 every EventPath check; otherwise it parses the JSONL.  It reads each row
@@ -236,16 +240,221 @@ def running_sup(path: EventPath) -> tuple[np.ndarray, np.ndarray]:
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
+# Event lines are formatted a block at a time.  repr writes a float as its
+# shortest decimal digits that read back as it (the nearest to it among
+# several), in fixed form for 1e-4 <= x < 1e16 (Gay's dtoa, mode 0).
+# _shortest_digits finds those digits with exact float arithmetic for
+# every x it can decide, and _event_lines lays them out column by column.
+_POW10 = 10.0 ** np.arange(23)          # exact doubles up to 1e22
+_SPLITTER = 2.0 ** 27 + 1.0             # Dekker's splitting constant
+_EXPONENT_BITS = 0x7FF << 52
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _shortest_digits(x: np.ndarray):
+    """(digits, n_fit, k, exact) for a float64 array x.  Where exact is
+    True, repr(x) is the first 18 - n_fit of the 17 decimal digits of the
+    int64 digits, with the decimal point after the first 17 - k of them
+    (before, when that count is not positive: 0.000ddd for -3).
+
+    Y = x * 10^k lies in [1e16, 1e17) and is formed exactly as p + e
+    (Dekker's product; p is an integer), so its fraction f, its integer
+    part and the residues r = floor(Y) mod 10^j are exact.  A multiple of
+    10^j has 17 - j significant digits and reads back as x when its
+    distance to Y, min(r + f, 10^j - r - f), is below H, half an ulp of
+    x times 10^k (under 11.1); those sums are exact wherever they are
+    below 12, so the test is exact.  17 digits always fit; n_fit counts
+    the lengths 17, 16, 15 and 14 that do, and digits is the multiple
+    of 10^(n_fit - 1) nearest Y.
+
+    exact is False, and repr must be asked, for x outside [1e-4, 1e16)
+    (the exponent form, 0, subnormals, negatives, inf and nan), integral
+    x, x of 14 or fewer digits, a k misjudged by log10, and wherever a
+    distance equals H or two candidates are equally near (ties that dtoa
+    breaks by rules not followed here).  The powers of two, whose
+    rounding interval is asymmetric, are among them: in the domain each
+    is integral or has at most 10 digits.
+    """
+    exact = (x >= 1e-4) & (x < 1e16)
+    x = np.where(exact, x, 1.5)
+    k = np.log10(x)
+    np.floor(k, out=k)
+    k = (16.0 - k).astype(np.intp)
+    ten = _POW10.take(k)
+    p = x * ten
+    exact &= (p > 1e16) & (p < 1e17)
+    ah, al = _split(x)
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    e = ah * bh
+    e -= p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    half = ((x.view(np.int64) & _EXPONENT_BITS) - (53 << 52)).view(np.float64)
+    half *= ten
+    e_floor = np.floor(e)
+    f = e - e_floor
+    digits = p.astype(np.int64)
+    digits += e_floor.astype(np.int64)          # floor(Y)
+    r1000 = (digits - digits // 1000 * 1000).astype(np.float64)
+    n_fit = np.ones(len(x), np.intp)            # 17 digits
+    tie = f == 0.5
+    for m in _POW10[1:4]:
+        r = r1000 - m * np.floor(r1000 / m)
+        below, above = r + f, (m - r) - f
+        distance = np.minimum(below, above)
+        n_fit += distance < half
+        tie |= (distance == half) | (below == above)
+    # n_fit > k puts the point at or past the last digit: integral x
+    exact &= ~tie & (n_fit <= 3) & (n_fit <= k)
+    m = _POW10.take(np.minimum(n_fit - 1, 3))
+    r = r1000 - m * np.floor(r1000 / m)
+    digits -= r.astype(np.int64)
+    digits += ((f > 0.5 * m - r) * m).astype(np.int64)
+    return digits, n_fit, k, exact
+
+
+# The event line {"t": T, "sign": S, "log1p_mag": M}\n in columns.  A
+# float's _FIELD holds its first 16 digits and "0", then ".", then "000"
+# and its 17 digits; _LAYOUT's row for its (n_fit, k) keeps the integer
+# part from the first copy ("0" below 1), the point, and the fraction
+# from the second.  The rows of _LINES and _KEEP are for sign -1 and +1;
+# a pad column, never kept, follows t's field, and the shorter text of
+# +1 starts one column later, so that its dropped column joins the pad.
+# Each run of dropped columns costs the final boolean index a step, so
+# the layout has as few as it can.
+_FIELD = 38
+_T_AT = len('{"t": ')
+_MAG_AT = _T_AT + _FIELD + 1 + len(', "sign": -1, "log1p_mag": ')  # 1: a pad
+_WIDTH = _MAG_AT + _FIELD + len("}\n")
+_ROWS = 1024            # lines laid out at a time
+# bytes in the longest event line: two 24-character float reprs, sign -1
+_LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
+
+
+def _line_rows() -> tuple[np.ndarray, np.ndarray]:
+    """(_LINES, _KEEP): an event line's characters outside its fields,
+    and the columns kept, for sign -1 (row 0) and +1 (row 1)."""
+    lines, keep = np.zeros((2, _WIDTH), np.uint8), np.ones((2, _WIDTH), bool)
+    for line, row, sign in ((lines[0], keep[0], "-1"), (lines[1], keep[1], "1")):
+        text = f', "sign": {sign}, "log1p_mag": '
+        for at, chars in ((0, '{"t": '), (_MAG_AT - len(text), text),
+                          (_WIDTH - 2, "}\n")):
+            line[at:at + len(chars)] = np.frombuffer(chars.encode(), np.uint8)
+        for at in (_T_AT, _MAG_AT):
+            line[at + 16:at + 21] = np.frombuffer(b"0.000", np.uint8)
+        row[_T_AT + _FIELD:_MAG_AT - len(text)] = False
+    return lines, keep
+
+
+def _layouts() -> np.ndarray:
+    """Row 4k + n_fit: the columns of a _FIELD to keep for
+    _shortest_digits's (n_fit, k).  Row 0 is for the lanes repr writes."""
+    rows = np.zeros((4 * 21, _FIELD), bool)
+    for k in range(1, 21):
+        point = 17 - k
+        for n_fit in (1, 2, 3):
+            row = rows[4 * k + n_fit]
+            row[:max(point, 0)] = True
+            row[16] = point <= 0
+            row[17] = True
+            row[18 + 3 + point:18 + 3 + 18 - n_fit] = True
+    return rows
+
+
+_LINES, _KEEP = _line_rows()
+_LAYOUT = _layouts()
+# two ASCII digits per uint16, "00" to "99", in memory order
+_DIGIT_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)),
+                             np.uint16)
+
+
+def _ascii_digits(digits: np.ndarray) -> np.ndarray:
+    """The 17 decimal digits of each non-negative int64 below 1e17, as an
+    (n, 17) uint8 array of ASCII, two digits a step."""
+    hi = digits // 100_000_000
+    parts = ((digits - hi * 100_000_000).astype(np.uint32),
+             hi.astype(np.uint32))
+    out = np.empty((len(digits), 18), np.uint8)  # a pad byte, then 17 digits
+    pairs = out.view(np.uint16)
+    for part, columns in zip(parts, ((8, 7, 6, 5), (4, 3, 2, 1, 0))):
+        for j in columns:
+            q = part // 100
+            pairs[:, j] = _DIGIT_PAIRS.take(part - q * 100)
+            part = q
+    return out[:, 1:]
+
+
+def _field(x: np.ndarray):
+    """One float column as _event_lines lays it out: each value's _LAYOUT
+    row code and 17 ASCII digits, then the lanes repr writes, with their
+    text (24 bytes, NUL-padded) and the columns it fills."""
+    digits, n_fit, k, exact = _shortest_digits(x)
+    code = 4 * k + n_fit
+    code[~exact] = 0
+    lanes = np.flatnonzero(~exact)
+    reprs = [repr(v) for v in x[lanes].tolist()]
+    filled = np.array([len(text) for text in reprs], dtype=np.intp)
+    return (code, _ascii_digits(np.where(exact, digits, 0)), lanes,
+            np.array(reprs, dtype="S24").view(np.uint8).reshape(-1, 24),
+            np.arange(_FIELD) < filled[:, None])
+
+
+def _event_text(times: np.ndarray, signs: np.ndarray,
+                mags: np.ndarray) -> np.ndarray:
+    """_event_lines's text as a uint8 array, laid out _ROWS lines at a
+    time (a function of its own, so that its grids and fields are freed
+    before the text is decoded)."""
+    n = len(times)
+    fields = [(at, _field(np.asarray(x, dtype=np.float64)))
+              for at, x in ((_T_AT, times), (_MAG_AT, mags))]
+    positive = np.greater(signs, 0).view(np.int8)
+    grid = np.empty((min(n, _ROWS), _WIDTH), np.uint8)
+    keep = np.empty(grid.shape, bool)
+    text = np.empty(n * _LINE_MAX, np.uint8)
+    end = 0
+    for a in range(0, n, _ROWS):
+        b = min(n, a + _ROWS)
+        rows, kept = grid[:b - a], keep[:b - a]
+        _LINES.take(positive[a:b], axis=0, out=rows)
+        _KEEP.take(positive[a:b], axis=0, out=kept)
+        for at, (code, digits, lanes, reprs, filled) in fields:
+            kept[:, at:at + _FIELD] = _LAYOUT.take(code[a:b], axis=0)
+            rows[:, at:at + 16] = digits[a:b, :16]
+            rows[:, at + 21:at + _FIELD] = digits[a:b]
+            lo, hi = np.searchsorted(lanes, (a, b))
+            rows[lanes[lo:hi] - a, at:at + 24] = reprs[lo:hi]
+            kept[lanes[lo:hi] - a, at:at + _FIELD] = filled[lo:hi]
+        lines = rows[kept]
+        text[end:end + len(lines)] = lines
+        end += len(lines)
+    return text[:end]
+
+
 def _event_lines(times: np.ndarray, signs: np.ndarray,
                  mags: np.ndarray) -> str:
     """The event lines of one block, each exactly
-    {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape).
+    {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape), for the -1
+    and +1 signs of an EventPath.
 
-    Floats go through repr, as in json.dumps, which round-trips bit for bit.
+    Floats are written as repr writes them, so they round-trip bit for
+    bit.  _shortest_digits gives repr's digits for the floats it can
+    decide, about 99% of those in simulated paths, and repr writes the
+    rest.  Each line is laid out in a row of a uint8 grid, its columns
+    to keep are marked in a boolean array of the grid's shape, and one
+    boolean index joins _ROWS lines; so the call holds the text, a few
+    arrays of the block's length and two grids of _ROWS lines.
     """
-    return "".join(f'{{"t": {t!r}, "sign": {s!r}, "log1p_mag": {m!r}}}\n'
-                   for t, s, m in zip(times.tolist(), signs.tolist(),
-                                      mags.tolist()))
+    return str(memoryview(_event_text(times, signs, mags)), "ascii")
 
 
 def _event_blocks(path: EventPath) -> list[tuple[np.ndarray, ...]]:
@@ -358,7 +567,9 @@ def _read_header(fp) -> dict:
     if not header:
         raise ValueError("empty path file")
     meta = _json_line(header, 1)
-    if not isinstance(meta, dict) or meta.get("format_version") != FORMAT_VERSION:
+    # the integer 1 only: true and 1.0 compare equal to it
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported path header {header.strip()[:80]!r}")
     if meta.get("component") != "large":
         raise ValueError("expected a large-jump component file")
@@ -425,8 +636,6 @@ class _DigestingWriter:
         return self.raw.tell()
 
 
-# bytes in the longest event line: two 24-character float reprs, sign -1
-_LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
 _SLOT = _LINE_MAX * BLOCK       # holds a block's rows (24 bytes an event) or text
 _inherited = None               # in a formatter process: the shared buffer
 

@@ -707,6 +707,8 @@ class TestBadInput:
         lambda meta, rec: meta.update(component="small"),
         lambda meta, rec: meta.update(horizon=0),
         lambda meta, rec: meta.update(horizon=-5.0),
+        lambda meta, rec: meta.update(format_version=True),
+        lambda meta, rec: meta.update(format_version=1.0),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
             "fractional-sign", "nan-horizon", "string-alpha", "string-horizon",
             "string-magnitude", "string-time", "bool-sign", "bool-time",
@@ -714,7 +716,8 @@ class TestBadInput:
             "spawn-key-int", "spawn-key-strings", "spawn-key-object",
             "spawn-key-negative", "spawn-key-string", "spawn-key-bool",
             "rng-name-int", "component-small", "horizon-zero",
-            "horizon-negative"])
+            "horizon-negative", "bool-format-version",
+            "float-format-version"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()

@@ -23,9 +23,10 @@ from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
 from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
                           _event_blocks, _event_lines, _formatted,
-                          _parse_block, _parse_lines, load_event_file,
-                          read_event_path, running_sup, save_event_files,
-                          simulate_large_jumps, write_event_path)
+                          _parse_block, _parse_lines, _shortest_digits,
+                          load_event_file, read_event_path, running_sup,
+                          save_event_files, simulate_large_jumps,
+                          write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
 
 # keep hypothesis's source-constants cache out of the working tree
@@ -439,8 +440,11 @@ class TestPersistence:
     def test_rejects_foreign_files(self):
         with pytest.raises(ValueError):
             read_event_path(io.StringIO(""))
-        with pytest.raises(ValueError):
-            read_event_path(io.StringIO('{"format_version": 99}\n'))
+        for version in ("99", "true", "1.0"):
+            with pytest.raises(ValueError, match="^unsupported path header"):
+                read_event_path(io.StringIO(
+                    f'{{"format_version": {version}, "component": "large", '
+                    '"alpha": 1.0, "horizon": 1.0, "seed": 0}\n'))
         with pytest.raises(ValueError):
             read_event_path(io.StringIO(
                 '{"format_version": 1, "component": "small", "alpha": 1.0,'
@@ -877,3 +881,87 @@ class TestBlockCodec:
             json.loads(out.getvalue(), parse_constant=reject_constant)
         else:
             assert err.getvalue().startswith("error: ")
+
+
+def json_lines(times, signs, mags) -> str:
+    """The event lines as json.dumps writes each record."""
+    return "".join(json.dumps({"t": t, "sign": s, "log1p_mag": m}) + "\n"
+                   for t, s, m in zip(times, signs, mags))
+
+
+def around(x, ulps):
+    """x and its neighbours up to ulps floats away on either side."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def boundary_floats() -> list[float]:
+    """Floats at each edge of _shortest_digits's exact domain, and 0,
+    subnormals and the largest float, +-3 ulps."""
+    centres = [1e-4, 1e16, 0.0, 5e-324, 2.0 ** -1022, 1.7976931348623157e308]
+    centres += [2.0 ** e for e in range(-16, 56)]
+    centres += [10.0 ** e for e in range(-5, 17)]
+    centres += [1.0, 2.0, 3.0, 7.0, 12345.0, 2.0 ** 52 + 2.0, 9e15]
+    # ties: Y = x * 10^k with fraction 1/2, and the round-half cases of
+    # 16 digits
+    centres += [1e15 + 0.25, 1e15 + 0.75, 2.0 ** 50 + 0.5, 4e15 + 0.5,
+                1.5, 0.5, 0.25, 0.125]
+    # 14 to 17 significant digits at every decimal exponent of the domain
+    digits = "12345678901234567"
+    for exponent in range(-4, 16):
+        for n in (14, 15, 16, 17):
+            centres.append(float(f"{digits[0]}.{digits[1:n]}e{exponent}"))
+            centres.append(float(f"9.{'9' * (n - 1)}e{exponent}"))
+    return [v for c in centres for v in around(c, 3) if 0.0 <= v < math.inf]
+
+
+class TestEventLines:
+    """_event_lines writes every float as repr does, so each line is the
+    one json.dumps writes for its record."""
+
+    @staticmethod
+    def check(values, signs=None):
+        values = np.array(values, dtype=np.float64)
+        if signs is None:
+            signs = np.where(np.arange(len(values)) % 3, 1, -1)
+        mags = values[::-1].copy()
+        assert _event_lines(values, signs, mags) == json_lines(
+            values.tolist(), signs.tolist(), mags.tolist())
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                  st.floats(1e-4, 1e16, exclude_max=True)),
+        st.sampled_from([-1, 1])), max_size=40))
+    def test_matches_json_dumps(self, rows):
+        values = [v for v, _ in rows]
+        self.check(values, np.array([s for _, s in rows], dtype=np.int64))
+
+    def test_domain_boundaries(self):
+        values = boundary_floats()
+        self.check(values)
+        self.check(values[::7])         # another pairing of t and log1p_mag
+
+    def test_fallback_lanes(self):
+        exact = _shortest_digits(np.array([
+            0.0, 5e-324, 9.999999999999999e-05, 1e16, 3.0, 0.5, 0.1,
+            1234.567890123, 1e15 + 0.25, 0.1234567890123456,
+            1234.5678901234567, 0.0001000000000000001]))[3]
+        assert exact.tolist() == [False] * 9 + [True] * 3
+        # the symmetric rounding interval would be wrong for these
+        assert not _shortest_digits(2.0 ** np.arange(-14, 54))[3].any()
+
+    def test_blocks_of_any_length(self):
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 1023, 1024, 1025, 3000):
+            self.check(rng.random(n) * 10.0 ** rng.integers(-3, 15, n))
+
+    def test_path_values_rarely_fall_back(self):
+        # the fast path must carry the paths the writer formats
+        path = simulate_large_jumps(KAlphaParams(1.5), 1000.0, 42)
+        for x in (path.times, path.log1p_mags):
+            assert _shortest_digits(x)[3].mean() > 0.97
+        self.check(path.times, path.signs)
