@@ -4,8 +4,7 @@ Every artifact is versioned (format_version field) and carries a
 manifest sufficient to reproduce it; rerunning a command with the same
 arguments and tool version reproduces the output byte for byte apart
 from the manifest timestamp.  Exit codes: 0 success, 2 argument or
-domain error, 3 I/O error (or a dead formatter process), 4
-internal-consistency error.
+domain error, 3 I/O error, 4 internal-consistency error.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import math
 import os
 import signal
 import sys
-from concurrent.futures import BrokenExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -170,12 +168,6 @@ def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Terminated(BaseException):
     """Raised by SIGTERM while simulate writes, so that its cleanups run."""
 
@@ -183,14 +175,9 @@ class _Terminated(BaseException):
 @contextlib.contextmanager
 def _sigterm_unwinds():
     """Within the block SIGTERM raises _Terminated (a second one waits for
-    the cleanups), then ends the process by SIGTERM; a forked process
-    ends at once.  Off the main thread SIGTERM acts as before."""
-    owner = os.getpid()
-
+    the cleanups), then ends the process by SIGTERM.  Off the main thread
+    SIGTERM acts as before."""
     def handler(signum, frame):
-        if os.getpid() != owner:
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
         signal.signal(signum, signal.SIG_IGN)
         raise _Terminated
 
@@ -203,7 +190,7 @@ def _sigterm_unwinds():
         yield
     except _Terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(owner, signal.SIGTERM)
+        os.kill(os.getpid(), signal.SIGTERM)
         raise
     finally:
         signal.signal(signal.SIGTERM, previous)
@@ -216,10 +203,6 @@ def _cmd_simulate(args) -> int:
         raise ValueError("horizon must be positive")
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
-    workers = _available_cpus() if args.workers is None else args.workers
-    if workers < 1:
-        raise ValueError("--workers must be at least 1")
-    workers = min(workers, _available_cpus())   # more would only contend
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
                        "paths": args.paths}
@@ -238,7 +221,7 @@ def _cmd_simulate(args) -> int:
             for target, key in zip(targets, spawn_keys))
 
     with _sigterm_unwinds():
-        save_event_files(jobs, meta, workers)
+        save_event_files(jobs, meta)
     print(*targets, sep="\n")
     return EXIT_OK
 
@@ -413,9 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.add_argument("--paths", type=int, default=1,
                      help="write this many paths with derived seeds")
-    sim.add_argument("--workers", type=int, default=None,
-                     help="processes that format the event lines, at most "
-                          "the available CPU count (the default)")
     sim.set_defaults(func=_cmd_simulate)
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")
@@ -461,8 +441,7 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, BrokenExecutor) as exc:
-        # BrokenExecutor: a process formatting simulate's event lines died
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConsistencyError, QuadratureError) as exc:

@@ -25,18 +25,20 @@ simulated path's).  save_event_files writes each JSONL with
 <file>.events beside it: the SHA-256 of the JSONL bytes as written,
 then the (3, n) float64 array of times, signs and log1p magnitudes in
 .npy form (version 1.0 header); a call that fails changes no file.  It
-draws its paths lazily from any iterable and holds a bounded number of
-them, so an ensemble of any size is written in fixed memory.
+formats, hashes and writes every file in the calling process, and draws
+its paths lazily from any iterable, each one between two files, so it
+holds one path at a time and writes an ensemble of any size in fixed
+memory.
 load_event_file takes the arrays from the sidecar only when the digest
-matches the JSONL, the payload is that array (no pickle) and it passes
-every EventPath check; otherwise it parses the JSONL.  It reads each row
-into its own array, so a load holds little more than the path it
-returns.  A read never writes a sidecar.
+matches the JSONL, the payload is that array under the exact .npy
+header _save_rows writes (no pickle) and it passes every EventPath
+check; otherwise it parses the JSONL.  It reads each row into its own
+array, so a load holds little more than the path it returns.  A read
+never writes a sidecar.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import errno
 import hashlib
@@ -457,20 +459,22 @@ def _event_lines(times: np.ndarray, signs: np.ndarray,
     return str(memoryview(_event_text(times, signs, mags)), "ascii")
 
 
-def _event_blocks(path: EventPath) -> list[tuple[np.ndarray, ...]]:
-    """(times, signs, log1p_mags) of each run of BLOCK events, in order."""
-    return [(path.times[b:b + BLOCK], path.signs[b:b + BLOCK],
-             path.log1p_mags[b:b + BLOCK])
-            for b in range(0, path.n_events, BLOCK)]
+# the header fields write_event_path writes itself
+_HEADER_FIELDS = {"format_version", "alpha", "horizon", "seed", "rng_name",
+                  "component", "spawn_key"}
 
 
-def write_event_path(path: EventPath, fp, extra_meta: dict | None = None,
-                     texts=None) -> None:
-    """Write a path as JSONL: one metadata record, then its event lines.
+def _check_extra_meta(extra_meta: dict | None) -> None:
+    if clash := sorted(_HEADER_FIELDS.intersection(extra_meta or ())):
+        raise ValueError(f"extra header fields {clash} would overwrite the path's own")
 
-    texts are the event lines as strings, one per block of BLOCK events
-    (_event_lines of each block); by default they are formatted here.
-    """
+
+def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
+    """Write a path as JSONL: one metadata record, with extra_meta's
+    fields added, then its event lines, BLOCK events at a time
+    (_event_lines).  extra_meta naming one of the path's own fields
+    (_HEADER_FIELDS) raises ValueError before anything is written."""
+    _check_extra_meta(extra_meta)
     meta = {
         "format_version": FORMAT_VERSION,
         "alpha": path.params.alpha,
@@ -483,10 +487,9 @@ def write_event_path(path: EventPath, fp, extra_meta: dict | None = None,
         meta["spawn_key"] = list(path.spawn_key)
     meta.update(extra_meta or {})
     fp.write(json.dumps(meta) + "\n")
-    if texts is None:
-        texts = itertools.starmap(_event_lines, _event_blocks(path))
-    for text in texts:
-        fp.write(text)
+    for b in range(0, path.n_events, BLOCK):
+        fp.write(_event_lines(path.times[b:b + BLOCK], path.signs[b:b + BLOCK],
+                              path.log1p_mags[b:b + BLOCK]))
 
 
 # The writer's event line is {"t": T, "sign": S, "log1p_mag": M}\n.  With
@@ -636,92 +639,13 @@ class _DigestingWriter:
         return self.raw.tell()
 
 
-_SLOT = _LINE_MAX * BLOCK       # holds a block's rows (24 bytes an event) or text
-_inherited = None               # in a formatter process: the shared buffer
-
-
-def _inherit(shared) -> None:
-    global _inherited
-    _inherited = shared
-
-
-def _format_into(k: int, m: int) -> int:
-    """Format the m-event block whose rows (times, int64 signs, log1p
-    mags) are in slot k of the shared buffer, and write its encoded
-    event lines over them; returns their length in bytes."""
-    shared, at = _inherited, k * _SLOT
-    rows = (np.frombuffer(shared, dtype, m, at + 8 * m * r)
-            for r, dtype in enumerate((np.float64, np.int64, np.float64)))
-    data = _event_lines(*rows).encode()
-    shared[at:at + len(data)] = data
-    return len(data)
-
-
-def _formatted(jobs, workers: int):
-    """(target, path, texts) for each (target, path) of jobs, where texts
-    yields the _event_lines text of each of the path's blocks, in order,
-    and is taken whole before the next file is asked for; texts is None
-    where write_event_path is left to format them.
-
-    jobs are drawn only between files, so a path is never drawn while
-    another one's texts are being taken.  With two or more workers the
-    blocks are formatted by a pool of that many forked processes, started
-    before the first path is drawn.  Each block's rows go into one of
-    2 * workers + 1 slots of a shared buffer, and the process formatting
-    it writes the text over them, so no path, block or text is inherited
-    or pickled and none passes through the pool's threads.  At most that
-    many blocks are in flight, and at most that many paths are held, the
-    one whose texts are being taken included.  With one worker, or where
-    fork is unavailable, every texts is None.
-    """
-    fork = None
-    if workers > 1:
-        import multiprocessing  # imported where used, not with the package
-        if "fork" in multiprocessing.get_all_start_methods():
-            fork = multiprocessing.get_context("fork")
-    if fork is None:
-        for target, path in jobs:
-            yield target, path, None
-        return
-    import mmap
-    from concurrent.futures import ProcessPoolExecutor
-    slots = 2 * workers + 1
-    with (mmap.mmap(-1, slots * _SLOT) as shared,
-          ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit,
-                              initargs=(shared,)) as pool):
-        pool.submit(int)                # the first submit forks every worker
-        free = collections.deque(range(slots))  # slots not in use
-        files = collections.deque()     # drawn: (job, (slot, future)s, unsent blocks)
-
-        def submit() -> None:
-            """Give the free slots to the files' blocks, in file order."""
-            for _, pending, blocks in files:
-                for block in itertools.islice(blocks, len(free)):
-                    k = free.popleft()
-                    shared.seek(k * _SLOT)
-                    for row in block:
-                        shared.write(row)
-                    pending.append((k, pool.submit(_format_into, k, len(block[0]))))
-
-        def texts(pending):
-            # a taken slot goes first to this file's next block, so pending
-            # is empty only once every block of the file is taken
-            while pending:
-                k, future = pending.popleft()
-                text = shared[k * _SLOT:k * _SLOT + future.result()].decode()
-                free.append(k)
-                submit()
-                yield text
-
-        jobs = iter(jobs)
-        while True:
-            while free and len(files) < slots and (job := next(jobs, None)) is not None:
-                files.append((job, collections.deque(), iter(_event_blocks(job[1]))))
-                submit()
-            if not files:
-                return
-            yield *files[0][0], texts(files[0][1])
-            files.popleft()             # only now: its texts are taken
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The .npy version 1.0 header of a C-order float64 array of shape,
+    as numpy.save writes it."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
 
 
 def _save_rows(raw, rows) -> None:
@@ -729,46 +653,41 @@ def _save_rows(raw, rows) -> None:
     array, the bytes numpy.save gives for their stack, BLOCK elements of
     a row at a time (neither the stacked copy nor a float copy of a
     whole row, such as the int64 signs, is formed)."""
-    np.lib.format.write_array_header_1_0(
-        raw, {"descr": "<f8", "fortran_order": False,
-              "shape": (len(rows), len(rows[0]))})
+    raw.write(_npy_header((len(rows), len(rows[0]))))
     for row in rows:
         for start in range(0, len(row), BLOCK):
             raw.write(np.ascontiguousarray(row[start:start + BLOCK], dtype="<f8"))
 
 
-def save_event_files(jobs, meta: dict | None = None,
-                     workers: int = 1) -> None:
+def save_event_files(jobs, meta: dict | None = None) -> None:
     """Write each (target, path) of jobs as JSONL (write_event_path with
     meta as extra header fields), then its sidecar target +
     SIDECAR_SUFFIX, bound to the bytes as written.
 
-    jobs may be any iterable, a generator included: it is drawn lazily
-    and at most 2 * workers + 1 of its paths are held at a time, so
-    memory does not grow with the number of paths.  Each file is written
-    as <name>.<pid>.tmp and renamed into place once all are complete; on
+    jobs may be any iterable, a generator included: it is drawn lazily,
+    one path between two files, and only that path is held, so memory
+    does not grow with the number of paths.  Each file is written as
+    <name>.<pid>.tmp and renamed into place once all are complete; on
     any exception, from jobs too, the temporary files are removed and no
-    target changes.  The event blocks of all the paths are formatted as
-    one stream, in file order, on workers forked processes
-    (_formatted), with the same bytes for any worker count.  Callers
-    that run threads pass workers=1, as forking is then unsafe.  A dead
-    formatter raises concurrent.futures.process.BrokenProcessPool.
+    target changes.  meta naming a path's own header field raises
+    ValueError before jobs is drawn or any file touched.
     """
+    _check_extra_meta(meta)
     renames = []
     try:
-        with contextlib.closing(_formatted(jobs, workers)) as stream:
-            for target, path, texts in stream:
-                for name in (target, f"{target}{SIDECAR_SUFFIX}"):
-                    if os.path.isdir(name):   # os.replace cannot replace it
-                        raise IsADirectoryError(errno.EISDIR, "Is a directory", str(name))
-                    renames.append((f"{name}.{os.getpid()}.tmp", name))
-                (jsonl, _), (sidecar, _) = renames[-2:]
-                with open(jsonl, "wb") as raw:
-                    fp = _DigestingWriter(raw)
-                    write_event_path(path, fp, extra_meta=meta, texts=texts)
-                with open(sidecar, "wb") as raw:
-                    raw.write(fp.sha256.digest())
-                    _save_rows(raw, (path.times, path.signs, path.log1p_mags))
+        for target, path in jobs:
+            for name in (target, f"{target}{SIDECAR_SUFFIX}"):
+                if os.path.isdir(name):   # os.replace cannot replace it
+                    raise IsADirectoryError(errno.EISDIR, "Is a directory", str(name))
+                renames.append((f"{name}.{os.getpid()}.tmp", name))
+            (jsonl, _), (sidecar, _) = renames[-2:]
+            with open(jsonl, "wb") as raw:
+                fp = _DigestingWriter(raw)
+                write_event_path(path, fp, extra_meta=meta)
+            with open(sidecar, "wb") as raw:
+                raw.write(fp.sha256.digest())
+                _save_rows(raw, (path.times, path.signs, path.log1p_mags))
+            del path                    # before the next one is drawn
         for temporary, name in renames:
             os.replace(temporary, name)
     except BaseException:
@@ -792,31 +711,31 @@ def _open_regular(name):
 def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
     """The times, signs (as int64) and log1p magnitudes in name's
     sidecar, or None when the sidecar is missing or not a regular file,
-    holds another digest, has a payload that is not a (3, n) float64
-    array in .npy form with the version 1.0 header _save_rows writes
-    (pickled objects are never loaded) or has a sign that is not -1 or
-    +1.
+    holds another digest, does not follow it with exactly the .npy
+    header _save_rows writes for (3, n), n being the length of the rest
+    over 24 bytes, or has a sign that is not -1 or +1.  The header is
+    compared as bytes, never parsed, so no pickled object is loaded.
 
-    Each row is read into its own array once the .npy header and the
-    payload's length are checked; the signs are converted in place a
-    block at a time, so the (3, n) array is never formed."""
+    Each row is read into its own array once the header is checked; the
+    signs are converted in place a block at a time, so the (3, n) array
+    is never formed."""
     try:
         with _open_regular(f"{name}{SIDECAR_SUFFIX}") as fp:
-            if (fp.read(len(digest)) != digest
-                    or np.lib.format.read_magic(fp) != (1, 0)):
+            # the digest, then the .npy magic, version and header length
+            head = fp.read(len(digest) + 10)
+            header_len = 10 + int.from_bytes(head[-2:], "little")
+            n, odd = divmod(os.fstat(fp.fileno()).st_size - len(digest)
+                            - header_len, 24)
+            if (head[:len(digest)] != digest or odd or n < 0
+                    or head[len(digest):] + fp.read(header_len - 10)
+                    != _npy_header((3, n))):
                 return None
-            shape, fortran_order, dtype = (
-                np.lib.format.read_array_header_1_0(fp))
-            if (dtype != np.float64 or fortran_order or len(shape) != 2
-                    or shape[0] != 3
-                    or os.fstat(fp.fileno()).st_size - fp.tell() != 24 * shape[1]):
-                return None
-            times, signs, mags = (np.empty(shape[1], dtype)
+            times, signs, mags = (np.empty(n, dtype)
                                   for dtype in (np.float64, np.int64, np.float64))
             for row in (times, signs.view(np.float64), mags):
                 if fp.readinto(row) != row.nbytes:
                     return None
-    except (OSError, ValueError, MemoryError):
+    except (OSError, MemoryError):
         return None
     as_float = signs.view(np.float64)
     for start in range(0, len(signs), BLOCK):

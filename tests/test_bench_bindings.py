@@ -76,16 +76,14 @@ def test_pairing_sums_through_slv_sum():
 @pytest.mark.parametrize("n_paths", [3, 8])
 def test_simulate_draws_and_writes_every_path_here(n_paths, tmp_path):
     # simulate draws each path and writes each file in its own process,
-    # whichever processes format the event lines, and draws a path only
-    # between files, so no draw is counted in a write (8 paths of two
-    # blocks each are more than 2 workers draw ahead)
+    # and draws a path only between files, so no draw is counted in a
+    # write (paths of two blocks each)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as listed:
             assert cli.main(["simulate", "--alpha", "1.5", "--horizon", "4000",
                              "--seed", "5", "--paths", str(n_paths),
-                             "--workers", "2",
                              "--out", str(tmp_path / "p.jsonl")]) == 0
     finally:
         tracer.uninstall()

@@ -1,7 +1,6 @@
 import contextlib
 import errno
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -42,21 +41,6 @@ def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-# the CLI with its --workers cap lifted, as the pool_as_asked fixture does
-POOL_AS_ASKED = ("import sys, kalpha.cli as cli; cli._available_cpus = lambda: 8; "
-                 "sys.exit(cli.main())")
-TEST_PID = os.getpid()
-FORMAT_EVENT_LINES = kalpha.paths._event_lines
-
-
-def die_in_child(times, signs, mags):
-    """An event-line formatter that kills the pool process running it
-    (module level, so the pool can pickle it by name)."""
-    if os.getpid() != TEST_PID:
-        os._exit(1)
-    return FORMAT_EVENT_LINES(times, signs, mags)
-
-
 class TestSimulate:
     def test_writes_manifest_and_events(self, tmp_path):
         out = tmp_path / "p.jsonl"
@@ -88,55 +72,14 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert "(0, 2)" in capsys.readouterr().err
 
-    @pytest.mark.usefixtures("pool_as_asked")
-    def test_multi_path_worker_invariance(self, tmp_path):
-        base = ["simulate", "--alpha", "1.0", "--horizon", "20", "--seed",
-                "7", "--paths", "4"]
-        assert run(base + ["--workers", "1",
-                           "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
-        assert run(base + ["--workers", "4",
-                           "--out", str(tmp_path / "t.jsonl")]) == EXIT_OK
-        for i in range(4):
-            a = (tmp_path / f"s-p{i:03d}.jsonl").read_text().splitlines()[1:]
-            b = (tmp_path / f"t-p{i:03d}.jsonl").read_text().splitlines()[1:]
-            assert a == b
-
     @staticmethod
     def files(directory):
         return {f.name: f.read_bytes() for f in directory.iterdir()}
 
-    @pytest.mark.usefixtures("pool_as_asked")
-    def test_dead_formatter_process_exit_3(self, tmp_path, monkeypatch,
-                                           capsys):
-        out = tmp_path / "p.jsonl"
-        base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
-                "3", "--out", str(out)]
-        # complete files with bound sidecars, then a run whose pool dies
-        assert run(base + ["--seed", "1", "--workers", "1"]) == EXIT_OK
-        before = self.files(tmp_path)
-        monkeypatch.setattr(kalpha.paths, "_event_lines", die_in_child)
-        capsys.readouterr()
-        assert run(base + ["--seed", "2", "--workers", "2"]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: ") and err.count("\n") == 1
-        # every target keeps its complete seed-1 file, and each loads
-        # through its sidecar, still bound to it (the JSONL parser is gone)
-        assert self.files(tmp_path) == before
-        monkeypatch.setattr(kalpha.paths, "read_event_path", None)
-        p = KAlphaParams(1.5)
-        seed_1 = [simulate_large_jumps(p, 20.0, 1, spawn_key=(i,))
-                  for i in range(3)]
-        for i, expected in enumerate(seed_1):
-            loaded = load_event_file(tmp_path / f"p-p{i:03d}.jsonl")
-            assert (loaded.seed, loaded.spawn_key) == (1, (i,))
-            assert loaded.times.tobytes() == expected.times.tobytes()
-            assert loaded.log1p_mags.tobytes() == expected.log1p_mags.tobytes()
-
-    @pytest.mark.usefixtures("pool_as_asked")
     def test_failed_write_changes_no_target(self, tmp_path, monkeypatch,
                                             capsys):
         base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
-                "3", "--workers", "2", "--out", str(tmp_path / "p.jsonl")]
+                "3", "--out", str(tmp_path / "p.jsonl")]
         assert run(base + ["--seed", "1"]) == EXIT_OK
         before = self.files(tmp_path)
         write = kalpha.paths.write_event_path
@@ -159,22 +102,20 @@ class TestSimulate:
         # byte-identical targets and sidecars, and no temporary file
         assert self.files(tmp_path) == before
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_failed_draw_changes_no_target(self, workers, tmp_path,
-                                           monkeypatch, capsys):
-        # the paths are drawn as the files are written: a draw that fails
-        # after earlier files are written leaves every target as it was;
-        # the formatter processes, no more than the CPUs, exist before the
-        # first path is drawn
+    def test_failed_draw_changes_no_target(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the paths are drawn as the files are written, each once the
+        # last one's JSONL and sidecar are complete: a draw that fails
+        # after earlier files are written leaves every target as it was
         base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
-                "4", "--workers", str(workers), "--out", str(tmp_path / "p.jsonl")]
+                "4", "--out", str(tmp_path / "p.jsonl")]
         assert run(base + ["--seed", "1"]) == EXIT_OK
         before = self.files(tmp_path)
         draw = kalpha.cli.simulate_large_jumps
-        formatters = []
+        temporaries = []
 
         def fails_on_third_path(params, horizon, seed, spawn_key):
-            formatters.append(len(multiprocessing.active_children()))
+            temporaries.append(len(list(tmp_path.glob("*.tmp"))))
             if spawn_key == (2,):
                 raise ValueError("a sampled log magnitude exceeds the float range")
             return draw(params, horizon, seed, spawn_key)
@@ -185,8 +126,7 @@ class TestSimulate:
         assert run(base + ["--seed", "2"]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: a sampled log magnitude")
-        pool = min(workers, kalpha.cli._available_cpus())
-        assert formatters == [0 if pool == 1 else pool] * 3
+        assert temporaries == [0, 2, 4]
         assert self.files(tmp_path) == before
 
     def test_directory_target_exit_3_before_writing(self, tmp_path, capsys):
@@ -203,7 +143,7 @@ class TestSimulate:
         codes = []
         worker = threading.Thread(target=lambda: codes.append(run(
             ["simulate", "--alpha", "1.5", "--horizon", "20", "--seed", "1",
-             "--workers", "1", "--out", str(out)])))
+             "--out", str(out)])))
         worker.start()
         worker.join(timeout=60)
         assert codes == [EXIT_OK]
@@ -212,20 +152,17 @@ class TestSimulate:
     @pytest.mark.parametrize("to, returncode, err", [
         ("parent", -signal.SIGTERM, b""),
         ("group", -signal.SIGTERM, b""),
-        ("formatter", EXIT_IO, b"i/o error: "),
     ])
     def test_sigterm_leaves_no_process_or_temporary(self, to, returncode,
                                                     err, tmp_path):
-        # SIGTERM once two formatter processes are writing the event lines:
-        # to the simulate process alone, to its whole group, or to one
-        # formatter, which then dies as it would by default
+        # SIGTERM while the event lines are being written, to the
+        # simulate process alone or to its whole group
         src = Path(kalpha.paths.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
-            [sys.executable, "-c", POOL_AS_ASKED, "simulate", "--alpha", "1.5",
-             "--horizon", "3e5", "--seed", "1", "--workers", "2",
-             "--out", str(tmp_path / "p.jsonl")],
+            [sys.executable, "-m", "kalpha.cli", "simulate", "--alpha", "1.5",
+             "--horizon", "3e5", "--seed", "1", "--out", str(tmp_path / "p.jsonl")],
             env=env, start_new_session=True, stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE)
         pgid = proc.pid
@@ -237,11 +174,8 @@ class TestSimulate:
                 time.sleep(0.01)
             if to == "group":
                 os.killpg(pgid, signal.SIGTERM)
-            elif to == "parent":
-                os.kill(proc.pid, signal.SIGTERM)
             else:
-                children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
-                os.kill(int(children.read_text().split()[0]), signal.SIGTERM)
+                os.kill(proc.pid, signal.SIGTERM)
             deadline = time.monotonic() + 5
             assert proc.wait(timeout=5) == returncode
             while True:
@@ -249,7 +183,7 @@ class TestSimulate:
                     os.killpg(pgid, 0)
                 except ProcessLookupError:
                     break
-                assert time.monotonic() < deadline, "formatters still alive"
+                assert time.monotonic() < deadline, "processes still alive"
                 time.sleep(0.01)
             assert proc.stderr.read().startswith(err)
             assert list(tmp_path.iterdir()) == []
@@ -602,10 +536,6 @@ class TestBadInput:
          "--plot-data", "{out}/x.csv"],
         ["diagnose", "--alpha", "1.5", "--pruitt", "etas=0.1,rs=1e100,1e200"],
         ["diagnose", "--alpha", "1.5", "--pruitt", "etas=4,rs=1e100,1e120"],
-        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
-         "--paths", "2", "--workers", "0", "--out", "{out}/p.jsonl"],
-        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
-         "--workers", "-3", "--out", "{out}/p.jsonl"],
         ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=800,caps=10,100,1000"],
         ["diagnose", "--alpha", "1.5", "--moment-scan", "eta=2,caps=10,1e200"],
         # 1.6 EiB of event times exceeds any 64-bit user address space
@@ -631,7 +561,7 @@ class TestBadInput:
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
-            "workers-zero", "workers-negative", "moment-eta-overflows",
+            "moment-eta-overflows",
             "moment-cap-overflows", "simulate-horizon-beyond-memory",
             "envelope-exp-with-beta", "envelope-pow-with-c",
             "envelope-exponential-with-beta", "envelope-powexp-without-beta",

@@ -1,5 +1,5 @@
 """The package's export list names only what it defines, and importing
-it loads nothing that only the CLI or the writer pool needs."""
+it loads neither the CLI's parser nor any process-pool module."""
 
 import os
 import subprocess
@@ -23,7 +23,7 @@ def test_star_import():
 
 def test_import_loads_no_cli_or_pool_modules():
     # a fresh interpreter, so modules the tests loaded do not count; the
-    # parser and the pool are loaded by the commands that use them
+    # parser is loaded by the commands that use it
     src = str(Path(kalpha.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,12 +1,10 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 import tempfile
-import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -22,8 +20,7 @@ from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
 from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
-                          _event_blocks, _event_lines, _formatted,
-                          _parse_block, _parse_lines, _shortest_digits,
+                          _event_lines, _parse_block, _parse_lines, _shortest_digits,
                           load_event_file, read_event_path, running_sup,
                           save_event_files, simulate_large_jumps,
                           write_event_path)
@@ -503,6 +500,17 @@ def huge_header(digest, events):
     return digest + buf.getvalue() + events.tobytes()
 
 
+def reordered_header(digest, events):
+    """A version 1.0 header that numpy reads, with the keys in an order
+    _save_rows never writes."""
+    text = f"{{'shape': {events.shape}, 'fortran_order': False, 'descr': '<f8', }}"
+    text += " " * (-(len(text) + 11) % 64) + "\n"
+    payload = (b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little")
+               + text.encode() + events.tobytes())
+    assert np.array_equal(np.load(io.BytesIO(payload)), events)
+    return digest + payload
+
+
 # (digest of the JSONL, its (3, n) event array) -> sidecar bytes
 BAD_SIDECARS = {
     "empty": lambda d, e: b"",
@@ -518,6 +526,7 @@ BAD_SIDECARS = {
     "fails-event-checks": lambda d, e: d + npy_bytes(e[:, ::-1].copy()),
     "shape-beyond-memory": huge_header,
     "version-2-header": version_2_header,
+    "reordered-header-keys": reordered_header,
 }
 
 
@@ -646,17 +655,13 @@ def block_path(n, seed=0):
                       mags=LN2 + rng.exponential(5.0, n))
 
 
-class TestParallelWriter:
-    """save_event_files formats the event blocks of all its files on a
-    process pool; the files must not depend on the worker count."""
-
+class TestSaveEventFiles:
     @staticmethod
-    def written(tmp_path, paths, workers, lazy=False):
-        out = tmp_path / f"w{workers}{'-lazy' if lazy else ''}"
+    def written(tmp_path, paths, lazy=False):
+        out = tmp_path / f"w{'-lazy' if lazy else ''}"
         out.mkdir()
         jobs = [(out / f"p{i}.jsonl", path) for i, path in enumerate(paths)]
-        save_event_files((job for job in jobs) if lazy else jobs,
-                         {"note": "x"}, workers)
+        save_event_files((job for job in jobs) if lazy else jobs, {"note": "x"})
         assert sorted(out.iterdir()) == sorted(
             [t for t, _ in jobs] + [Path(f"{t}{SIDECAR_SUFFIX}") for t, _ in jobs])
         return [(t.read_bytes(), Path(f"{t}{SIDECAR_SUFFIX}").read_bytes())
@@ -664,103 +669,83 @@ class TestParallelWriter:
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 1])
-    def test_bytes_do_not_depend_on_workers(self, n, tmp_path):
+    def test_bytes_match_write_event_path(self, n, tmp_path):
         path = block_path(n)
-        one = self.written(tmp_path, [path], 1)
-        assert self.written(tmp_path, [path], 2) == one
         buf = io.StringIO()
         write_event_path(path, buf, {"note": "x"})
-        assert one[0][0] == buf.getvalue().encode()
+        assert self.written(tmp_path, [path])[0][0] == buf.getvalue().encode()
 
     def test_ensemble_with_an_empty_path(self, tmp_path):
         paths = [block_path(n, seed) for seed, n in
                  enumerate([3, 0, 2 * BLOCK + 1, BLOCK, 0, 1])]
-        one = self.written(tmp_path, paths, 1)
-        assert self.written(tmp_path, paths, 2) == one
-        assert self.written(tmp_path, paths, 5) == one
-        for (jsonl, _), path in zip(one, paths):
+        for (jsonl, _), path in zip(self.written(tmp_path, paths), paths):
             assert jsonl.count(b"\n") == path.n_events + 1
+            assert_same_path(read_event_path(io.StringIO(jsonl.decode())), path)
 
     def test_generator_fed_files_match_list_fed(self, tmp_path):
-        # two paths of more blocks than 2 workers have slots, back to back
         paths = [block_path(n, seed) for seed, n in enumerate(
             [0, 1, BLOCK - 1, BLOCK + 1, 0, 2 * BLOCK + 1, 1, BLOCK + 1,
              5 * BLOCK + 1, 5 * BLOCK + 1, 0])]
-        listed = self.written(tmp_path, paths, 1)
-        for workers in (1, 2, 5):
-            assert self.written(tmp_path, paths, workers, lazy=True) == listed
+        assert (self.written(tmp_path, paths, lazy=True)
+                == self.written(tmp_path, paths))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_does_not_grow_with_the_paths(self, workers, tmp_path,
-                                                 traced_peak):
+    def test_memory_does_not_grow_with_the_paths(self, tmp_path, traced_peak):
         # the paths are drawn from the generator as their files are
-        # written, and only those with blocks in flight are held
+        # written, and only the one being written is held
         def peak(count):
             out = tmp_path / f"{count}"
             out.mkdir()
             jobs = ((out / f"p{i}.jsonl", block_path(BLOCK + 1, i))
                     for i in range(count))
-            return traced_peak(save_event_files, jobs, None, workers)[1]
+            return traced_peak(save_event_files, jobs)[1]
 
-        peak(4)         # first-use costs: lazy imports, the pool's machinery
+        peak(4)         # first-use costs
         few, many = peak(16), peak(64)
         # holding every path would make many about 3 times few
         assert many < 1.25 * few
 
-    def test_longest_lines_fit_their_slot(self, tmp_path):
-        # 23-character reprs for t and log1p_mag, and sign -1
+    def test_longest_lines_fit_line_max(self, tmp_path):
+        # 23-character reprs for t and log1p_mag, and sign -1: the kernel
+        # sets _LINE_MAX bytes aside for each line
         n = BLOCK + 1
         times = 1.2345678901234567e-300 * (1.0 + np.arange(n) * 2.0 ** -40)
         path = small_path(horizon=1.0, times=times, signs=-np.ones(n),
                           mags=np.full(n, 1.2345678901234567e+300))
-        one = self.written(tmp_path, [path], 1)
-        assert len(one[0][0].splitlines()[1]) == 80
-        assert self.written(tmp_path, [path], 2) == one
-
-    def test_slow_writer_gets_every_block(self):
-        # the workers run ahead while each text waits to be written, so a
-        # slot reused before its text is taken would show here; the
-        # 5 * BLOCK + 1 path has more blocks than 2 workers have slots, so
-        # its own taken slots must go back to its next blocks
-        jobs = [(seed, block_path(n, seed)) for seed, n in enumerate(
-            [50] * 6 + [0, 2 * BLOCK + 1, 5 * BLOCK + 1] + [50] * 6)]
-        got = []
-        for seed, path, texts in _formatted(jobs, 2):
-            got.append((seed, path))
-            for text in texts:
-                time.sleep(0.02)
-                got.append(text)
-        assert got == [item for job in jobs for item in (
-            job, *itertools.starmap(_event_lines, _event_blocks(job[1])))]
-
-    def test_serial_stream_leaves_formatting_to_the_writer(self):
-        jobs = [(seed, block_path(n, seed)) for seed, n in enumerate([0, 50])]
-        assert list(_formatted(jobs, 1)) == [(*job, None) for job in jobs]
+        jsonl = self.written(tmp_path, [path])[0][0]
+        assert len(jsonl.splitlines()[1]) == 80 < kalpha.paths._LINE_MAX
+        assert_same_path(read_event_path(io.StringIO(jsonl.decode())), path)
 
     def test_sidecar_digest_is_the_file_on_disk(self, tmp_path):
         paths = [block_path(BLOCK + 1), block_path(7, 1)]
-        for jsonl, sidecar in self.written(tmp_path, paths, 2):
+        for jsonl, sidecar in self.written(tmp_path, paths):
             assert sidecar[:32] == hashlib.sha256(jsonl).digest()
+
+    @pytest.mark.parametrize("field", sorted(kalpha.paths._HEADER_FIELDS))
+    def test_extra_meta_cannot_overwrite_the_header(self, field, tmp_path):
+        # refused before anything is written, drawn or renamed: the
+        # target keeps its file, and no temporary is left
+        path = simulate_large_jumps(KAlphaParams(1.5), 20.0, 1)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=field):
+            write_event_path(path, buf, {"note": "x", field: 0.5})
+        assert buf.getvalue() == ""
+        target = tmp_path / "p.jsonl"
+        save_event_files([(target, path)])
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        drawn = []
+
+        def jobs():
+            drawn.append(True)
+            yield tmp_path / "q.jsonl", path
+
+        for given in ([(target, path)], jobs()):
+            with pytest.raises(ValueError, match=field):
+                save_event_files(given, {field: 0.5})
+        assert drawn == []
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 class TestEnsembles:
-    @pytest.mark.usefixtures("pool_as_asked")
-    def test_worker_count_does_not_change_files(self, tmp_path):
-        # event sections and sidecar payloads: the headers, and so the
-        # sidecar digests, differ by their manifest timestamps
-        def simulate(workers):
-            out = tmp_path / f"w{workers}.jsonl"
-            with contextlib.redirect_stdout(io.StringIO()) as listed:
-                assert main(["simulate", "--alpha", "1.0", "--horizon", "5",
-                             "--seed", "42", "--paths", "4", "--workers",
-                             workers, "--out", str(out)]) == 0
-            return [(Path(f).read_bytes().split(b"\n", 1)[1],
-                     Path(f + SIDECAR_SUFFIX).read_bytes()[32:])
-                    for f in listed.getvalue().split()]
-
-        one = simulate("1")
-        assert len(one) == 4 and simulate("4") == one
-
     def test_paths_are_independent_streams(self):
         p = KAlphaParams(1.0)
         ens = [simulate_large_jumps(p, 5.0, 42, spawn_key=(i,))
