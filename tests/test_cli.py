@@ -102,31 +102,33 @@ class TestSimulate:
         # byte-identical targets and sidecars, and no temporary file
         assert self.files(tmp_path) == before
 
-    def test_failed_draw_changes_no_target(self, tmp_path, monkeypatch,
-                                           capsys):
+    @pytest.mark.parametrize("fails_at", [1, 2, 8])
+    def test_failed_draw_changes_no_target(self, fails_at, tmp_path,
+                                           monkeypatch, capsys):
         # the paths are drawn as the files are written, each once the
         # last one's JSONL and sidecar are complete: a draw that fails
-        # after earlier files are written leaves every target as it was
+        # after earlier files are written, up to the last path's, leaves
+        # every target as it was
         base = ["simulate", "--alpha", "1.5", "--horizon", "20", "--paths",
-                "4", "--out", str(tmp_path / "p.jsonl")]
+                "9", "--out", str(tmp_path / "p.jsonl")]
         assert run(base + ["--seed", "1"]) == EXIT_OK
         before = self.files(tmp_path)
         draw = kalpha.cli.simulate_large_jumps
         temporaries = []
 
-        def fails_on_third_path(params, horizon, seed, spawn_key):
+        def fails_on_one_path(params, horizon, seed, spawn_key):
             temporaries.append(len(list(tmp_path.glob("*.tmp"))))
-            if spawn_key == (2,):
+            if spawn_key == (fails_at,):
                 raise ValueError("a sampled log magnitude exceeds the float range")
             return draw(params, horizon, seed, spawn_key)
 
         monkeypatch.setattr(kalpha.cli, "simulate_large_jumps",
-                            fails_on_third_path)
+                            fails_on_one_path)
         capsys.readouterr()
         assert run(base + ["--seed", "2"]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: a sampled log magnitude")
-        assert temporaries == [0, 2, 4]
+        assert temporaries == list(range(0, 2 * fails_at + 1, 2))
         assert self.files(tmp_path) == before
 
     def test_directory_target_exit_3_before_writing(self, tmp_path, capsys):

@@ -689,13 +689,16 @@ class TestSaveEventFiles:
         assert (self.written(tmp_path, paths, lazy=True)
                 == self.written(tmp_path, paths))
 
-    def test_memory_does_not_grow_with_the_paths(self, tmp_path, traced_peak):
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_memory_does_not_grow_with_the_paths(self, blocks, tmp_path,
+                                                 traced_peak):
         # the paths are drawn from the generator as their files are
-        # written, and only the one being written is held
+        # written, and only the one being written is held, whether a path
+        # ends in its first block or runs on into a second
         def peak(count):
             out = tmp_path / f"{count}"
             out.mkdir()
-            jobs = ((out / f"p{i}.jsonl", block_path(BLOCK + 1, i))
+            jobs = ((out / f"p{i}.jsonl", block_path(blocks * BLOCK + 1, i))
                     for i in range(count))
             return traced_peak(save_event_files, jobs)[1]
 
