@@ -81,14 +81,6 @@ class SignedLogValue:
         if self.sign == 0 and self.logmag != -math.inf:
             object.__setattr__(self, "logmag", -math.inf)
 
-    def decode(self) -> float | None:
-        """Native float value, or None when the magnitude overflows."""
-        if self.sign == 0:
-            return 0.0
-        if self.logmag > LOG_FLOAT_MAX:
-            return None
-        return self.sign * math.exp(self.logmag)
-
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -155,13 +147,14 @@ def slv_sum(logs, coefs) -> tuple[float, float]:
             ref = max(ref, float(block_logs.max()))
     if top == -math.inf:
         return -math.inf, 0.0
+    # above 2^63 the cut rounds back to top, and top >= cut keeps it
     cut = top - 650.0
-    dropping = not low > cut
+    dropping = low < cut
 
     def kept(block):
         block_logs, block_coefs, term = _live_terms(*block)
         if dropping:
-            keep = term > cut
+            keep = term >= cut
             block_logs, block_coefs = block_logs[keep], block_coefs[keep]
         return block_logs, block_coefs
 

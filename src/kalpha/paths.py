@@ -10,11 +10,13 @@ magnitudes are never materialised as native floats because ell = ln(1+|x|)
 can reach the thousands.  Everything is driven by numpy's Philox generator
 (counter based, 64-bit) keyed through SeedSequence(entropy=seed,
 spawn_key=...), so paths are reproducible one at a time or as an
-ensemble.  A path is drawn in place into the three arrays it returns,
-with one block of BLOCK events as scratch, so the length of path a
-machine can hold is set by those arrays alone.  Its running sup is
-returned as its steps, the events at which |K| sets a record, found in
-one pass over the path a block at a time.
+ensemble.  A path is three float64 rows, times, signs (+-1.0) and
+log1p magnitudes, from the draw to the sidecar, and EventPath is the
+one place they are checked.  They are drawn in place, with one block of
+BLOCK events as scratch, so the length of path a machine can hold is
+set by those rows alone.  Its running sup is returned as its steps, the
+events at which |K| sets a record, found in one pass over the path a
+block at a time.
 
 JSONL is the one path format users read and write.  Its event lines are
 formatted a block at a time by _event_lines, a numpy kernel that writes
@@ -23,18 +25,18 @@ each float as repr does: it finds repr's shortest digits exactly for
 itself, one float at a time, for any x it cannot decide (about 1% of a
 simulated path's).  save_event_files writes each JSONL with
 <file>.events beside it: the SHA-256 of the JSONL bytes as written,
-then the (3, n) float64 array of times, signs and log1p magnitudes in
-.npy form (version 1.0 header); a call that fails changes no file.  It
+then the path's three rows as one (3, n) float64 array in .npy form
+(version 1.0 header); a call that fails changes no file.  It
 formats, hashes and writes every file in the calling process, and draws
 its paths lazily from any iterable, each one between two files, so it
 holds one path at a time and writes an ensemble of any size in fixed
 memory.
-load_event_file takes the arrays from the sidecar only when the digest
+load_event_file takes the rows from the sidecar only when the digest
 matches the JSONL, the payload is that array under the exact .npy
-header _save_rows writes (no pickle) and it passes every EventPath
-check; otherwise it parses the JSONL.  It reads each row into its own
-array, so a load holds little more than the path it returns.  A read
-never writes a sidecar.
+header save_event_files writes (no pickle) and the rows pass every
+EventPath check, a sign other than +-1.0 included; otherwise it parses
+the JSONL.  It reads each row into its own array, so a load holds
+little more than the path it returns.  A read never writes a sidecar.
 """
 
 from __future__ import annotations
@@ -82,8 +84,11 @@ class EventPath:
     """Time-ordered large-jump events of one simulated path.
 
     The path value at time t is the log-domain sum of all jumps with
-    event time <= t; the value at 0 is zero.  Instances are immutable
-    and safe to share between threads.
+    event time <= t; the value at 0 is zero.  Each row is held as
+    float64, the signs as -1.0 and +1.0; rows of another dtype are
+    converted, and a sign of any other value is refused here, the one
+    sign check.  Instances are immutable and safe to share between
+    threads.
     """
 
     params: KAlphaParams
@@ -100,16 +105,14 @@ class EventPath:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.horizon == math.inf:
             raise ValueError("horizon must be finite, got inf")
-        # no float temporaries of the path's length: int64 signs are kept
+        # no float temporaries of the path's length: float64 rows are kept
         # as given, and the order check compares rather than subtracts
-        t = _readonly(np.asarray(self.times, dtype=float))
-        s = np.asarray(self.signs)
-        m = _readonly(np.asarray(self.log1p_mags, dtype=float))
+        t, s, m = (_readonly(np.asarray(row, dtype=float))
+                   for row in (self.times, self.signs, self.log1p_mags))
         if not (len(t) == len(s) == len(m)):
             raise ValueError("event arrays must have equal length")
-        if not np.all((s == 1) | (s == -1)):
+        if not np.all((s == 1.0) | (s == -1.0)):
             raise ValueError("event signs must be -1 or +1")
-        s = _readonly(s.astype(np.int64, copy=False))
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(m))):
             raise ValueError("event times and magnitudes must be finite")
         if not np.all(t[1:] > t[:-1]):
@@ -169,9 +172,9 @@ def simulate_large_jumps(params: KAlphaParams, horizon: float, seed: int,
         for i in range(1, n):
             if times[i] <= times[i - 1]:
                 times[i] = np.nextafter(times[i - 1], np.inf)
-    signs = rng.integers(0, 2, n)
-    signs *= 2
-    signs -= 1
+    signs = rng.integers(0, 2, n).astype(float)
+    signs *= 2.0
+    signs -= 1.0
     mags = rng.random(n)
     np.subtract(1.0, mags, out=mags)    # uniform on (0, 1]
     for start in range(0, n, BLOCK):
@@ -648,21 +651,12 @@ def _npy_header(shape: tuple[int, int]) -> bytes:
     return buf.getvalue()
 
 
-def _save_rows(raw, rows) -> None:
-    """Write the equal-length 1-d rows as one (len(rows), n) float64 .npy
-    array, the bytes numpy.save gives for their stack, BLOCK elements of
-    a row at a time (neither the stacked copy nor a float copy of a
-    whole row, such as the int64 signs, is formed)."""
-    raw.write(_npy_header((len(rows), len(rows[0]))))
-    for row in rows:
-        for start in range(0, len(row), BLOCK):
-            raw.write(np.ascontiguousarray(row[start:start + BLOCK], dtype="<f8"))
-
-
 def save_event_files(jobs, meta: dict | None = None) -> None:
     """Write each (target, path) of jobs as JSONL (write_event_path with
     meta as extra header fields), then its sidecar target +
-    SIDECAR_SUFFIX, bound to the bytes as written.
+    SIDECAR_SUFFIX, bound to the bytes as written.  The sidecar's payload
+    is the bytes numpy.save gives for the (3, n) stack of the path's
+    float64 rows, written one row at a time, so the stack is not formed.
 
     jobs may be any iterable, a generator included: it is drawn lazily,
     one path between two files, and only that path is held, so memory
@@ -686,7 +680,9 @@ def save_event_files(jobs, meta: dict | None = None) -> None:
                 write_event_path(path, fp, extra_meta=meta)
             with open(sidecar, "wb") as raw:
                 raw.write(fp.sha256.digest())
-                _save_rows(raw, (path.times, path.signs, path.log1p_mags))
+                raw.write(_npy_header((3, path.n_events)))
+                for row in (path.times, path.signs, path.log1p_mags):
+                    raw.write(row.astype("<f8", copy=False))
             del path                    # before the next one is drawn
         for temporary, name in renames:
             os.replace(temporary, name)
@@ -709,16 +705,14 @@ def _open_regular(name):
 
 
 def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
-    """The times, signs (as int64) and log1p magnitudes in name's
-    sidecar, or None when the sidecar is missing or not a regular file,
-    holds another digest, does not follow it with exactly the .npy
-    header _save_rows writes for (3, n), n being the length of the rest
-    over 24 bytes, or has a sign that is not -1 or +1.  The header is
-    compared as bytes, never parsed, so no pickled object is loaded.
-
-    Each row is read into its own array once the header is checked; the
-    signs are converted in place a block at a time, so the (3, n) array
-    is never formed."""
+    """The float64 times, signs and log1p magnitudes in name's sidecar,
+    or None when the sidecar is missing or not a regular file, holds
+    another digest, or does not follow it with exactly the .npy header
+    save_event_files writes for (3, n), n being the length of the rest
+    over 24 bytes.  The header is compared as bytes, never parsed, so no
+    pickled object is loaded.  Each row is read into its own array once
+    the header is checked, so the (3, n) array is never formed; the
+    values are left to EventPath's checks."""
     try:
         with _open_regular(f"{name}{SIDECAR_SUFFIX}") as fp:
             # the digest, then the .npy magic, version and header length
@@ -730,20 +724,12 @@ def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
                     or head[len(digest):] + fp.read(header_len - 10)
                     != _npy_header((3, n))):
                 return None
-            times, signs, mags = (np.empty(n, dtype)
-                                  for dtype in (np.float64, np.int64, np.float64))
-            for row in (times, signs.view(np.float64), mags):
-                if fp.readinto(row) != row.nbytes:
-                    return None
+            rows = tuple(np.empty(n, "<f8") for _ in range(3))
+            if any(fp.readinto(row) != row.nbytes for row in rows):
+                return None
+            return rows
     except (OSError, MemoryError):
         return None
-    as_float = signs.view(np.float64)
-    for start in range(0, len(signs), BLOCK):
-        block = as_float[start:start + BLOCK]
-        if not np.all((block == 1.0) | (block == -1.0)):
-            return None
-        signs[start:start + BLOCK] = block      # numpy copies the overlap first
-    return times, signs, mags
 
 
 def load_event_file(name) -> EventPath:
@@ -752,10 +738,11 @@ def load_event_file(name) -> EventPath:
 
     The header is always read from the JSONL and checked as
     read_event_path checks it; a file that is not a regular one (a
-    directory, a FIFO) raises OSError.  Arrays from a sidecar pass every
-    EventPath check; if they fail one, the JSONL is parsed instead.
-    A sidecar load holds the three returned arrays and a few boolean
-    arrays of the path's length, nothing more.
+    directory, a FIFO) raises OSError.  The sidecar's float64 rows go
+    to EventPath as they are read; if they fail one of its checks (a
+    sign other than +-1.0, say), the JSONL is parsed instead.  A sidecar
+    load holds the three returned arrays and a few boolean arrays of the
+    path's length, nothing more.
     """
     with io.TextIOWrapper(_open_regular(name)) as fp:
         # the hash, the header and any parse all read this one open file,

@@ -74,7 +74,9 @@ class TestSimulate:
 
     @staticmethod
     def files(directory):
-        return {f.name: f.read_bytes() for f in directory.iterdir()}
+        # split at line breaks, so a mismatch names its first line
+        return {f.name: f.read_bytes().splitlines(keepends=True)
+                for f in directory.iterdir()}
 
     def test_failed_write_changes_no_target(self, tmp_path, monkeypatch,
                                             capsys):
@@ -492,6 +494,23 @@ class TestPair:
         assert run(["pair", "--in", str(infile), "--phi", phi]) == EXIT_OK
         out, err = capsys.readouterr()
         validate_document(json.loads(out, parse_constant=reject_constant))
+        assert err == ""
+
+    @pytest.mark.parametrize("phi", ["bump:center=50,width=40",
+                                     "gaussian:center=50,scale=20"])
+    def test_log_jumps_beyond_2_to_63(self, tmp_path, capsys, phi):
+        # at alpha 0.1 this path's largest log1p magnitude is about
+        # 1.6e35, where the pairing's sums keep only their largest terms
+        infile = tmp_path / "k.jsonl"
+        assert run(["simulate", "--alpha", "0.1", "--horizon", "100",
+                    "--seed", "42", "--out", str(infile)]) == EXIT_OK
+        assert load_event_file(infile).log1p_mags.max() > 2.0 ** 63
+        capsys.readouterr()
+        assert run(["pair", "--in", str(infile), "--phi", phi]) == EXIT_OK
+        out, err = capsys.readouterr()
+        doc = json.loads(out, parse_constant=reject_constant)
+        validate_document(doc)
+        assert doc["crosscheck_rel_err"] < 1e-9
         assert err == ""
 
     def test_bad_phi_exit_2(self, sample_path_file):

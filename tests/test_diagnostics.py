@@ -164,7 +164,7 @@ class TestGrowthScan:
         path = make_path(horizon=64.0, times=[1.0], signs=[1],
                          mags=[math.log1p(7.0)])
         rows = growth_scan([path], 1.0)
-        vals = [lvl.decode() for _, lvl in rows]
+        vals = [lvl.sign * math.exp(lvl.logmag) for _, lvl in rows]
         assert vals[0] == pytest.approx(7.0, rel=1e-12)
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[1] == pytest.approx(7.0 / 2.0, rel=1e-12)

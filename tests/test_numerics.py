@@ -11,19 +11,11 @@ from scipy.integrate import quad as scipy_quad
 
 from kalpha import numerics
 from kalpha.numerics import (_DIVERGENCE_STREAK, LN2, QuadratureError,
-                             SignedLogValue, SubdivisionLimitError,
-                             _tail_verdict, adaptive_quad, quad_partition,
-                             slv_sum)
+                             SubdivisionLimitError, _tail_verdict,
+                             adaptive_quad, quad_partition, slv_sum)
 
 # keep hypothesis's source-constants cache out of the working tree
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
-
-
-class TestSignedLogValue:
-    def test_decode_overflow_flag(self):
-        # never returns infinity, returns the flag instead
-        assert SignedLogValue(1, 1000.0).decode() is None
-        assert SignedLogValue(-1, 710.0).decode() is None
 
 
 def reference_slv_sum(logs, coefs) -> tuple[float, float]:
@@ -39,7 +31,7 @@ def reference_slv_sum(logs, coefs) -> tuple[float, float]:
     term = np.abs(coefs)
     np.log(term, out=term)
     term += logs
-    keep = term > term.max() - 650.0
+    keep = term >= term.max() - 650.0
     if not keep.all():
         logs, coefs = logs[keep], coefs[keep]
         term = np.empty_like(coefs)
@@ -78,6 +70,8 @@ def slv_cases(n: int) -> list[tuple]:
         # ref is the largest log among the kept terms
         (np.append(rng.uniform(0.0, 20.0, n - 1), 700.0),
          np.append(rng.normal(size=n - 1) * 1e300, 5e-324)),
+        # beyond 2^63 the cut rounds to the largest term itself
+        ([1e19 - 1e5, 1e19, 2.0 ** 64, 2.0 ** 64], [1.0, 2.0, 0.5, -0.25]),
     ]
 
 
@@ -116,6 +110,16 @@ class TestSlvSum:
         assert total == pytest.approx(2.0 / 3.0, rel=1e-15)
         ref, total = slv_sum([-5000.0, -5000.0], [1.5, 2.5])
         assert (ref, total) == (-5000.0, 4.0)
+
+    @pytest.mark.parametrize("top", [1e19, 2.0 ** 64, 1e20],
+                             ids=["1e19", "2^64", "1e20"])
+    def test_logs_beyond_2_to_63(self, top):
+        # above 2^63 a log's ulp passes 650, so top - 650 rounds to top:
+        # the largest term is still kept, and a term 1e5 below it dropped
+        assert slv_sum([top], [1.0]) == (top, 1.0)
+        assert slv_sum([top, top], [1.0, 1.0]) == (top, 2.0)
+        assert slv_sum([top - 1e5, top], [1.0, -1.0]) == (top, -1.0)
+        assert slv_sum([top, top - 1e5], [3.0, 1.0]) == (top, 3.0)
 
     @pytest.mark.parametrize("logs, coefs", [([], []), ([1.0, 900.0], [0.0, 0.0])],
                              ids=["empty", "all-zero"])

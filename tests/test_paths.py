@@ -96,14 +96,15 @@ class TestSimulateLarge:
 
     @pytest.mark.parametrize("block", [1, 3, 7, BLOCK])
     def test_pinned_draw_at_any_block(self, block, monkeypatch):
-        # SHA-256 of the times, int64 signs and log1p magnitudes, recorded
-        # from the whole-array draw; never re-recorded
+        # SHA-256 of the times, the signs cast to int64 (the dtype they
+        # were recorded in) and the log1p magnitudes, recorded from the
+        # whole-array draw; never re-recorded
         monkeypatch.setattr(kalpha.paths, "BLOCK", block)
         path = simulate_large_jumps(KAlphaParams(1.5), 1e3, 42, (0,))
         digest = hashlib.sha256()
-        for row in (path.times, path.signs, path.log1p_mags):
+        for row in (path.times, path.signs.astype(np.int64), path.log1p_mags):
             digest.update(row.tobytes())
-        assert path.signs.dtype == np.int64
+        assert path.signs.dtype == np.float64
         assert digest.hexdigest() == ("3abd8453246e0ebf1fb773a97e3face2"
                                       "e89c32d08c8ef9cfa2c0fb3f7a690d07")
 
@@ -448,6 +449,12 @@ class TestPersistence:
                 ' "horizon": 1.0, "seed": 0}\n'))
 
 
+def by_line(text):
+    """text or bytes split after each line break, so that a mismatch is
+    reported as the first line that differs rather than diffed whole."""
+    return text.splitlines(keepends=True)
+
+
 def assert_same_path(a, b):
     for field in ("times", "signs", "log1p_mags"):
         x, y = getattr(a, field), getattr(b, field)
@@ -511,6 +518,16 @@ def reordered_header(digest, events):
     return digest + payload
 
 
+def with_sign(value):
+    """Sidecar bytes with the right digest and header whose last sign is
+    value, which only EventPath's sign check can refuse."""
+    def sidecar(digest, events):
+        events = events.copy()
+        events[1, -1] = value
+        return digest + npy_bytes(events)
+    return sidecar
+
+
 # (digest of the JSONL, its (3, n) event array) -> sidecar bytes
 BAD_SIDECARS = {
     "empty": lambda d, e: b"",
@@ -527,6 +544,10 @@ BAD_SIDECARS = {
     "shape-beyond-memory": huge_header,
     "version-2-header": version_2_header,
     "reordered-header-keys": reordered_header,
+    "sign-0.5": with_sign(0.5),
+    "sign-0": with_sign(0.0),
+    "sign-2": with_sign(2.0),
+    "sign-nan": with_sign(math.nan),
 }
 
 
@@ -563,6 +584,7 @@ class TestSidecar:
                ["p.jsonl", "p.jsonl" + SIDECAR_SUFFIX]
         loaded = load_event_file(target)
         assert jsonl_reads == []
+        assert loaded.signs.dtype == parse_jsonl(target).signs.dtype == np.float64
         assert_same_path(loaded, parse_jsonl(target))
         assert_same_path(loaded, path)
         # the rows are written one at a time, as numpy.save writes the stack
@@ -625,10 +647,9 @@ class TestSidecar:
 
     def test_load_is_a_few_arrays_of_the_path(self, tmp_path, traced_peak):
         # the three returned arrays, plus boolean checks of the path's
-        # length; the (3, n) payload and a float copy of the signs are
-        # never formed (5 arrays leaves room for numpy's temporaries; the
-        # whole payload plus row copies and EventPath's float temporaries
-        # cost about 8)
+        # length; the (3, n) payload is never formed (5 arrays leaves room
+        # for numpy's temporaries; the whole payload plus row copies and
+        # EventPath's float temporaries cost about 8)
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         n = path.n_events
         assert n >= 100_000
@@ -673,7 +694,8 @@ class TestSaveEventFiles:
         path = block_path(n)
         buf = io.StringIO()
         write_event_path(path, buf, {"note": "x"})
-        assert self.written(tmp_path, [path])[0][0] == buf.getvalue().encode()
+        assert (by_line(self.written(tmp_path, [path])[0][0])
+                == by_line(buf.getvalue().encode()))
 
     def test_ensemble_with_an_empty_path(self, tmp_path):
         paths = [block_path(n, seed) for seed, n in
@@ -686,8 +708,10 @@ class TestSaveEventFiles:
         paths = [block_path(n, seed) for seed, n in enumerate(
             [0, 1, BLOCK - 1, BLOCK + 1, 0, 2 * BLOCK + 1, 1, BLOCK + 1,
              5 * BLOCK + 1, 5 * BLOCK + 1, 0])]
-        assert (self.written(tmp_path, paths, lazy=True)
-                == self.written(tmp_path, paths))
+        lazy, listed = (self.written(tmp_path, paths, lazy=flag)
+                        for flag in (True, False))
+        assert [list(map(by_line, files)) for files in lazy] == \
+               [list(map(by_line, files)) for files in listed]
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_memory_does_not_grow_with_the_paths(self, blocks, tmp_path,
@@ -734,7 +758,7 @@ class TestSaveEventFiles:
         assert buf.getvalue() == ""
         target = tmp_path / "p.jsonl"
         save_event_files([(target, path)])
-        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        before = {f.name: by_line(f.read_bytes()) for f in tmp_path.iterdir()}
         drawn = []
 
         def jobs():
@@ -745,7 +769,8 @@ class TestSaveEventFiles:
             with pytest.raises(ValueError, match=field):
                 save_event_files(given, {field: 0.5})
         assert drawn == []
-        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        assert {f.name: by_line(f.read_bytes())
+                for f in tmp_path.iterdir()} == before
 
 
 class TestEnsembles:
@@ -873,7 +898,7 @@ class TestBlockCodec:
 
 def json_lines(times, signs, mags) -> str:
     """The event lines as json.dumps writes each record."""
-    return "".join(json.dumps({"t": t, "sign": s, "log1p_mag": m}) + "\n"
+    return "".join(json.dumps({"t": t, "sign": int(s), "log1p_mag": m}) + "\n"
                    for t, s, m in zip(times, signs, mags))
 
 
@@ -916,8 +941,8 @@ class TestEventLines:
         if signs is None:
             signs = np.where(np.arange(len(values)) % 3, 1, -1)
         mags = values[::-1].copy()
-        assert _event_lines(values, signs, mags) == json_lines(
-            values.tolist(), signs.tolist(), mags.tolist())
+        assert by_line(_event_lines(values, signs, mags)) == by_line(json_lines(
+            values.tolist(), signs.tolist(), mags.tolist()))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.lists(st.tuples(

@@ -392,8 +392,9 @@ class TestPairing:
         path = manual_path(times=[1.0], signs=[1], mags=[ell])
         res = pair_white_noise(path, Gaussian(0.0, 1.0))
         expected = math.expm1(ell) * math.exp(-1.0)
-        assert res.value.decode() == pytest.approx(expected, rel=1e-12)
-        assert res.crosscheck.decode() == pytest.approx(expected, rel=1e-12)
+        for got in (res.value, res.crosscheck):
+            value = got.sign * math.exp(got.logmag)
+            assert value == pytest.approx(expected, rel=1e-12)
         assert not res.truncation_warning
 
     def test_single_jump_analytic_bump(self):
@@ -403,7 +404,8 @@ class TestPairing:
         phi = Bump(1.0, 3.0)
         res = pair_white_noise(path, phi)
         expected = -math.expm1(ell) * phi(1.0)
-        assert res.value.decode() == pytest.approx(expected, rel=1e-12)
+        assert res.value.sign * math.exp(res.value.logmag) == pytest.approx(
+            expected, rel=1e-12)
         assert not res.truncation_warning
 
     @pytest.mark.parametrize("phi", [Bump(5.0, 2.0), Gaussian(0.0, 1.0),
@@ -541,7 +543,7 @@ class TestPairingKernel:
         path, phi = case
         ref = float(reference_pairing(path, phi))
         res = pair_white_noise(path, phi)
-        got = res.value.decode()
+        got = res.value.sign * math.exp(res.value.logmag)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
         # the stack and phi go by blocks of any size, bit for bit
         for block in (1, 3, 7, BLOCK):
