@@ -114,7 +114,7 @@ def _live_terms(logs, coefs):
     return logs, coefs, term
 
 
-def slv_sum(logs, coefs) -> tuple[float, float]:
+def slv_sum(logs, coefs=None) -> tuple[float, float]:
     """sum_i coefs_i * e^logs_i as (ref, total), the sum being total * e^ref.
 
     Terms are scaled by e^-ref, ref being the largest log among the
@@ -126,16 +126,23 @@ def slv_sum(logs, coefs) -> tuple[float, float]:
     (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0); a
     NaN or infinite term raises ValueError.
 
-    logs and coefs may be any arrays that broadcast together (a
-    broadcast view is not expanded) and are read BLOCK terms at a time
-    in three passes: the largest term, then ref among the kept terms
-    (skipped when no live term is dropped), then one math.fsum over the
-    scaled blocks.  So no term array, mask or copy of the inputs' size
-    is formed, and as fsum is exact the result does not depend on BLOCK.
+    The terms come from a block source, slv_sum(source): a callable of
+    no arguments that returns an iterable of (logs, coefs) blocks, each
+    a pair of 1-d float arrays of one length.  slv_sum reads the blocks
+    in up to three passes, calling source once per pass: the largest
+    term, then ref among the kept terms (skipped when no live term is
+    dropped), then one math.fsum over the scaled blocks.  So a caller
+    can form each block as it is read, and no array of all the terms
+    need exist.  slv_sum(logs, coefs) is the source of arrays that
+    broadcast together (a broadcast view is not expanded), walked row by
+    row BLOCK terms at a time.  No mask or copy larger than a block is
+    formed, and as fsum is exact the result does not depend on how the
+    terms are split into blocks.
     """
+    source = logs if coefs is None else lambda: _term_blocks(logs, coefs)
     top = ref = -math.inf
     low = math.inf
-    for block in _term_blocks(logs, coefs):
+    for block in source():
         block_logs, _, term = _live_terms(*block)
         if len(term):
             block_top = float(term.max())
@@ -160,11 +167,11 @@ def slv_sum(logs, coefs) -> tuple[float, float]:
 
     if dropping:        # the top term is always kept
         ref = max(float(block_logs.max())
-                  for block_logs, _ in map(kept, _term_blocks(logs, coefs))
+                  for block_logs, _ in map(kept, source())
                   if len(block_logs))
 
     def scaled():
-        for block_logs, block_coefs in map(kept, _term_blocks(logs, coefs)):
+        for block_logs, block_coefs in map(kept, source()):
             term = block_logs - ref
             np.exp(term, out=term)
             term *= block_coefs

@@ -74,7 +74,9 @@ def derive_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generato
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only view of a as a contiguous array; the caller's own
+    array keeps its flags, and no copy is made of a contiguous one."""
+    a = np.ascontiguousarray(a).view()
     a.setflags(write=False)
     return a
 
@@ -87,8 +89,10 @@ class EventPath:
     event time <= t; the value at 0 is zero.  Each row is held as
     float64, the signs as -1.0 and +1.0; rows of another dtype are
     converted, and a sign of any other value is refused here, the one
-    sign check.  Instances are immutable and safe to share between
-    threads.
+    sign check.  The rows are read-only views, which share memory with
+    the caller's arrays when no conversion was needed: instances are
+    immutable through the path (the caller may still write to its own
+    arrays) and safe to share between threads.
     """
 
     params: KAlphaParams
@@ -566,6 +570,14 @@ def _parse_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, ...]:
     return tuple(np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
+def _finite(v: int | float) -> bool:
+    """math.isfinite, and False for an int beyond the float range."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
 def _read_header(fp) -> dict:
     """The EventPath fields that line 1 of a path file gives, as keyword
     arguments; errors say what is wrong."""
@@ -584,7 +596,7 @@ def _read_header(fp) -> dict:
         raise ValueError(f"path header lacks {', '.join(missing)}")
     for key in ("alpha", "horizon"):
         v = meta[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
             raise ValueError(f"path header {key} must be a finite number, got {v!r}")
     if isinstance(meta["seed"], bool) or not isinstance(meta["seed"], int):
         raise ValueError(f"path header seed must be an integer, got {meta['seed']!r}")

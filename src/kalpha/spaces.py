@@ -13,10 +13,12 @@ The pairing of a path's distributional derivative with a test function
 integrates -K(t) phi'(t) exactly over the constancy segments of the
 large-jump path.  The segment sum is regrouped on the max-Cartesian tree
 of the jump sizes, whose levels one O(n) stack pass builds as plain
-floats scaled by each node's own jump; the terms are then summed
-exactly by numerics.slv_sum.  A summation-by-parts form over the
-jumps themselves, summed the same way, serves as an independent
-cross-check.
+floats scaled by each node's own jump, multiplying each by its phi
+difference as soon as its node is popped; the terms are then summed
+exactly by numerics.slv_sum, from log jumps formed a block at a time.
+A summation-by-parts form over the jumps themselves, summed the same
+way, serves as an independent cross-check.  The pairing holds one
+float64 array of the path's length plus one block.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .numerics import LN2, SLV_ZERO, SignedLogValue, slv_sum
-from .paths import BLOCK, EventPath
+from .paths import BLOCK, EventPath, _log_jumps
 
 _GRID_POINTS = 1 << 16
 _LOG_FLOOR = -350.0           # effective support: where the log objective dies
@@ -80,8 +83,13 @@ class TestFunction:
         return self.deriv(0, x)
 
     def deriv(self, n, x):
-        sign, log = self._log_deriv(n, self._y(x))
-        out = sign * np.exp(log)
+        if n == 0:      # e^g, which the recursion gives at order 0 bit for bit
+            y = self._y(x)
+            with np.errstate(all="ignore"):
+                out = np.exp(self._g(y.reshape(-1))).reshape(y.shape)
+        else:
+            sign, log = self._log_deriv(n, self._y(x))
+            out = sign * np.exp(log)
         return out if out.ndim else float(out)
 
     def log_abs_deriv(self, n, x):
@@ -412,66 +420,99 @@ def _record(ref: float, total: float) -> SignedLogValue:
     return SignedLogValue(1 if total > 0 else -1, ref + math.log(abs(total)))
 
 
-def _segment_levels(lj: np.ndarray,
-                    signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segment levels of the regrouped pairing sum, in one stack pass.
+def _segment_terms(path: EventPath, phi: TestFunction,
+                   phi_end: float) -> np.ndarray:
+    """Coefficients of the regrouped pairing sum, in one stack pass.
 
     Node i of the max-Cartesian tree of the jump sizes (ties: the
     leftmost index is the ancestor) covers the events from just after
     its previous jump at least as large up to, not including, its next
-    strictly larger jump hi[i] (n past the last event).  Its level, the
-    sum of the jumps from the start of that range to i, is returned
-    scaled by its own jump: a[i] = level / e^lj[i], a plain float of
-    magnitude at most the subtree size.  Popping every smaller entry
-    when i arrives both closes their ranges at i and hands their levels
-    to i, so each event is pushed and popped once.
+    strictly larger jump hi(i).  Its level, the sum of the jumps from the
+    start of that range to i, is scaled by its own jump: a[i] = level /
+    e^lj[i], a plain float of magnitude at most the subtree size.
+    Popping every smaller entry when i arrives both closes their ranges
+    at i and hands their levels to i, so each event is pushed and popped
+    once.  Entry i's term is e^lj[i] times the returned coefficient
+    a[i] * (phi(t_i) - phi(t_hi(i))), phi(t_hi(i)) being phi_end when no
+    larger jump follows.
 
-    The pass walks BLOCK events at a time and writes a (float64) and hi
-    (intp) into arrays, so only one block is scratch: the jumps as a list
-    of Python floats, read at every step, and the levels and hi as an
-    array('d') and an array('q'), 8 bytes an entry rather than a Python
-    object each.  The stack carries across blocks as the indices of its
-    entries, 8 bytes each in an array('q'); their lj and levels are read
-    back from lj and a.  Slot 0 of a block's scratch stands for the top
-    entry left by earlier blocks (+inf when there is none, so it is
-    never popped), and popping it sets that entry's hi in the array and
-    brings up the next one.  Every product and sum is the per-event
-    recursion's, in its order, for any BLOCK.
+    The pass walks BLOCK events at a time and closes each level in place
+    once its entry is popped, which is safe as no later pop reads a
+    popped entry's level: so the returned array is the only one of the
+    path's length.  phi is evaluated once per block, at its events, and
+    read there both at t_i and at t_hi(i) for the entries a block's own
+    events pop.  Only one block is scratch: the jumps as a list of
+    Python floats, read at every step, and the levels and pops as
+    8-byte array('d')/array('q') entries.  The stack carries across
+    blocks as the indices and jumps of its entries, 8 bytes each; their
+    levels are read back from the returned array.  Slot 0 of a block's
+    scratch stands for the top entry left by earlier blocks (+inf when
+    there is none, so it is never popped), and popping it lists that
+    entry with the event that pops it and brings up the next one.  The
+    listed entries are closed at the block's end or when BLOCK of them
+    wait, with phi evaluated again at their own times, and the entries
+    never popped are closed against phi_end, BLOCK at a time.  Every
+    product and sum is the per-event recursion's, in its order, for any
+    BLOCK.
     """
-    n = len(lj)
+    mags, signs, times = path.log1p_mags, path.signs, path.times
+    n = len(mags)
     a = np.empty(n)
-    hi = np.empty(n, dtype=np.intp)
-    carry = array("q")            # indices of the entries left by earlier blocks
+    carry, carry_x = array("q"), array("d")  # entries left by earlier blocks
+    popped, popper = array("q"), array("q")  # popped carried entries, popping events
     exp, inf = math.exp, math.inf
+
+    def close(entries, phi_next):
+        if entries:
+            entries = np.array(entries, dtype=np.intp)
+            a[entries] *= phi.deriv(0, times[entries]) - phi_next
+
     for start in range(0, n, BLOCK):
-        x_at = lj[start:start + BLOCK].tolist()
+        phi_at = phi.deriv(0, times[start:start + BLOCK])
+        x_at = _log_jumps(mags[start:start + BLOCK]).tolist()
         m = len(x_at)
-        x_at.insert(0, float(lj[carry[-1]]) if carry else inf)
+        x_at.insert(0, carry_x[-1] if carry else inf)
         a_at = array("d", [0.0]) * (m + 1)
-        a_at[0] = float(a[carry[-1]]) if carry else 0.0
-        # local positions j = 1 .. m; adding start - 1 makes them global
-        # indices and turns this fill into n (no larger jump follows)
-        hi_at = array("q", [n - start + 1]) * (m + 1)
+        a_at[0] = a[carry[-1]] if carry else 0.0
+        hi_at = array("q", [0]) * (m + 1)   # local popper, 0 while unpopped
         stack = [0]
-        for j, s in enumerate(signs[start:start + m].tolist(), 1):
-            x = x_at[j]
-            acc = float(s)
-            while x_at[stack[-1]] < x:
-                p = stack.pop()
-                acc += a_at[p] * exp(x_at[p] - x)
+        push, pop, top = stack.append, stack.pop, x_at[0]
+        for j, x, s in zip(range(1, m + 1), islice(x_at, 1, None),
+                           memoryview(signs[start:start + m])):
+            acc = s
+            while top < x:
+                p = pop()
+                acc += a_at[p] * exp(top - x)
                 if p:
                     hi_at[p] = j
                 else:
-                    hi[carry.pop()] = start + j - 1
-                    x_at[0] = float(lj[carry[-1]]) if carry else inf
-                    a_at[0] = float(a[carry[-1]]) if carry else 0.0
-                    stack.append(0)
+                    popped.append(carry.pop())
+                    popper.append(j - 1)
+                    carry_x.pop()
+                    if len(popped) == BLOCK:
+                        close(popped, phi_at[popper])
+                        del popped[:], popper[:]
+                    x_at[0] = carry_x[-1] if carry else inf
+                    a_at[0] = a[carry[-1]] if carry else 0.0
+                    push(0)
+                top = x_at[stack[-1]]
             a_at[j] = acc
-            stack.append(j)
+            push(j)
+            top = x
+        close(popped, phi_at[popper])
+        del popped[:], popper[:]
         carry.extend(start + p - 1 for p in stack[1:])
-        a[start:start + m] = a_at[1:]
-        np.add(hi_at[1:], start - 1, out=hi[start:start + m])
-    return a, hi
+        carry_x.extend(x_at[p] for p in stack[1:])
+        # the entries this block pops are closed, the rest wait unscaled
+        hi = np.frombuffer(hi_at, dtype=np.int64)
+        block = a[start:start + m]
+        block[:] = np.frombuffer(a_at)[1:]
+        np.multiply(block, phi_at - phi_at[hi[1:] - 1], out=block,
+                    where=hi[1:] > 0)
+        del x_at, a_at, hi_at, hi         # before the next block's are made
+    for start in range(0, len(carry), BLOCK):  # never popped
+        close(carry[start:start + BLOCK], phi_end)
+    return a
 
 
 def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
@@ -484,47 +525,47 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
     times phi(t_i) - phi(t_hi(i)), where hi(i) is its next strictly
     larger jump (the horizon if none), so the phi differences telescope
     in native floats and no product is formed at a scale beyond its
-    own.  The levels come from one O(n) stack pass (_segment_levels);
-    the terms are summed exactly after rescaling.  The cross-check is
-    the summation-by-parts form of the same truncated integral,
-    sum_j jump_j * phi(t_j) minus the boundary term
+    own.  One O(n) stack pass (_segment_terms) forms each term's
+    coefficient; the terms are summed exactly after rescaling.  The
+    cross-check is the summation-by-parts form of the same truncated
+    integral, sum_j jump_j * phi(t_j) minus the boundary term
     K(horizon) * phi(horizon), summed the same way but sharing nothing
     with the stack pass; the boundary piece cannot be dropped because
     a huge jump makes it significant even when phi(horizon) is tiny.
     Only the jumps with |x| > 1 are paired: the rest of the process lies
     in S' and cannot change whether the pairing is bounded.
 
-    Memory stays a fixed few float64 arrays of the path's length (the
-    log jumps, then the levels and hi, then the two rows of cross-check
-    terms) plus one block of scratch.  phi is never held for the whole
-    path: it is evaluated BLOCK events at a time, at the events and at
-    their next larger jumps for the levels, and at the events again for
-    the cross-check terms, which are built only after the levels and hi
-    are freed.  phi acts elementwise, so each value is the one a single
-    evaluation over all the events would give.
+    Memory stays one float64 array of the path's length plus one block:
+    the stack pass returns the coefficients, and the cross-check's
+    terms at the events then overwrite them.  The log jumps are never
+    held for the whole path: each slv_sum reads its terms from a block
+    source that forms them from the log1p magnitudes a block at a time,
+    and phi is evaluated BLOCK events at a time.  phi acts elementwise,
+    so each value is the one a single evaluation over all the events
+    would give.
     """
-    lj = path.log_jumps
-    signs, times = path.signs, path.times
-    n = len(lj)
+    mags, signs, times = path.log1p_mags, path.signs, path.times
+    n = len(mags)
     phi_end = float(phi.deriv(0, path.horizon))
 
-    a, hi = _segment_levels(lj, signs)
-    for start in range(0, n, BLOCK):      # a * (phi_at - phi_next), in place
+    def terms(rows):
+        """slv_sum's block source of e^lj times each coefficient row that
+        rows(block) gives, the rows sharing one block of log jumps."""
+        def source():
+            for start in range(0, n, BLOCK):
+                block = slice(start, start + BLOCK)
+                lj = _log_jumps(mags[block])
+                for coefs in rows(block):
+                    yield lj, coefs
+        return source
+
+    coefs = _segment_terms(path, phi, phi_end)
+    ref_v, tot_v = slv_sum(terms(lambda block: (coefs[block],)))
+    for start in range(0, n, BLOCK):          # the cross-check's first row
         block = slice(start, start + BLOCK)
-        inside = hi[block] < n
-        phi_next = np.full(len(inside), phi_end)
-        phi_next[inside] = phi.deriv(0, times[hi[block][inside]])
-        a[block] *= phi.deriv(0, times[block]) - phi_next
-    del hi
-    ref_v, tot_v = slv_sum(lj, a)
-    del a
-    terms = np.empty((2, n))
-    for start in range(0, n, BLOCK):
-        block = slice(start, start + BLOCK)
-        np.multiply(signs[block], phi.deriv(0, times[block]), out=terms[0, block])
-    np.multiply(signs, -phi_end, out=terms[1])
-    ref_c, tot_c = slv_sum(np.broadcast_to(lj, (2, n)), terms)
-    del terms
+        np.multiply(signs[block], phi.deriv(0, times[block]), out=coefs[block])
+    ref_c, tot_c = slv_sum(terms(lambda block: (coefs[block],
+                                                signs[block] * -phi_end)))
     value, cross = _record(ref_v, tot_v), _record(ref_c, tot_c)
 
     # compare the exact totals at one reference log, not the rounded logs
@@ -537,7 +578,8 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
         rel_err = abs(tot_v - tot_c) / max(abs(tot_v), abs(tot_c))
 
     warn = False
-    k_end = _record(*slv_sum(lj, signs)) if phi_end != 0.0 else SLV_ZERO
+    k_end = (_record(*slv_sum(terms(lambda block: (signs[block],))))
+             if phi_end != 0.0 else SLV_ZERO)
     if not k_end.is_zero:
         boundary_log = k_end.logmag + math.log(abs(phi_end))
         ref_log = value.logmag if not value.is_zero else 0.0

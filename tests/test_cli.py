@@ -698,6 +698,27 @@ class TestBadInput:
         assert capsys.readouterr().err == \
                f"error: horizon must be positive, got {horizon!r}\n"
 
+    @pytest.mark.parametrize("key", ["alpha", "horizon"])
+    @pytest.mark.parametrize("args", [
+        ["diagnose", "--envelope", "exp:c=1.0"],
+        ["diagnose", "--growth", "eta=0.5"],
+        ["pair", "--phi", "bump:center=5,width=2"],
+    ], ids=["envelope", "growth", "pair"])
+    def test_header_integer_beyond_float_range(self, args, key,
+                                               sample_path_file, tmp_path,
+                                               capsys):
+        # a 401-digit integer is valid JSON but no float; math.isfinite
+        # raised OverflowError on it
+        lines = sample_path_file.read_text().splitlines()
+        meta = dict(json.loads(lines[0]), **{key: 10 ** 400})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+        assert run([*args, "--in", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: path header {key} must be a finite "
+                              "number, got 1000")
+        assert err.count("\n") == 1
+
     def test_in_place_edit_names_its_line(self, sample_path_file, capsys):
         # the sidecar no longer matches, so the edited JSONL is parsed
         lines = sample_path_file.read_text().splitlines(keepends=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -75,6 +76,26 @@ def slv_cases(n: int) -> list[tuple]:
     ]
 
 
+def block_source(logs, coefs, calls):
+    """slv_sum's block source over the terms of (logs, coefs), flattened
+    and cut into blocks of uneven sizes; each call is appended to calls."""
+    logs, coefs = (np.asarray(x, dtype=float).reshape(-1)
+                   for x in np.broadcast_arrays(logs, coefs))
+
+    def source():
+        calls.append(len(calls))
+        edges, sizes = [0], itertools.cycle((1, 7, 3, 64, 2))
+        while edges[-1] < len(logs):
+            edges.append(min(len(logs), edges[-1] + next(sizes)))
+        return ((logs[a:b], coefs[a:b]) for a, b in zip(edges, edges[1:]))
+
+    return source
+
+
+def bits(result) -> tuple[str, str]:
+    return tuple(float(x).hex() for x in result)
+
+
 class TestSlvSum:
     def test_exact_cancellation(self):
         assert slv_sum([math.log(5.0), math.log(5.0)], [1.0, -1.0]) == (-math.inf, 0.0)
@@ -142,6 +163,29 @@ class TestSlvSum:
         want = [reference_slv_sum(logs, coefs) for logs, coefs in cases]
         monkeypatch.setattr(numerics, "BLOCK", block)
         assert [slv_sum(logs, coefs) for logs, coefs in cases] == want
+
+    def test_block_source_matches_array_form(self):
+        # the same ref and total, bit for bit, from blocks of uneven sizes,
+        # and at most one call of the source per pass
+        for logs, coefs in slv_cases(301):
+            calls = []
+            got = slv_sum(block_source(logs, coefs, calls))
+            assert bits(got) == bits(slv_sum(logs, coefs))
+            assert 1 <= len(calls) <= 3
+
+    @pytest.mark.parametrize("source", [
+        lambda: iter(()),
+        block_source([], [], []),
+        block_source([1.0, 900.0, 5.0], [0.0, 0.0, 0.0], [])],
+        ids=["empty", "empty-blocks", "all-zero"])
+    def test_block_source_without_live_terms_is_zero(self, source):
+        assert slv_sum(source) == (-math.inf, 0.0)
+
+    def test_block_source_nan_term_refused(self):
+        calls = []
+        with pytest.raises(ValueError):
+            slv_sum(block_source([1.0, 2.0, 3.0], [1.0, math.nan, 2.0], calls))
+        assert len(calls) == 1
 
     def test_broadcast_scratch_is_a_few_blocks(self, traced_peak):
         # stated before the first run: the (2, n) terms of a broadcast

@@ -85,6 +85,18 @@ class TestSimulateLarge:
         assert np.min(path.log1p_mags) >= LN2
         assert set(np.unique(path.signs)) <= {-1, 1}
 
+    def test_rows_are_read_only_views_of_the_callers_arrays(self):
+        # the path's rows cannot be written, but the caller's own arrays,
+        # which they share without a copy, stay writable
+        t, s = np.array([1.0, 2.0]), np.array([1.0, -1.0])
+        path = EventPath(KAlphaParams(1.5), 10.0, 0, t, s, np.array([1.0, 2.0]))
+        t[0], s[0] = 0.5, -1.0
+        assert t.flags.writeable and s.flags.writeable
+        assert not (path.times.flags.writeable or path.signs.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            path.times[0] = 0.25
+        assert np.shares_memory(path.times, t) and np.shares_memory(path.signs, s)
+
     def test_magnitude_law_ks(self):
         p = KAlphaParams(1.0)
         horizon = 1.1e5 / p.trunc_mass

@@ -15,7 +15,7 @@ from kalpha import spaces
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, SignedLogValue, slv_sum
 from kalpha.paths import BLOCK, EventPath, simulate_large_jumps
-from kalpha.spaces import (Bump, ExpPoly, Gaussian, _segment_levels, log_k_norm,
+from kalpha.spaces import (Bump, ExpPoly, Gaussian, _segment_terms, log_k_norm,
                            log_kbeta_norm, log_s_norm, pair_white_noise,
                            parse_test_function)
 
@@ -108,6 +108,19 @@ class TestFamilies:
             assert phi.deriv(n, np.array(far)).tolist() == [0.0] * len(far)
             assert phi.log_abs_deriv(n, np.array(far)).tolist() == \
                    [-math.inf] * len(far)
+
+    @pytest.mark.parametrize("phi", [Gaussian(0.0, 1.0), Gaussian(1e300, 1e-300),
+                                     Bump(0.0, 2.0), Bump(-3e5, 2e5),
+                                     ExpPoly(1.0, 4), ExpPoly(1e-307, 2)],
+                             ids=["gaussian", "gaussian-tiny-scale", "bump",
+                                  "bump-wide", "exppoly", "exppoly-power-overflows"])
+    def test_order_zero_is_the_recursion_bit_for_bit(self, phi):
+        # deriv(0) is e^g, the value the recursion's sign and log give
+        xs = np.array([0.0, -0.0, 0.5, -1.0, 1.0, 3.0, 2e154, -4e5, 1e200,
+                       -1e308, 5e-324, math.inf, -math.inf])
+        sign, log = phi._log_deriv(0, phi._y(xs))
+        assert phi.deriv(0, xs).tobytes() == (sign * np.exp(log)).tobytes()
+        assert [phi.deriv(0, x) for x in xs.tolist()] == phi.deriv(0, xs).tolist()
 
     def test_far_field_keeps_finite_logs(self):
         # e^(-28^2) and e^(-10^200) underflow to 0, but the logs are finite:
@@ -512,7 +525,8 @@ def adversarial_pairings(draw):
 
 
 def reference_levels(lj, signs):
-    """_segment_levels as the per-event recursion over whole-path lists."""
+    """The stack pass's scaled levels and hi, by the per-event recursion
+    over whole-path lists."""
     n = len(lj)
     a, hi, stack = [0.0] * n, [n] * n, []
     for i, (x, s) in enumerate(zip(lj, signs)):
@@ -526,13 +540,16 @@ def reference_levels(lj, signs):
     return a, hi
 
 
-def assert_levels_match_reference(path):
-    lj, signs = path.log_jumps, path.signs
-    a, hi = _segment_levels(lj, signs)
-    ref_a, ref_hi = reference_levels(lj.tolist(), signs.tolist())
-    assert (a.dtype, hi.dtype) == (np.float64, np.intp)
-    assert a.tobytes() == np.array(ref_a, dtype=float).tobytes()
-    assert hi.tolist() == ref_hi
+def assert_terms_match_reference(path, phi):
+    """_segment_terms is the reference levels times phi_i - phi_next,
+    formed in numpy (phi_next being phi at the horizon past the last
+    larger jump), bit for bit; returns the reference hi."""
+    a, hi = reference_levels(path.log_jumps.tolist(), path.signs.tolist())
+    phis = np.append(phi(path.times), phi(path.horizon))
+    want = np.array(a, dtype=float) * (phis[:-1] - phis[hi])
+    got = _segment_terms(path, phi, phi(path.horizon))
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
     return hi
 
 
@@ -548,7 +565,7 @@ class TestPairingKernel:
         # the stack and phi go by blocks of any size, bit for bit
         for block in (1, 3, 7, BLOCK):
             with mock.patch.object(spaces, "BLOCK", block):
-                assert_levels_match_reference(path)
+                assert_terms_match_reference(path, phi)
                 assert pair_white_noise(path, phi) == res
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -560,24 +577,26 @@ class TestPairingKernel:
         mags[1], mags[-1] = 60.0, 70.0
         path = manual_path(times=(np.arange(n) + 0.5) * (10.0 / n),
                            signs=rng.choice([-1, 1], n), mags=mags)
-        hi = assert_levels_match_reference(path)
+        hi = assert_terms_match_reference(path, Gaussian(5.0, 3.0))
         assert (hi[1], hi[-1]) == (n - 1, n)
 
-    @pytest.mark.parametrize("order, bound", [("random", 4.5),
-                                              ("decreasing", 5.5),
-                                              ("tied", 5.5)],
+    @pytest.mark.parametrize("order, bound", [("random", 2.5),
+                                              ("decreasing", 4.5),
+                                              ("tied", 4.5)],
                              ids=["random", "decreasing", "tied"])
     def test_memory_is_a_few_arrays_of_the_path(self, order, bound,
                                                 traced_peak):
-        # At its peak the pairing holds three float64 arrays of the path's
-        # length: the log jumps with the levels and hi, then with the two
-        # rows of cross-check terms.  phi is evaluated a block at a time
-        # and slv_sum reads its terms a block at a time, so the rest is
-        # one block of Python floats in the stack pass, about one array
-        # at this length: 4.5 arrays in all (the whole-array form, holding
-        # phi and slv_sum's term copies, peaked at 6.75).  On decreasing
-        # or tied magnitudes every event stays on the stack across every
-        # block edge; carried as 8-byte indices that adds one array more.
+        # Beyond the path the pairing holds one float64 array of its
+        # length: the segment coefficients, which the cross-check's terms
+        # at the events then overwrite.  The log jumps and phi are formed
+        # a block at a time and slv_sum reads its terms a block at a
+        # time, so the rest is one block of scratch, mostly the stack
+        # pass's Python floats, about one array at this length: 2.5
+        # arrays in all (the peak was 3.7 when the log jumps, the levels
+        # and hi, and two rows of cross-check terms were arrays of the
+        # path's length).  On decreasing or tied magnitudes every event
+        # stays on the stack across every block edge, its index and jump
+        # carried as 8 bytes each: two arrays more.
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
         n = path.n_events
         assert n >= 100_000
