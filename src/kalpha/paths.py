@@ -597,7 +597,8 @@ def _read_header(fp) -> dict:
     for key in ("alpha", "horizon"):
         v = meta[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not _finite(v):
-            raise ValueError(f"path header {key} must be a finite number, got {v!r}")
+            raise ValueError(f"path header {key} must be a finite number, "
+                             f"got {v!r:.40}")
     if isinstance(meta["seed"], bool) or not isinstance(meta["seed"], int):
         raise ValueError(f"path header seed must be an integer, got {meta['seed']!r}")
     spawn_key = meta.get("spawn_key", [])

@@ -717,7 +717,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: path header {key} must be a finite "
                               "number, got 1000")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and len(err) < 120   # the value is cut
 
     def test_in_place_edit_names_its_line(self, sample_path_file, capsys):
         # the sidecar no longer matches, so the edited JSONL is parsed

@@ -591,10 +591,8 @@ class TestPairingKernel:
         # at the events then overwrite.  The log jumps and phi are formed
         # a block at a time and slv_sum reads its terms a block at a
         # time, so the rest is one block of scratch, mostly the stack
-        # pass's Python floats, about one array at this length: 2.5
-        # arrays in all (the peak was 3.7 when the log jumps, the levels
-        # and hi, and two rows of cross-check terms were arrays of the
-        # path's length).  On decreasing or tied magnitudes every event
+        # pass's Python floats, under one array at this length: 2.5
+        # arrays in all.  On decreasing or tied magnitudes every event
         # stays on the stack across every block edge, its index and jump
         # carried as 8 bytes each: two arrays more.
         path = simulate_large_jumps(KAlphaParams(1.5), 5e4, 42)
