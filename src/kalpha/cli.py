@@ -206,7 +206,7 @@ def _cmd_simulate(args) -> int:
 
     manifest_params = {"alpha": args.alpha, "horizon": args.horizon,
                        "paths": args.paths}
-    meta = {"manifest": _manifest("simulate", manifest_params, seed)}
+    manifest = _manifest("simulate", manifest_params, seed)
 
     out = Path(args.out)
     if args.paths == 1:
@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> int:
             for target, key in zip(targets, spawn_keys))
 
     with _sigterm_unwinds():
-        save_event_files(jobs, meta)
+        save_event_files(jobs, manifest)
     print(*targets, sep="\n")
     return EXIT_OK
 

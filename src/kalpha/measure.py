@@ -296,7 +296,10 @@ class EnvelopeSpec:
             out = np.log(np.where(big, t,
                                   np.log1p(np.where(big, 1.0, x) ** self.beta)))
         else:
-            log_xp = self._p * np.log(x)
+            # p ln x beyond the float range is inf, and so is ln ln(1 + f):
+            # c x^p exceeds e^(float max) there
+            with np.errstate(over="ignore"):
+                log_xp = self._p * np.log(x)
             logw = math.log(self.c) + log_xp
             small = log_xp < 700.0
             w = np.where(small, self.c * np.where(small, x, 1.0) ** self._p,
@@ -351,7 +354,10 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     unit = replace(env, c=1.0) if log_scale else env
 
     def integrand(y):
-        return np.exp(-a * unit.log_tail_argument(y))
+        # a ln ln(1 + f) beyond the float range is -inf here: the tail
+        # (ln(1 + f))^-a is below e^-(float max), so e^-inf = 0 is its value
+        with np.errstate(over="ignore"):
+            return np.exp(-a * unit.log_tail_argument(y))
 
     analytic = env.converges_at(a)
     res = adaptive_quad(integrand, math.exp(-log_scale), math.inf, tol=1e-9)

@@ -3,19 +3,21 @@
 Jump magnitudes in this package routinely exceed the native float range
 (a single large jump can have ln(1+|x|) in the thousands), so all path
 arithmetic is carried as (sign, ln of magnitude) pairs, and signed sums
-of such numbers are formed exactly, BLOCK terms at a time, by slv_sum.  The
-quadrature engine is one adaptive Gauss-Kronrod kernel over a positive
-lower limit (every measure integral starts at u = ln 2 or x = 1, away
-from the u = 0 pole of the jump density).  Integrands map a float array
-of nodes to the array of their values, and each refinement round
-evaluates the panels of every interval still being refined in one
-call, so a whole partition (quad_partition) costs about as many calls
-as one interval.  An improper upper limit is walked in batches of
-doubling blocks; after each batch a pure function of the block
-integrals (_tail_verdict) tells slow convergence, whose geometric
-remainder it sums in closed form, from divergence.  An integrand that
-starts to decay only far out is rescaled first (upper_function_integral
-integrates an envelope exp(c x^p) in y = c^(1/p) x).
+of such numbers are formed exactly by slv_sum from a block source, a
+callable that hands it the terms a block at a time, so no array of all
+the terms need exist.  The quadrature engine is one adaptive
+Gauss-Kronrod kernel over a positive lower limit (every measure integral
+starts at u = ln 2 or x = 1, away from the u = 0 pole of the jump
+density).  Integrands map a float array of nodes to the array of their
+values, and each refinement round evaluates the panels of every
+interval still being refined in one call, so a whole partition
+(quad_partition) costs about as many calls as one interval.  An
+improper upper limit is walked in batches of doubling blocks; after
+each batch a pure function of the block integrals (_tail_verdict) tells
+slow convergence, whose geometric remainder it sums in closed form,
+from divergence.  An integrand that starts to decay only far out is
+rescaled first (upper_function_integral integrates an envelope
+exp(c x^p) in y = c^(1/p) x).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 
 LN2 = math.log(2.0)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
-# elements an array kernel works on at a time (slv_sum's terms, a path's
-# events), so its scratch stays a fixed size whatever the input's
+# elements an array kernel works on at a time (a path's events, and so
+# slv_sum's term blocks), so its scratch stays one size whatever the input's
 BLOCK = 8192
 
 # Consecutive dyadic blocks that must fail to decay before an improper
@@ -89,20 +91,6 @@ class SignedLogValue:
 SLV_ZERO = SignedLogValue(0, -math.inf)
 
 
-def _term_blocks(logs, coefs):
-    """(logs, coefs) of each run of at most BLOCK terms, as float arrays.
-
-    The inputs are broadcast against each other as views and walked row
-    by row in blocks, so a broadcast input is never expanded and only one
-    block is ever converted to float."""
-    logs, coefs = np.broadcast_arrays(np.atleast_1d(logs), np.atleast_1d(coefs))
-    for row in np.ndindex(logs.shape[:-1]):
-        row_logs, row_coefs = logs[row], coefs[row]
-        for start in range(0, len(row_logs), BLOCK):
-            yield (np.asarray(row_logs[start:start + BLOCK], dtype=float),
-                   np.asarray(row_coefs[start:start + BLOCK], dtype=float))
-
-
 def _live_terms(logs, coefs):
     """logs and coefs of the nonzero coefs, with the log of each term."""
     live = coefs != 0.0
@@ -114,7 +102,7 @@ def _live_terms(logs, coefs):
     return logs, coefs, term
 
 
-def slv_sum(logs, coefs=None) -> tuple[float, float]:
+def slv_sum(source) -> tuple[float, float]:
     """sum_i coefs_i * e^logs_i as (ref, total), the sum being total * e^ref.
 
     Terms are scaled by e^-ref, ref being the largest log among the
@@ -126,20 +114,16 @@ def slv_sum(logs, coefs=None) -> tuple[float, float]:
     (no terms, all-zero coefs or exact cancellation) is (-inf, 0.0); a
     NaN or infinite term raises ValueError.
 
-    The terms come from a block source, slv_sum(source): a callable of
-    no arguments that returns an iterable of (logs, coefs) blocks, each
-    a pair of 1-d float arrays of one length.  slv_sum reads the blocks
-    in up to three passes, calling source once per pass: the largest
-    term, then ref among the kept terms (skipped when no live term is
-    dropped), then one math.fsum over the scaled blocks.  So a caller
-    can form each block as it is read, and no array of all the terms
-    need exist.  slv_sum(logs, coefs) is the source of arrays that
-    broadcast together (a broadcast view is not expanded), walked row by
-    row BLOCK terms at a time.  No mask or copy larger than a block is
-    formed, and as fsum is exact the result does not depend on how the
-    terms are split into blocks.
+    The terms come from a block source: a callable of no arguments that
+    returns an iterable of (logs, coefs) blocks, each a pair of 1-d
+    float arrays of one length.  slv_sum reads the blocks in up to three
+    passes, calling source once per pass: the largest term, then ref
+    among the kept terms (skipped when no live term is dropped), then
+    one math.fsum over the scaled blocks.  So a caller can form each
+    block as it is read, and no array of all the terms need exist; no
+    mask or copy larger than a block is formed.  As fsum is exact, the
+    result does not depend on how the terms are split into blocks.
     """
-    source = logs if coefs is None else lambda: _term_blocks(logs, coefs)
     top = ref = -math.inf
     low = math.inf
     for block in source():

@@ -18,19 +18,20 @@ set by those rows alone.  Its running sup is returned as its steps, the
 events at which |K| sets a record, found in one pass over the path a
 block at a time.
 
-JSONL is the one path format users read and write.  Its event lines are
-formatted a block at a time by _event_lines, a numpy kernel that writes
-each float as repr does: it finds repr's shortest digits exactly for
-1e-4 <= x < 1e16 (a Dekker product and exact comparisons) and asks repr
-itself, one float at a time, for any x it cannot decide (about 1% of a
-simulated path's).  save_event_files writes each JSONL with
-<file>.events beside it: the SHA-256 of the JSONL bytes as written,
-then the path's three rows as one (3, n) float64 array in .npy form
-(version 1.0 header); a call that fails changes no file.  It
-formats, hashes and writes every file in the calling process, and draws
-its paths lazily from any iterable, each one between two files, so it
-holds one path at a time and writes an ensemble of any size in fixed
-memory.
+JSONL is the one path format users read and write.  Its first line is a
+fixed header, the path's own fields and then the manifest of the command
+that wrote it, when there is one.  Its event lines are formatted a block
+at a time by _event_lines, a numpy kernel that writes each float as repr
+does: it finds repr's shortest digits exactly for 1e-4 <= x < 1e16 (a
+Dekker product and exact comparisons) and asks repr itself, one float at
+a time, for any x it cannot decide (about 1% of a simulated path's).
+save_event_files writes each JSONL with <file>.events beside it: the
+SHA-256 of the JSONL bytes as written, then the path's three rows as one
+(3, n) float64 array in .npy form (version 1.0 header); a call that
+fails changes no file.  It formats, hashes and writes every file in the
+calling process, and draws its paths lazily from any iterable, each one
+between two files, so it holds one path at a time and writes an ensemble
+of any size in fixed memory.
 load_event_file takes the rows from the sidecar only when the digest
 matches the JSONL, the payload is that array under the exact .npy
 header save_event_files writes (no pickle) and the rows pass every
@@ -133,15 +134,11 @@ class EventPath:
     def n_events(self) -> int:
         return len(self.times)
 
-    @property
-    def log_jumps(self) -> np.ndarray:
-        """ln |jump| = ln(e^m - 1) for each event's log1p magnitude m."""
-        return _log_jumps(self.log1p_mags)
-
 
 def _log_jumps(m: np.ndarray) -> np.ndarray:
-    """ln(e^m - 1) elementwise, so a block of m gives that block of
-    EventPath.log_jumps bit for bit."""
+    """ln |jump| = ln(e^m - 1) for each log1p magnitude m, elementwise.
+    The one log-jump kernel: every caller applies it a block of events
+    at a time, so the log jumps of a whole path are never held."""
     return m + np.log1p(-np.exp(-m))
 
 
@@ -466,22 +463,10 @@ def _event_lines(times: np.ndarray, signs: np.ndarray,
     return str(memoryview(_event_text(times, signs, mags)), "ascii")
 
 
-# the header fields write_event_path writes itself
-_HEADER_FIELDS = {"format_version", "alpha", "horizon", "seed", "rng_name",
-                  "component", "spawn_key"}
-
-
-def _check_extra_meta(extra_meta: dict | None) -> None:
-    if clash := sorted(_HEADER_FIELDS.intersection(extra_meta or ())):
-        raise ValueError(f"extra header fields {clash} would overwrite the path's own")
-
-
-def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> None:
-    """Write a path as JSONL: one metadata record, with extra_meta's
-    fields added, then its event lines, BLOCK events at a time
-    (_event_lines).  extra_meta naming one of the path's own fields
-    (_HEADER_FIELDS) raises ValueError before anything is written."""
-    _check_extra_meta(extra_meta)
+def write_event_path(path: EventPath, fp, manifest: dict | None = None) -> None:
+    """Write a path as JSONL: one header record, the path's own fields
+    and then manifest, when one is given, as its last field; then its
+    event lines, BLOCK events at a time (_event_lines)."""
     meta = {
         "format_version": FORMAT_VERSION,
         "alpha": path.params.alpha,
@@ -492,7 +477,8 @@ def write_event_path(path: EventPath, fp, extra_meta: dict | None = None) -> Non
     }
     if path.spawn_key:
         meta["spawn_key"] = list(path.spawn_key)
-    meta.update(extra_meta or {})
+    if manifest is not None:
+        meta["manifest"] = manifest
     fp.write(json.dumps(meta) + "\n")
     for b in range(0, path.n_events, BLOCK):
         fp.write(_event_lines(path.times[b:b + BLOCK], path.signs[b:b + BLOCK],
@@ -664,9 +650,9 @@ def _npy_header(shape: tuple[int, int]) -> bytes:
     return buf.getvalue()
 
 
-def save_event_files(jobs, meta: dict | None = None) -> None:
+def save_event_files(jobs, manifest: dict | None = None) -> None:
     """Write each (target, path) of jobs as JSONL (write_event_path with
-    meta as extra header fields), then its sidecar target +
+    manifest as the header's last field), then its sidecar target +
     SIDECAR_SUFFIX, bound to the bytes as written.  The sidecar's payload
     is the bytes numpy.save gives for the (3, n) stack of the path's
     float64 rows, written one row at a time, so the stack is not formed.
@@ -676,10 +662,8 @@ def save_event_files(jobs, meta: dict | None = None) -> None:
     does not grow with the number of paths.  Each file is written as
     <name>.<pid>.tmp and renamed into place once all are complete; on
     any exception, from jobs too, the temporary files are removed and no
-    target changes.  meta naming a path's own header field raises
-    ValueError before jobs is drawn or any file touched.
+    target changes.
     """
-    _check_extra_meta(meta)
     renames = []
     try:
         for target, path in jobs:
@@ -690,7 +674,7 @@ def save_event_files(jobs, meta: dict | None = None) -> None:
             (jsonl, _), (sidecar, _) = renames[-2:]
             with open(jsonl, "wb") as raw:
                 fp = _DigestingWriter(raw)
-                write_event_path(path, fp, extra_meta=meta)
+                write_event_path(path, fp, manifest)
             with open(sidecar, "wb") as raw:
                 raw.write(fp.sha256.digest())
                 raw.write(_npy_header((3, path.n_events)))

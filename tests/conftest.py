@@ -1,6 +1,19 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# every property test is deterministic and keeps no example database; a
+# test sets only its own max_examples
+settings.register_profile("kalpha", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("kalpha")
+# hypothesis still caches the constants it reads from the source when
+# tests are collected; keep that cache out of the working tree
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from kalpha.cli import (EXIT_INTERNAL, EXIT_IO, EXIT_OK, EXIT_USAGE,
 from kalpha.measure import EnvelopeSpec, KAlphaParams
 from kalpha.paths import (BLOCK, SIDECAR_SUFFIX, EventPath, load_event_file,
                           simulate_large_jumps, write_event_path)
+from kalpha.spaces import Bump, ExpPoly, Gaussian, parse_test_function
 
 
 def run(args):
@@ -420,6 +421,16 @@ class TestClassify:
         assert (report["in_S_prime"], report["in_K_prime"]) == (False, False)
         assert report["in_K_beta"] == {"2": False, "1e+307": in_k_beta_1e307}
 
+    @pytest.mark.parametrize("alpha", ["1.5", "1e-300"])
+    def test_beta_near_float_max_is_quiet(self, alpha, tmp_path, capsys):
+        # beta ln x and alpha ln ln(1 + f) overflow to inf at beta = 1e308:
+        # the tail there is below every float, 0, and no warning is raised
+        rpt = tmp_path / "r.json"
+        assert run(["classify", "--alpha", alpha, "--betas", "1e308",
+                    "--json", str(rpt)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(rpt.read_text())["in_K_beta"]["1e+308"] is True
+
     @pytest.mark.parametrize("alpha, beta", [
         ("0.5", "2.0001"), ("0.5", "2.001"), ("1.0001", "3"),
         ("0.5", "2.00001"), ("0.5", "2.000003")])
@@ -818,6 +829,17 @@ class TestHelpers:
         ]:
             for text in texts:
                 assert parse_envelope(text) == spec, text
+
+    def test_describe_parses_back_to_an_equal_object(self):
+        # reports and manifests name envelopes and test functions by
+        # describe(); its text must build the same object again
+        for env in (EnvelopeSpec("power", beta=2.5),
+                    EnvelopeSpec("exponential", c=0.75),
+                    EnvelopeSpec("power_exponential", beta=1.25, c=3.0)):
+            assert parse_envelope(env.describe()) == env
+        for phi in (Gaussian(-1.5, 0.25), Bump(5.0, 2.0), ExpPoly(2.5, 6)):
+            back = parse_test_function(phi.describe())
+            assert type(back) is type(phi) and vars(back) == vars(phi)
 
     def test_validate_document_rejects(self):
         with pytest.raises(ValueError):

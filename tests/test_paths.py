@@ -13,21 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 import kalpha.paths
 from kalpha.cli import main
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, LOG_FLOAT_MAX
 from kalpha.paths import (BLOCK, EVENT_FIELDS, SIDECAR_SUFFIX, EventPath,
-                          _event_lines, _parse_block, _parse_lines, _shortest_digits,
-                          load_event_file, read_event_path, running_sup,
+                          _event_lines, _log_jumps, _parse_block,
+                          _parse_lines, _shortest_digits, load_event_file,
+                          read_event_path, running_sup,
                           save_event_files, simulate_large_jumps,
                           write_event_path)
 from util_stats import ks_statistic, native_prefix_sups, poisson_chi2_pvalue
-
-# keep hypothesis's source-constants cache out of the working tree
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 def small_path(alpha=1.0, horizon=10.0, times=(), signs=(), mags=()):
@@ -84,6 +81,34 @@ class TestSimulateLarge:
         assert path.times[0] >= 0.0 and path.times[-1] <= 50.0
         assert np.min(path.log1p_mags) >= LN2
         assert set(np.unique(path.signs)) <= {-1, 1}
+
+    def test_tied_uniforms_are_nudged_apart(self, monkeypatch, tmp_path):
+        # a generator whose random(n) gives each value three times: the
+        # sorted times tie in threes, and each tie is nudged up an ulp
+        real = kalpha.paths.derive_rng
+
+        class Tied:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, n):
+                return np.repeat(self.rng.random(-(-n // 3)), 3)[:n]
+
+        monkeypatch.setattr(kalpha.paths, "derive_rng",
+                            lambda seed, key=(): Tied(real(seed, key)))
+        path = simulate_large_jumps(KAlphaParams(1.5), 50.0, 3)
+        t = path.times
+        assert path.n_events >= 30
+        assert np.all(t[1:] > t[:-1])
+        nudged = t[1:] == np.nextafter(t[:-1], np.inf)
+        assert np.count_nonzero(nudged) >= 2 * (path.n_events // 3)
+        target = tmp_path / "p.jsonl"
+        save_event_files([(target, path)])
+        assert_same_path(load_event_file(target), path)
+        assert_same_path(parse_jsonl(target), path)
 
     def test_rows_are_read_only_views_of_the_callers_arrays(self):
         # the path's rows cannot be written, but the caller's own arrays,
@@ -160,7 +185,7 @@ def reference_log_prefix_sums(lj, signs):
 def reference_sup_levels(path):
     """The whole-array running sup: its log level at time 0, then at
     each event."""
-    logmag = reference_log_prefix_sums(path.log_jumps, path.signs)
+    logmag = reference_log_prefix_sums(_log_jumps(path.log1p_mags), path.signs)
     return np.maximum.accumulate(logmag)
 
 
@@ -261,14 +286,14 @@ class TestRunningSup:
         # K = 2, then 2 - 2 = 0 exactly (no step), then -3
         path = small_path(times=[1.0, 2.0, 3.0], signs=[1, -1, -1],
                           mags=np.log1p([2.0, 2.0, 3.0]))
-        lj = path.log_jumps
+        lj = _log_jumps(path.log1p_mags)
         times, levels = running_sup(path)
         assert times.tolist() == [0.0, 1.0, 3.0]
         assert levels.tolist() == [-math.inf, lj[0], lj[2]]
         assert levels[1:].tolist() == pytest.approx(
             [math.log(2.0), math.log(3.0)], rel=1e-15)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(adversarial_paths())
     def test_steps_rise_strictly_at_event_times(self, path):
         times, levels = running_sup(path)
@@ -285,7 +310,7 @@ class TestRunningSup:
         for path in cases.values():
             assert_running_sup_matches_reference(path)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(adversarial_paths())
     def test_adversarial_paths_match_whole_array_reference(self, path):
         for block in (1, 3, 7, BLOCK):
@@ -356,7 +381,6 @@ class TestRunningSup:
         assert sup_at_events(path).tolist() == pytest.approx(want, rel=0.0,
                                                              abs=1e-11)
 
-    @settings(derandomize=True, database=None, deadline=None)
     @given(adversarial_paths())
     def test_matches_exact_rational_sups(self, path):
         want = exact_prefix_sups(path.signs.tolist(), path.log1p_mags.tolist())
@@ -578,7 +602,7 @@ def jsonl_reads(monkeypatch):
 
 class TestSidecar:
     @staticmethod
-    def saved(tmp_path, n=4, **meta):
+    def saved(tmp_path, n=4, manifest=None):
         rng = np.random.default_rng(n)
         path = EventPath(params=KAlphaParams(1.25), horizon=float(n + 1),
                          seed=9, spawn_key=(3,),
@@ -586,12 +610,12 @@ class TestSidecar:
                          signs=rng.choice([-1, 1], n),
                          log1p_mags=LN2 + rng.exponential(5.0, n))
         target = tmp_path / "p.jsonl"
-        save_event_files([(target, path)], meta)
+        save_event_files([(target, path)], manifest)
         return target, path
 
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
     def test_round_trip_matches_jsonl_parse(self, n, tmp_path, jsonl_reads):
-        target, path = self.saved(tmp_path, n, note="x")
+        target, path = self.saved(tmp_path, n, {"note": "x"})
         assert sorted(f.name for f in tmp_path.iterdir()) == \
                ["p.jsonl", "p.jsonl" + SIDECAR_SUFFIX]
         loaded = load_event_file(target)
@@ -759,30 +783,22 @@ class TestSaveEventFiles:
         for jsonl, sidecar in self.written(tmp_path, paths):
             assert sidecar[:32] == hashlib.sha256(jsonl).digest()
 
-    @pytest.mark.parametrize("field", sorted(kalpha.paths._HEADER_FIELDS))
-    def test_extra_meta_cannot_overwrite_the_header(self, field, tmp_path):
-        # refused before anything is written, drawn or renamed: the
-        # target keeps its file, and no temporary is left
-        path = simulate_large_jumps(KAlphaParams(1.5), 20.0, 1)
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match=field):
-            write_event_path(path, buf, {"note": "x", field: 0.5})
-        assert buf.getvalue() == ""
+    def test_manifest_is_the_last_header_field(self, tmp_path):
+        # the path's own fields first, in a fixed order, then the manifest
+        path = simulate_large_jumps(KAlphaParams(1.5), 20.0, 1, (4,))
+        manifest = {"command": "simulate", "alpha": 0.5, "seed": None}
         target = tmp_path / "p.jsonl"
-        save_event_files([(target, path)])
-        before = {f.name: by_line(f.read_bytes()) for f in tmp_path.iterdir()}
-        drawn = []
-
-        def jobs():
-            drawn.append(True)
-            yield tmp_path / "q.jsonl", path
-
-        for given in ([(target, path)], jobs()):
-            with pytest.raises(ValueError, match=field):
-                save_event_files(given, {field: 0.5})
-        assert drawn == []
-        assert {f.name: by_line(f.read_bytes())
-                for f in tmp_path.iterdir()} == before
+        save_event_files([(target, path)], manifest)
+        header = json.loads(target.read_text().splitlines()[0])
+        assert list(header) == ["format_version", "alpha", "horizon", "seed",
+                                "rng_name", "component", "spawn_key",
+                                "manifest"]
+        assert header["manifest"] == manifest
+        assert header["alpha"] == 1.5
+        buf = io.StringIO()
+        write_event_path(path, buf)
+        assert "manifest" not in json.loads(buf.getvalue().splitlines()[0])
+        assert_same_path(load_event_file(target), path)
 
 
 class TestEnsembles:
@@ -873,7 +889,7 @@ class TestBlockCodec:
                          "seed": 0, "rng_name": "philox4x64",
                          "component": "large"}) + "\n"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(event_blocks())
     def test_fast_block_parse_matches_per_line_reference(self, block):
         text, canonical = block
@@ -890,7 +906,7 @@ class TestBlockCodec:
             for a, b in zip(fast, ref):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(event_blocks())
     def test_cli_exit_codes_and_strict_json(self, block):
         text, _ = block
@@ -956,7 +972,7 @@ class TestEventLines:
         assert by_line(_event_lines(values, signs, mags)) == by_line(json_lines(
             values.tolist(), signs.tolist(), mags.tolist()))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(
         st.one_of(st.floats(min_value=0.0, allow_infinity=False),
                   st.floats(1e-4, 1e16, exclude_max=True)),

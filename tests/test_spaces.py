@@ -1,28 +1,20 @@
 import math
-import tempfile
 import warnings
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from kalpha import spaces
 from kalpha.measure import KAlphaParams
 from kalpha.numerics import LN2, SignedLogValue, slv_sum
-from kalpha.paths import BLOCK, EventPath, simulate_large_jumps
+from kalpha.paths import BLOCK, EventPath, _log_jumps, simulate_large_jumps
 from kalpha.spaces import (Bump, ExpPoly, Gaussian, _segment_terms, log_k_norm,
                            log_kbeta_norm, log_s_norm, pair_white_noise,
                            parse_test_function)
-
-# database=None turns the example database off, but hypothesis still caches
-# the constants it reads from the source when tests are collected; keep that
-# cache out of the working tree
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kalpha-hypothesis")
 
 
 def manual_path(alpha=1.0, horizon=10.0, times=(), signs=(), mags=()):
@@ -449,8 +441,9 @@ class TestPairing:
             log1p_mags=np.concatenate([a.log1p_mags, b.log1p_mags])[order])
         phi = Gaussian(3.0, 2.0)
         lhs, ra, rb = (pair_white_noise(x, phi).value for x in (merged, a, b))
-        ref, diff = slv_sum([lhs.logmag, ra.logmag, rb.logmag],
-                            [lhs.sign, -ra.sign, -rb.sign])
+        logs = np.array([lhs.logmag, ra.logmag, rb.logmag])
+        coefs = np.array([lhs.sign, -ra.sign, -rb.sign], dtype=float)
+        ref, diff = slv_sum(lambda: [(logs, coefs)])
         assert diff == 0.0 or ref + math.log(abs(diff)) - lhs.logmag < math.log(1e-11)
 
     def test_rel_err_not_log_quantised(self):
@@ -544,7 +537,8 @@ def assert_terms_match_reference(path, phi):
     """_segment_terms is the reference levels times phi_i - phi_next,
     formed in numpy (phi_next being phi at the horizon past the last
     larger jump), bit for bit; returns the reference hi."""
-    a, hi = reference_levels(path.log_jumps.tolist(), path.signs.tolist())
+    a, hi = reference_levels(_log_jumps(path.log1p_mags).tolist(),
+                             path.signs.tolist())
     phis = np.append(phi(path.times), phi(path.horizon))
     want = np.array(a, dtype=float) * (phis[:-1] - phis[hi])
     got = _segment_terms(path, phi, phi(path.horizon))
@@ -553,20 +547,49 @@ def assert_terms_match_reference(path, phi):
     return hi
 
 
+def seeded_pairing(seed):
+    """One of adversarial_pairings's cases, drawn from a seed: up to 60
+    events, drawn, increasing or decreasing magnitudes half of which
+    repeat a small pool, and a gaussian or a bump by the seed's parity."""
+    rng = np.random.default_rng(seed)
+    n = seed * 37 % 61
+    pool = rng.uniform(LN2, 40.0, rng.integers(1, 7))
+    mags = np.where(rng.random(n) < 0.5, rng.choice(pool, n),
+                    rng.uniform(LN2, 40.0, n))
+    order = ("drawn", "increasing", "decreasing")[seed % 3]
+    if order != "drawn":
+        mags.sort()
+        mags = mags[::-1] if order == "decreasing" else mags
+    center = rng.uniform(0.0, 10.0)
+    phi = (Bump(center, rng.uniform(0.3, 8.0)) if seed % 2
+           else Gaussian(center, rng.uniform(0.3, 5.0)))
+    path = manual_path(times=(np.arange(n) + 0.5) * (10.0 / max(n, 1)),
+                       signs=rng.choice([-1, 1], n), mags=mags)
+    return path, phi
+
+
+def assert_pairing_matches_reference(path, phi):
+    ref = float(reference_pairing(path, phi))
+    res = pair_white_noise(path, phi)
+    got = res.value.sign * math.exp(res.value.logmag)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # the stack and phi go by blocks of any size, bit for bit
+    for block in (1, 3, 7, BLOCK):
+        with mock.patch.object(spaces, "BLOCK", block):
+            assert_terms_match_reference(path, phi)
+            assert pair_white_noise(path, phi) == res
+
+
 class TestPairingKernel:
-    @settings(derandomize=True, database=None, deadline=None)
     @given(adversarial_pairings())
     def test_matches_reference_recursion(self, case):
-        path, phi = case
-        ref = float(reference_pairing(path, phi))
-        res = pair_white_noise(path, phi)
-        got = res.value.sign * math.exp(res.value.logmag)
-        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-        # the stack and phi go by blocks of any size, bit for bit
-        for block in (1, 3, 7, BLOCK):
-            with mock.patch.object(spaces, "BLOCK", block):
-                assert_terms_match_reference(path, phi)
-                assert pair_white_noise(path, phi) == res
+        assert_pairing_matches_reference(*case)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_reference_on_seeded_paths(self, seed):
+        # a fixed companion of the property test, which can take minutes
+        # to find a fault in the stack pass; these cases take seconds
+        assert_pairing_matches_reference(*seeded_pairing(seed))
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_record_held_across_block_edges(self, n):
