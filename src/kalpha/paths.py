@@ -18,13 +18,13 @@ set by those rows alone.  Its running sup is returned as its steps, the
 events at which |K| sets a record, found in one pass over the path a
 block at a time.
 
-JSONL is the one path format users read and write.  Its first line is a
-fixed header, the path's own fields and then the manifest of the command
-that wrote it, when there is one.  Its event lines are formatted a block
-at a time by _event_lines, a numpy kernel that writes each float as repr
-does: it finds repr's shortest digits exactly for 1e-4 <= x < 1e16 (a
-Dekker product and exact comparisons) and asks repr itself, one float at
-a time, for any x it cannot decide (about 1% of a simulated path's).
+JSONL is the one path format users read and write, as bytes: lines end
+at b"\n", and a line not in the writer's ASCII shape is decoded as
+strict UTF-8 whatever the locale.  Line 1 is a fixed header, the path's
+own fields, then the manifest of the command that wrote it, if any.  The
+event lines' bytes are written a block at a time by _event_lines, a
+numpy kernel that finds repr's shortest digits exactly for 1e-4 <= x <
+1e16 and asks repr itself for any float it cannot decide (about 1%).
 save_event_files writes each JSONL with <file>.events beside it: the
 SHA-256 of the JSONL bytes as written, then the path's three rows as one
 (3, n) float64 array in .npy form (version 1.0 header); a call that
@@ -329,36 +329,38 @@ def _shortest_digits(x: np.ndarray):
     return digits, n_fit, k, exact
 
 
-# The event line {"t": T, "sign": S, "log1p_mag": M}\n in columns.  A
-# float's _FIELD holds its first 16 digits and "0", then ".", then "000"
-# and its 17 digits; _LAYOUT's row for its (n_fit, k) keeps the integer
-# part from the first copy ("0" below 1), the point, and the fraction
-# from the second.  The rows of _LINES and _KEEP are for sign -1 and +1;
-# a pad column, never kept, follows t's field, and the shorter text of
-# +1 starts one column later, so that its dropped column joins the pad.
-# Each run of dropped columns costs the final boolean index a step, so
-# the layout has as few as it can.
+# The event line {"t": T, "sign": S, "log1p_mag": M}\n is _KEYS and _END
+# around its numbers; the writer's columns and the reader's _SKELETON
+# derive from them.  A float's _FIELD holds its first 16 digits and "0",
+# ".", "000" and its 17 digits; _LAYOUT's row for its (n_fit, k) keeps
+# the integer part from the first copy ("0" below 1), the point, and the
+# fraction from the second.  _LINES and _KEEP have rows for sign -1 and
+# +1; a pad column, never kept, follows t's field, and +1's shorter text
+# starts one column later, so that its dropped column joins the pad (each
+# run of dropped columns costs the final boolean index a step).
+_KEYS = (b'{"t": ', b', "sign": ', b', "log1p_mag": ')
+_END = b"}\n"
 _FIELD = 38
-_T_AT = len('{"t": ')
-_MAG_AT = _T_AT + _FIELD + 1 + len(', "sign": -1, "log1p_mag": ')  # 1: a pad
-_WIDTH = _MAG_AT + _FIELD + len("}\n")
+_T_AT = len(_KEYS[0])
+_MAG_AT = _T_AT + _FIELD + 1 + len(_KEYS[1] + b"-1" + _KEYS[2])  # 1: a pad
+_WIDTH = _MAG_AT + _FIELD + len(_END)
 _ROWS = 1024            # lines laid out at a time
 # bytes in the longest event line: two 24-character float reprs, sign -1
-_LINE_MAX = len('{"t": , "sign": -1, "log1p_mag": }\n') + 2 * 24
+_LINE_MAX = len(b"".join(_KEYS) + b"-1" + _END) + 2 * 24
 
 
 def _line_rows() -> tuple[np.ndarray, np.ndarray]:
-    """(_LINES, _KEEP): an event line's characters outside its fields,
-    and the columns kept, for sign -1 (row 0) and +1 (row 1)."""
+    """(_LINES, _KEEP): an event line's bytes outside its fields, and the
+    columns kept, for sign -1 (row 0) and +1 (row 1)."""
     lines, keep = np.zeros((2, _WIDTH), np.uint8), np.ones((2, _WIDTH), bool)
-    for line, row, sign in ((lines[0], keep[0], "-1"), (lines[1], keep[1], "1")):
-        text = f', "sign": {sign}, "log1p_mag": '
-        for at, chars in ((0, '{"t": '), (_MAG_AT - len(text), text),
-                          (_WIDTH - 2, "}\n")):
-            line[at:at + len(chars)] = np.frombuffer(chars.encode(), np.uint8)
+    for i, sign in enumerate((b"-1", b"1")):
+        middle = _KEYS[1] + sign + _KEYS[2]
+        for at, chars in ((0, _KEYS[0]), (_MAG_AT - len(middle), middle),
+                          (_WIDTH - len(_END), _END)):
+            lines[i, at:at + len(chars)] = np.frombuffer(chars, np.uint8)
         for at in (_T_AT, _MAG_AT):
-            line[at + 16:at + 21] = np.frombuffer(b"0.000", np.uint8)
-        row[_T_AT + _FIELD:_MAG_AT - len(text)] = False
+            lines[i, at + 16:at + 21] = np.frombuffer(b"0.000", np.uint8)
+        keep[i, _T_AT + _FIELD:_MAG_AT - len(middle)] = False
     return lines, keep
 
 
@@ -415,11 +417,20 @@ def _field(x: np.ndarray):
             np.arange(_FIELD) < filled[:, None])
 
 
-def _event_text(times: np.ndarray, signs: np.ndarray,
-                mags: np.ndarray) -> np.ndarray:
-    """_event_lines's text as a uint8 array, laid out _ROWS lines at a
-    time (a function of its own, so that its grids and fields are freed
-    before the text is decoded)."""
+def _event_lines(times: np.ndarray, signs: np.ndarray,
+                 mags: np.ndarray) -> np.ndarray:
+    """The event lines of one block as a uint8 array of ASCII, each line
+    exactly {"t": T, "sign": S, "log1p_mag": M}\n (json.dumps's shape),
+    for the -1 and +1 signs of an EventPath.
+
+    Floats are written as repr writes them, so they round-trip bit for
+    bit.  _shortest_digits gives repr's digits for the floats it can
+    decide, about 99% of those in simulated paths, and repr writes the
+    rest.  Each line is laid out in a row of a uint8 grid, its columns
+    to keep are marked in a boolean array of the grid's shape, and one
+    boolean index joins _ROWS lines; so the call holds the text, a few
+    arrays of the block's length and two grids of _ROWS lines.
+    """
     n = len(times)
     fields = [(at, _field(np.asarray(x, dtype=np.float64)))
               for at, x in ((_T_AT, times), (_MAG_AT, mags))]
@@ -446,56 +457,34 @@ def _event_text(times: np.ndarray, signs: np.ndarray,
     return text[:end]
 
 
-def _event_lines(times: np.ndarray, signs: np.ndarray,
-                 mags: np.ndarray) -> str:
-    """The event lines of one block, each exactly
-    {"t": T, "sign": S, "log1p_mag": M} (json.dumps's shape), for the -1
-    and +1 signs of an EventPath.
-
-    Floats are written as repr writes them, so they round-trip bit for
-    bit.  _shortest_digits gives repr's digits for the floats it can
-    decide, about 99% of those in simulated paths, and repr writes the
-    rest.  Each line is laid out in a row of a uint8 grid, its columns
-    to keep are marked in a boolean array of the grid's shape, and one
-    boolean index joins _ROWS lines; so the call holds the text, a few
-    arrays of the block's length and two grids of _ROWS lines.
-    """
-    return str(memoryview(_event_text(times, signs, mags)), "ascii")
-
-
 def write_event_path(path: EventPath, fp, manifest: dict | None = None) -> None:
-    """Write a path as JSONL: one header record, the path's own fields
-    and then manifest, when one is given, as its last field; then its
-    event lines, BLOCK events at a time (_event_lines)."""
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "alpha": path.params.alpha,
-        "horizon": path.horizon,
-        "seed": path.seed,
-        "rng_name": path.rng_name,
-        "component": "large",
-    }
+    """Write a path as JSONL to the binary file fp: one header record,
+    the path's own fields and then manifest, when one is given, as its
+    last field; then its event lines, a BLOCK at a time (_event_lines)."""
+    meta = {"format_version": FORMAT_VERSION, "alpha": path.params.alpha,
+            "horizon": path.horizon, "seed": path.seed,
+            "rng_name": path.rng_name, "component": "large"}
     if path.spawn_key:
         meta["spawn_key"] = list(path.spawn_key)
     if manifest is not None:
         meta["manifest"] = manifest
-    fp.write(json.dumps(meta) + "\n")
+    fp.write(json.dumps(meta).encode() + b"\n")
     for b in range(0, path.n_events, BLOCK):
         fp.write(_event_lines(path.times[b:b + BLOCK], path.signs[b:b + BLOCK],
                               path.log1p_mags[b:b + BLOCK]))
 
 
-# The writer's event line is {"t": T, "sign": S, "log1p_mag": M}\n.  With
-# every [0-9.eE+-] deleted it reads _SKELETON; _KEYS are its exact key
-# literals.  _TO_LIST then turns a checked block, once its log1p_mag key
-# (which holds a 1) is replaced by a comma, into the body of a JSON list.
-_SKELETON = '{"t": , "sign": , "logp_mag": }\n'
-_NUMBER_CHARS = str.maketrans("", "", "0123456789.eE+-")
-_KEYS = ('{"t": ', ', "sign": ', ', "log1p_mag": ')
-_TO_LIST = str.maketrans({c: None for c in '{"t:sign}'} | {"\n": ","})
+# A writer's line with every [0-9.eE+-] deleted reads _SKELETON and holds
+# each of _KEYS and _END whole.  A block of such lines, its log1p_mag key
+# (it holds a 1) made a comma, its _KEY_CHARS deleted and its line breaks
+# made commas, is the body of a JSON list.
+_NUMBER_CHARS = b"0123456789.eE+-"
+_SKELETON = (b"".join(_KEYS) + _END).translate(None, _NUMBER_CHARS)
+_KEY_CHARS = bytes(set(_KEYS[0] + _KEYS[1] + _END) - set(b" ,\n"))
+_BREAK_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
-def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
+def _parse_block(lines: list[bytes]) -> tuple[np.ndarray, ...] | None:
     """(times, signs, log1p_mags) as float arrays for a block of event lines
     that all have the writer's exact record shape, else None.
 
@@ -503,28 +492,36 @@ def _parse_block(lines: list[str]) -> tuple[np.ndarray, ...] | None:
     grammar and the int/float types are exactly JSON's; anything it
     refuses, or an integer too large for a float, also gives None.
     """
-    text = "".join(lines)
+    text = b"".join(lines)
     n = len(lines)
-    if (text.translate(_NUMBER_CHARS) != _SKELETON * n
-            or any(text.count(key) != n for key in _KEYS)):
+    if (text.translate(None, _NUMBER_CHARS) != _SKELETON * n
+            or any(text.count(part) != n for part in (*_KEYS, _END))):
         return None
-    body = text.replace(_KEYS[2], ",").translate(_TO_LIST)
+    body = text.replace(_KEYS[2], b",").translate(_BREAK_TO_COMMA, _KEY_CHARS)
     try:
-        values = json.loads(f"[{body[:-1]}]")
+        values = json.loads(b"[" + body[:-1] + b"]")
         return tuple(np.array(values[i::3], dtype=float) for i in range(3))
     except (ValueError, OverflowError):
         return None
 
 
+def _decoded(line: bytes, lineno: int) -> str:
+    """line decoded as strict UTF-8, whatever the locale; errors name it."""
+    try:
+        return line.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"line {lineno}: not UTF-8 ({exc})") from None
+
+
 def _json_line(line: str, lineno: int):
-    """json.loads for one line of a path file; errors name the line."""
+    """json.loads for one decoded line of a path file; errors name the line."""
     try:
         return json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
 
 
-def _parse_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, ...]:
+def _parse_lines(lines: list[bytes], first_lineno: int) -> tuple[np.ndarray, ...]:
     """(times, signs, log1p_mags) as float arrays, one record at a time.
 
     Accepts any JSON object per line that has the three fields as
@@ -533,7 +530,7 @@ def _parse_lines(lines: list[str], first_lineno: int) -> tuple[np.ndarray, ...]:
     """
     rows = []
     for lineno, line in enumerate(lines, first_lineno):
-        line = line.strip()
+        line = _decoded(line, lineno).strip()
         if not line:
             continue
         rec = _json_line(line, lineno)
@@ -567,7 +564,7 @@ def _finite(v: int | float) -> bool:
 def _read_header(fp) -> dict:
     """The EventPath fields that line 1 of a path file gives, as keyword
     arguments; errors say what is wrong."""
-    header = fp.readline()
+    header = _decoded(fp.readline(), 1)
     if not header:
         raise ValueError("empty path file")
     meta = _json_line(header, 1)
@@ -601,7 +598,7 @@ def _read_header(fp) -> dict:
 
 
 def read_event_path(fp) -> EventPath:
-    """Read a path file written by write_event_path.
+    """Read a path file written by write_event_path from binary file fp.
 
     Event lines are read BLOCK at a time.  A block in the writer's exact
     record shape is parsed in one piece; any other block goes through
@@ -624,15 +621,13 @@ def read_event_path(fp) -> EventPath:
 # ---------------------------------------------------------------------------
 
 class _DigestingWriter:
-    """Takes text writes for a binary file and keeps the SHA-256 of the
-    bytes written."""
+    """Writes to a binary file and keeps the SHA-256 of what it wrote."""
 
     def __init__(self, raw):
         self.raw = raw
         self.sha256 = hashlib.sha256()
 
-    def write(self, text: str) -> int:
-        data = text.encode()
+    def write(self, data) -> int:
         self.sha256.update(data)
         return self.raw.write(data)
 
@@ -731,7 +726,7 @@ def _sidecar_events(name, digest: bytes) -> tuple[np.ndarray, ...] | None:
 
 def load_event_file(name) -> EventPath:
     """Read the path file name, from its sidecar when that is bound to
-    the file's bytes, else with read_event_path.
+    the file's bytes, else with read_event_path on those bytes.
 
     The header is always read from the JSONL and checked as
     read_event_path checks it; a file that is not a regular one (a
@@ -741,11 +736,11 @@ def load_event_file(name) -> EventPath:
     load holds the three returned arrays and a few boolean arrays of the
     path's length, nothing more.
     """
-    with io.TextIOWrapper(_open_regular(name)) as fp:
+    with _open_regular(name) as fp:
         # the hash, the header and any parse all read this one open file,
         # so a file renamed over name meanwhile cannot mix two paths
-        digest = hashlib.file_digest(fp.buffer, "sha256").digest()
-        fp.buffer.seek(0)
+        digest = hashlib.file_digest(fp, "sha256").digest()
+        fp.seek(0)
         events = _sidecar_events(name, digest)
         if events is not None:
             header = _read_header(fp)

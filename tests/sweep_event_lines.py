@@ -59,9 +59,9 @@ def families(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     }
 
 
-def json_lines(times, signs, mags) -> str:
+def json_lines(times, signs, mags) -> bytes:
     return "".join(json.dumps({"t": t, "sign": s, "log1p_mag": m}) + "\n"
-                   for t, s, m in zip(times, signs, mags))
+                   for t, s, m in zip(times, signs, mags)).encode()
 
 
 def sweep(x: np.ndarray, rng: np.random.Generator) -> dict:
@@ -71,7 +71,7 @@ def sweep(x: np.ndarray, rng: np.random.Generator) -> dict:
     for start in range(0, len(x), BLOCK):
         block = (x[start:start + BLOCK], signs[start:start + BLOCK],
                  mags[start:start + BLOCK])
-        got = _event_lines(*block).splitlines()
+        got = _event_lines(*block).tobytes().splitlines()
         want = json_lines(*(col.tolist() for col in block)).splitlines()
         mismatches += sum(a != b for a, b in zip(got, want))
         mismatches += abs(len(got) - len(want))

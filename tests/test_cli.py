@@ -91,7 +91,7 @@ class TestSimulate:
         def disk_full_on_second_file(path, fp, *args, **kwargs):
             written.append(path)
             if len(written) == 2:
-                fp.write('{"format_version": ')
+                fp.write(b'{"format_version": ')
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             write(path, fp, *args, **kwargs)
 
@@ -308,7 +308,7 @@ class TestDiagnose:
                          times=np.array([2.0]), signs=np.array([1]),
                          log1p_mags=np.array([3.0]))
         infile = tmp_path / "late.jsonl"
-        with open(infile, "w") as fp:
+        with open(infile, "wb") as fp:
             write_event_path(path, fp)
         assert run(["diagnose", "--in", str(infile),
                     "--growth", "eta=0.5"]) == EXIT_OK
@@ -471,7 +471,7 @@ class TestPair:
                          times=np.linspace(0.0, 10.0, n, endpoint=False),
                          signs=np.ones(n, dtype=np.int64), log1p_mags=mags)
         infile = tmp_path / "monotone.jsonl"
-        with open(infile, "w") as fp:
+        with open(infile, "wb") as fp:
             write_event_path(path, fp)
         assert run(["pair", "--in", str(infile),
                     "--phi", "bump:center=5,width=4"]) == EXIT_OK
@@ -730,6 +730,13 @@ class TestBadInput:
                               "number, got 1000")
         assert err.count("\n") == 1 and len(err) < 120   # the value is cut
 
+    @staticmethod
+    def jsonl_only(sample_path_file) -> bytes:
+        """The sample file's bytes, its sidecar removed so that the JSONL
+        is parsed."""
+        Path(f"{sample_path_file}{SIDECAR_SUFFIX}").unlink()
+        return sample_path_file.read_bytes()
+
     def test_in_place_edit_names_its_line(self, sample_path_file, capsys):
         # the sidecar no longer matches, so the edited JSONL is parsed
         lines = sample_path_file.read_text().splitlines(keepends=True)
@@ -738,6 +745,62 @@ class TestBadInput:
         assert run(["diagnose", "--in", str(sample_path_file),
                     "--envelope", "exp:c=1.0"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: line 3: ")
+
+    def test_digit_after_a_record_names_its_line(self, sample_path_file,
+                                                 capsys):
+        # the writer's shape but for a digit after the closing brace,
+        # which the block parse must not join to log1p_mag
+        lines = self.jsonl_only(sample_path_file).splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"}\n", b"}7\n")
+        sample_path_file.write_bytes(b"".join(lines))
+        assert run(["diagnose", "--in", str(sample_path_file),
+                    "--envelope", "exp:c=1.0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: line 3: invalid JSON (Extra data")
+
+    @pytest.mark.parametrize("lineno", [1, 4], ids=["header", "event"])
+    def test_undecodable_byte_names_its_line(self, lineno, sample_path_file,
+                                             capsys):
+        # a 0xff byte is not UTF-8 in any position, whatever the locale
+        lines = self.jsonl_only(sample_path_file).splitlines(keepends=True)
+        lines[lineno - 1] = b"{\xff" + lines[lineno - 1][1:]
+        sample_path_file.write_bytes(b"".join(lines))
+        assert run(["diagnose", "--in", str(sample_path_file),
+                    "--envelope", "exp:c=1.0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}: not UTF-8 ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("recode", [
+        lambda data: b"\xef\xbb\xbf" + data,
+        lambda data: data.decode().encode("utf-16-be"),
+        # JSON Lines ends a line at \n only, so the file is one line
+        lambda data: data.replace(b"\n", b"\r"),
+    ], ids=["utf-8-bom", "utf-16-be", "lone-cr-line-breaks"])
+    def test_other_encodings_refused(self, recode, sample_path_file, capsys):
+        sample_path_file.write_bytes(recode(self.jsonl_only(sample_path_file)))
+        assert run(["diagnose", "--in", str(sample_path_file),
+                    "--envelope", "exp:c=1.0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: invalid JSON")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("recode", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        # in the header and in the first event line
+        lambda data: data.replace(b"}\n", ', "note": "\u00e9"}\n'.encode(), 2),
+    ], ids=["crlf-line-breaks", "non-ascii-extra-key"])
+    def test_other_bytes_load_the_same_rows(self, recode, sample_path_file,
+                                            tmp_path):
+        data = self.jsonl_only(sample_path_file)
+        twin = tmp_path / "twin.jsonl"
+        twin.write_bytes(recode(data))
+        assert twin.read_bytes() != data
+        a, b = load_event_file(sample_path_file), load_event_file(twin)
+        for field in ("times", "signs", "log1p_mags"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.params.alpha, a.horizon, a.seed) == \
+               (b.params.alpha, b.horizon, b.seed)
 
     @pytest.mark.parametrize("mangle", [
         lambda meta, rec: rec.update(sign=float(rec["sign"])),

@@ -389,10 +389,28 @@ class TestRunningSup:
 
 
 class TestPersistence:
+    def test_pinned_file_bytes(self, tmp_path):
+        # SHA-256 of the JSONL that write_event_path writes and of the
+        # sidecar beside it, both with no manifest, recorded from the
+        # text-mode writer that the byte writer replaced; never re-recorded
+        path = simulate_large_jumps(KAlphaParams(1.5), 1e3, 42, (0,))
+        jsonl = ("eb16e000a5fb3d0aca8d173864aa871a"
+                 "ee4d84216e5bd3983ac052865f5aaceb")
+        buf = io.BytesIO()
+        write_event_path(path, buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == jsonl
+        target = tmp_path / "p.jsonl"
+        save_event_files([(target, path)])
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == jsonl
+        sidecar = Path(f"{target}{SIDECAR_SUFFIX}").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == (
+            "6ba4427bb418c3085d428c79a589688a"
+            "d84e292ec6aedd34716a53d404166878")
+
     def test_round_trip_bit_exact(self):
         p = KAlphaParams(1.5)
         path = simulate_large_jumps(p, 25.0, 13)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         buf.seek(0)
         back = read_event_path(buf)
@@ -407,7 +425,7 @@ class TestPersistence:
         import json
         p = KAlphaParams(1.5)
         path = simulate_large_jumps(p, 5.0, 3, spawn_key=(2,))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         meta = json.loads(buf.getvalue().splitlines()[0])
         assert meta["format_version"] == 1
@@ -424,9 +442,9 @@ class TestPersistence:
                           times=np.arange(n) + rng.random(n),
                           signs=rng.choice([-1, 1], n),
                           mags=LN2 + rng.exponential(5.0, n))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
-        assert buf.getvalue().count("\n") == n + 1
+        assert buf.getvalue().count(b"\n") == n + 1
         buf.seek(0)
         back = read_event_path(buf)
         for field in ("times", "signs", "log1p_mags"):
@@ -439,11 +457,11 @@ class TestPersistence:
         mags = [LN2, 1e-05 + 1.0, 1e+16, 1.7976931348623157e+308, 2.5]
         path = small_path(horizon=1e+17, times=times, signs=[1, -1, 1, 1, -1],
                           mags=mags)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         events = buf.getvalue().splitlines(keepends=True)[1:]
         assert events == [json.dumps({"t": float(t), "sign": int(s),
-                                      "log1p_mag": float(m)}) + "\n"
+                                      "log1p_mag": float(m)}).encode() + b"\n"
                           for t, s, m in zip(path.times, path.signs,
                                              path.log1p_mags)]
 
@@ -452,37 +470,37 @@ class TestPersistence:
                           times=np.arange(BLOCK + 5) + 0.5,
                           signs=np.ones(BLOCK + 5, dtype=np.int64),
                           mags=np.full(BLOCK + 5, 1.0))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         lines = buf.getvalue().splitlines(keepends=True)
         bad = BLOCK + 4           # header is line 1, so event BLOCK + 2
-        lines[bad - 1] = lines[bad - 1].replace('"sign"', '"sgn"')
+        lines[bad - 1] = lines[bad - 1].replace(b'"sign"', b'"sgn"')
         with pytest.raises(ValueError, match=f"^line {bad}: "):
-            read_event_path(io.StringIO("".join(lines)))
+            read_event_path(io.BytesIO(b"".join(lines)))
 
     def test_deeply_nested_line_is_a_value_error(self):
         path = small_path(times=[1.0], signs=[1], mags=[1.0])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         header, event = buf.getvalue().splitlines(keepends=True)
-        nested = "[" * 100_000 + "\n"
+        nested = b"[" * 100_000 + b"\n"
         for text, lineno in ((nested, 1), (header + nested, 2),
                              (header + event + nested, 3)):
             with pytest.raises(ValueError, match=f"^line {lineno}: invalid JSON"):
-                read_event_path(io.StringIO(text))
+                read_event_path(io.BytesIO(text))
 
     def test_rejects_foreign_files(self):
         with pytest.raises(ValueError):
-            read_event_path(io.StringIO(""))
+            read_event_path(io.BytesIO(b""))
         for version in ("99", "true", "1.0"):
             with pytest.raises(ValueError, match="^unsupported path header"):
-                read_event_path(io.StringIO(
+                read_event_path(io.BytesIO(
                     f'{{"format_version": {version}, "component": "large", '
-                    '"alpha": 1.0, "horizon": 1.0, "seed": 0}\n'))
+                    '"alpha": 1.0, "horizon": 1.0, "seed": 0}\n'.encode()))
         with pytest.raises(ValueError):
-            read_event_path(io.StringIO(
-                '{"format_version": 1, "component": "small", "alpha": 1.0,'
-                ' "horizon": 1.0, "seed": 0}\n'))
+            read_event_path(io.BytesIO(
+                b'{"format_version": 1, "component": "small", "alpha": 1.0,'
+                b' "horizon": 1.0, "seed": 0}\n'))
 
 
 def by_line(text):
@@ -500,7 +518,7 @@ def assert_same_path(a, b):
 
 
 def parse_jsonl(name):
-    with open(name) as fp:
+    with open(name, "rb") as fp:
         return read_event_path(fp)
 
 
@@ -545,7 +563,7 @@ def huge_header(digest, events):
 
 def reordered_header(digest, events):
     """A version 1.0 header that numpy reads, with the keys in an order
-    _save_rows never writes."""
+    save_event_files never writes."""
     text = f"{{'shape': {events.shape}, 'fortran_order': False, 'descr': '<f8', }}"
     text += " " * (-(len(text) + 11) % 64) + "\n"
     payload = (b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little")
@@ -698,7 +716,7 @@ class TestSidecar:
     def test_read_never_writes_a_sidecar(self, tmp_path):
         path = small_path(times=[1.0], signs=[1], mags=[2.0])
         target = tmp_path / "p.jsonl"
-        with open(target, "w") as fp:
+        with open(target, "wb") as fp:
             write_event_path(path, fp)
         assert_same_path(load_event_file(target), path)
         assert [f.name for f in tmp_path.iterdir()] == ["p.jsonl"]
@@ -728,17 +746,17 @@ class TestSaveEventFiles:
                                    2 * BLOCK + 1])
     def test_bytes_match_write_event_path(self, n, tmp_path):
         path = block_path(n)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf, {"note": "x"})
         assert (by_line(self.written(tmp_path, [path])[0][0])
-                == by_line(buf.getvalue().encode()))
+                == by_line(buf.getvalue()))
 
     def test_ensemble_with_an_empty_path(self, tmp_path):
         paths = [block_path(n, seed) for seed, n in
                  enumerate([3, 0, 2 * BLOCK + 1, BLOCK, 0, 1])]
         for (jsonl, _), path in zip(self.written(tmp_path, paths), paths):
             assert jsonl.count(b"\n") == path.n_events + 1
-            assert_same_path(read_event_path(io.StringIO(jsonl.decode())), path)
+            assert_same_path(read_event_path(io.BytesIO(jsonl)), path)
 
     def test_generator_fed_files_match_list_fed(self, tmp_path):
         paths = [block_path(n, seed) for seed, n in enumerate(
@@ -776,7 +794,7 @@ class TestSaveEventFiles:
                           mags=np.full(n, 1.2345678901234567e+300))
         jsonl = self.written(tmp_path, [path])[0][0]
         assert len(jsonl.splitlines()[1]) == 80 < kalpha.paths._LINE_MAX
-        assert_same_path(read_event_path(io.StringIO(jsonl.decode())), path)
+        assert_same_path(read_event_path(io.BytesIO(jsonl)), path)
 
     def test_sidecar_digest_is_the_file_on_disk(self, tmp_path):
         paths = [block_path(BLOCK + 1), block_path(7, 1)]
@@ -795,7 +813,7 @@ class TestSaveEventFiles:
                                 "manifest"]
         assert header["manifest"] == manifest
         assert header["alpha"] == 1.5
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_event_path(path, buf)
         assert "manifest" not in json.loads(buf.getvalue().splitlines()[0])
         assert_same_path(load_event_file(target), path)
@@ -826,7 +844,7 @@ ODD_TOKENS = ["+1.5", "01.5", "1e5", "1E+5", "-0", "-0.0", "1.0", "1", "NaN",
 ODD_KEYS = ["t1", "1t", "T", "si1gn", "sign ", "log1p_mag1", "lo1gp_mag",
             "logp_mag", "log1p-mag"]
 MUTATIONS = ["value", "exponent", "float-sign", "reorder", "rename", "extra",
-             "spacing", "blank"]
+             "spacing", "blank", "after-end"]
 
 
 @st.composite
@@ -839,7 +857,8 @@ def event_blocks(draw):
     signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     rows = [{"keys": list(EVENT_FIELDS), "values": [0.5 * (i + 1), s, m],
              "tokens": [repr(0.5 * (i + 1)), repr(s), repr(m)],
-             "colon": ": ", "comma": ", ", "extra": "", "blank": False}
+             "colon": ": ", "comma": ", ", "extra": "", "after": "",
+             "blank": False}
             for i, (s, m) in enumerate(zip(signs, mags))]
     canonical = True
     for _ in range(draw(st.integers(0, 3)) if n else 0):
@@ -861,7 +880,10 @@ def event_blocks(draw):
             row["keys"][j] = draw(st.sampled_from(ODD_KEYS))
         elif kind == "extra":
             row["extra"] = draw(st.sampled_from([', "x": 1', ', "t2": 5',
-                                                 ', "note": "a"']))
+                                                 ', "note": "a"',
+                                                 ', "note": "\u00e9"']))
+        elif kind == "after-end":
+            row["after"] = draw(st.sampled_from(["7", "1e5", "-0", ".", " "]))
         elif kind == "spacing":
             row["colon"], row["comma"] = draw(st.sampled_from(
                 [(":", ","), (":  ", ", "), (": ", " , "), (":\t", ",\t")]))
@@ -873,7 +895,7 @@ def event_blocks(draw):
             lines.append(draw(st.sampled_from(["", "   "])))
         fields = row["comma"].join(f'"{k}"{row["colon"]}{v}'
                                    for k, v in zip(row["keys"], row["tokens"]))
-        lines.append("{" + fields + row["extra"] + "}")
+        lines.append("{" + fields + row["extra"] + "}" + row["after"])
     text = "".join(line + "\n" for line in lines)
     if text and draw(st.booleans()):
         text, canonical = text[:-1], False
@@ -893,7 +915,7 @@ class TestBlockCodec:
     @given(event_blocks())
     def test_fast_block_parse_matches_per_line_reference(self, block):
         text, canonical = block
-        lines = io.StringIO(text).readlines()
+        lines = io.BytesIO(text.encode()).readlines()
         fast = _parse_block(lines)
         try:
             ref = _parse_lines(lines, 2)
@@ -912,7 +934,7 @@ class TestBlockCodec:
         text, _ = block
         with tempfile.TemporaryDirectory() as tmp:
             infile = Path(tmp) / "p.jsonl"
-            infile.write_text(self.HEADER + text)
+            infile.write_bytes((self.HEADER + text).encode())
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main(["diagnose", "--in", str(infile),
@@ -924,10 +946,10 @@ class TestBlockCodec:
             assert err.getvalue().startswith("error: ")
 
 
-def json_lines(times, signs, mags) -> str:
+def json_lines(times, signs, mags) -> bytes:
     """The event lines as json.dumps writes each record."""
     return "".join(json.dumps({"t": t, "sign": int(s), "log1p_mag": m}) + "\n"
-                   for t, s, m in zip(times, signs, mags))
+                   for t, s, m in zip(times, signs, mags)).encode()
 
 
 def around(x, ulps):
@@ -969,7 +991,8 @@ class TestEventLines:
         if signs is None:
             signs = np.where(np.arange(len(values)) % 3, 1, -1)
         mags = values[::-1].copy()
-        assert by_line(_event_lines(values, signs, mags)) == by_line(json_lines(
+        got = _event_lines(values, signs, mags).tobytes()
+        assert by_line(got) == by_line(json_lines(
             values.tolist(), signs.tolist(), mags.tolist()))
 
     @settings(max_examples=200)
