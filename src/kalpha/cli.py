@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .diagnostics import (DEFAULT_BURN_IN, build_exceedance_report,
                           growth_scan, moment_scan, pruitt_slope)
-from .measure import (ENVELOPE_PARAMS, ConsistencyError, EnvelopeSpec,
-                      KAlphaParams, classify_support)
+from .measure import (ENVELOPE_PARAMS, ENVELOPE_SHORT_NAMES, ConsistencyError,
+                      EnvelopeSpec, KAlphaParams, classify_support)
 from .numerics import QuadratureError
 from .paths import (RNG_NAME, load_event_file, save_event_files,
                     simulate_large_jumps)
@@ -123,17 +123,15 @@ def _required_fields(text: str, keys: tuple[str, ...], lists=()) -> dict:
     return fields
 
 
-_ENVELOPE_SHORT_NAMES = {"pow": "power", "exp": "exponential",
-                         "powexp": "power_exponential"}
-
-
 def parse_envelope(descriptor: str) -> EnvelopeSpec:
     """Build an envelope from text like "exp:c=1.0" or "pow:beta=2", named
-    by its kind or short name; each kind accepts only its own keys."""
-    name, fields = parse_descriptor(descriptor, ENVELOPE_PARAMS | {
-        short: ENVELOPE_PARAMS[kind]
-        for short, kind in _ENVELOPE_SHORT_NAMES.items()})
-    return EnvelopeSpec(_ENVELOPE_SHORT_NAMES.get(name, name), **fields)
+    by its kind or by its short name in measure.ENVELOPE_SHORT_NAMES; each
+    kind accepts only its own keys, those of measure.ENVELOPE_PARAMS."""
+    kinds = {name: kind for kind, short in ENVELOPE_SHORT_NAMES.items()
+             for name in (kind, short)}
+    name, fields = parse_descriptor(descriptor, {
+        name: ENVELOPE_PARAMS[kind] for name, kind in kinds.items()})
+    return EnvelopeSpec(kinds[name], **fields)
 
 
 def _emit(args, kind: str, fields: dict, manifest: dict, plot=None) -> int:
@@ -199,8 +197,6 @@ def _sigterm_unwinds():
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params = KAlphaParams(args.alpha)
-    if args.horizon <= 0:
-        raise ValueError("horizon must be positive")
     if args.paths < 1:
         raise ValueError("--paths must be at least 1")
 
@@ -227,16 +223,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    modes = [m for m, v in (("envelope", args.envelope),
-                            ("moment-scan", args.moment_scan),
-                            ("pruitt", args.pruitt),
-                            ("growth", args.growth)) if v]
-    if len(modes) != 1:
-        raise ValueError("pick exactly one of --envelope, --moment-scan, "
-                         "--pruitt, --growth")
-    mode = modes[0]
-
-    if mode == "envelope":
+    # argparse has given exactly one of the four modes
+    if args.envelope is not None:
         if not args.infiles:
             raise ValueError("--envelope needs at least one --in path file")
         env = parse_envelope(args.envelope)
@@ -268,7 +256,7 @@ def _cmd_diagnose(args) -> int:
                                   "burn_in": args.burn_in,
                                   "in": list(map(str, args.infiles))}))
 
-    if mode == "moment-scan":
+    if args.moment_scan is not None:
         if args.alpha is None:
             raise ValueError("--moment-scan needs --alpha")
         fields = _required_fields(args.moment_scan, ("eta", "caps"),
@@ -286,7 +274,7 @@ def _cmd_diagnose(args) -> int:
                                   "descriptor": args.moment_scan}),
             plot=(("cap", "moment"), zip(scan.caps, scan.values)))
 
-    if mode == "pruitt":
+    if args.pruitt is not None:
         if args.alpha is None:
             raise ValueError("--pruitt needs --alpha")
         fields = _required_fields(args.pruitt, ("etas", "rs"),
@@ -400,15 +388,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diagnose", help="exceedance, moment, index scans")
     diag.add_argument("--in", dest="infiles", nargs="*", default=())
-    diag.add_argument("--envelope", default=None,
-                      help='e.g. "exp:c=1.0", "pow:beta=2"')
+    mode = diag.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--envelope", help='e.g. "exp:c=1.0", "pow:beta=2"')
+    mode.add_argument("--moment-scan", help='e.g. "eta=0.25,caps=10,100,1000"')
+    mode.add_argument("--pruitt",
+                      help='e.g. "etas=0.05,0.1,0.5,rs=10,100,1000"')
+    mode.add_argument("--growth", help='e.g. "eta=0.5"')
     diag.add_argument("--burn-in", type=_finite_float, default=DEFAULT_BURN_IN)
     diag.add_argument("--alpha", type=_finite_float, default=None)
-    diag.add_argument("--moment-scan", default=None,
-                      help='e.g. "eta=0.25,caps=10,100,1000"')
-    diag.add_argument("--pruitt", default=None,
-                      help='e.g. "etas=0.05,0.1,0.5,rs=10,100,1000"')
-    diag.add_argument("--growth", default=None, help='e.g. "eta=0.5"')
     diag.add_argument("--json", dest="json_out", default=None)
     diag.add_argument("--plot-data", default=None,
                       help="write a CSV of (t, statistic) rows")

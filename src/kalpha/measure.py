@@ -224,6 +224,9 @@ def laplace_exponent(lam: float, p: KAlphaParams) -> float:
 # each kind's parameters, each above its floor; the others must be left out
 ENVELOPE_PARAMS = {"power": ("beta",), "exponential": ("c",),
                    "power_exponential": ("beta", "c")}
+# each kind's short name, which describe() writes and descriptors accept
+ENVELOPE_SHORT_NAMES = {"power": "pow", "exponential": "exp",
+                        "power_exponential": "powexp"}
 _PARAM_FLOORS = {"beta": 1.0, "c": 0.0}
 
 
@@ -313,11 +316,11 @@ class EnvelopeSpec:
         return self.kind != "power" and alpha * self._p > 1.0
 
     def describe(self) -> str:
-        if self.kind == "power":
-            return f"pow:beta={self.beta:g}"
-        if self.kind == "exponential":
-            return f"exp:c={self.c:g}"
-        return f"powexp:c={self.c:g},beta={self.beta:g}"
+        """The descriptor "short:c=..,beta=.." of this envelope, naming the
+        kind by its short name and each parameter it sets, c first."""
+        return f"{ENVELOPE_SHORT_NAMES[self.kind]}:" + ",".join(
+            f"{name}={getattr(self, name):g}" for name in ("c", "beta")
+            if getattr(self, name) is not None)
 
 
 @dataclass(frozen=True)

@@ -491,8 +491,11 @@ def _parse_block(lines: list[bytes]) -> tuple[np.ndarray, ...] | None:
     One json.loads parses every number in the block, so the number
     grammar and the int/float types are exactly JSON's; anything it
     refuses, or an integer too large for a float, also gives None.
+    CRLF line ends are read as LF; any other carriage return gives None.
     """
     text = b"".join(lines)
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n")
     n = len(lines)
     if (text.translate(None, _NUMBER_CHARS) != _SKELETON * n
             or any(text.count(part) != n for part in (*_KEYS, _END))):

@@ -73,14 +73,26 @@ class TestFunction:
     Where e^g has underflowed to 0 (the far field) a non-finite log
     becomes -inf (sign 0), without warnings; elsewhere it stands.
     Calling a test function evaluates its derivative of order 0.
+    A family states its descriptor (name, keys) once, the keys being its
+    constructor's parameters; describe() and parse_test_function read it.
     """
 
     max_order = None  # unlimited unless overridden
     center = 0.0
     scale = 1.0
+    descriptor: tuple[str, tuple[str, ...]]
 
     def __call__(self, x):
         return self.deriv(0, x)
+
+    def describe(self):
+        """The descriptor "name:key=value,..." in the descriptor's key
+        order, floats written :g and an integer (exppoly's degree) in full."""
+        name, keys = self.descriptor
+        values = (getattr(self, key) for key in keys)
+        return f"{name}:" + ",".join(
+            f"{key}={v}" if isinstance(v, int) else f"{key}={v:g}"
+            for key, v in zip(keys, values))
 
     def deriv(self, n, x):
         if n == 0:      # e^g, which the recursion gives at order 0 bit for bit
@@ -182,6 +194,8 @@ class ExpPoly(TestFunction):
     formed from the logs of its factors, any of which may leave float range.
     """
 
+    descriptor = ("exppoly", ("rate", "degree"))
+
     def __init__(self, rate=1.0, degree=4):
         self.rate = _finite("rate", rate)
         if degree < 2 or degree % 2:
@@ -209,21 +223,17 @@ class ExpPoly(TestFunction):
     def decay(self):
         return float(self.degree), self.rate
 
-    def describe(self):
-        return f"exppoly:rate={self.rate:g},degree={self.degree}"
-
 
 class Gaussian(ExpPoly):
     """exp(-y^2) with y = (x - center)/scale: ExpPoly(1, 2) moved and
     stretched (a_0 = -2y, a_1 = -2: the recursion is Hermite's)."""
 
+    descriptor = ("gaussian", ("center", "scale"))
+
     def __init__(self, center=0.0, scale=1.0):
         super().__init__(1.0, 2)
         self.center = _finite("center", center, positive=False)
         self.scale = _finite("scale", scale)
-
-    def describe(self):
-        return f"gaussian:center={self.center:g},scale={self.scale:g}"
 
 
 class Bump(TestFunction):
@@ -235,6 +245,7 @@ class Bump(TestFunction):
     """
 
     max_order = 8
+    descriptor = ("bump", ("center", "width"))
 
     def __init__(self, center=0.0, width=1.0):
         self.center = _finite("center", center, positive=False)
@@ -256,9 +267,6 @@ class Bump(TestFunction):
 
     def decay(self):
         return math.inf, math.inf  # compact support beats any weight
-
-    def describe(self):
-        return f"bump:center={self.center:g},width={self.width:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +601,7 @@ def pair_white_noise(path: EventPath, phi: TestFunction) -> PairingResult:
 # descriptors
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "gaussian": (Gaussian, {"center": 0.0, "scale": 1.0}),
-    "bump": (Bump, {"center": 0.0, "width": 1.0}),
-    "exppoly": (ExpPoly, {"rate": 1.0, "degree": 4}),
-}
+_FAMILIES = {cls.descriptor[0]: cls for cls in (Gaussian, Bump, ExpPoly)}
 
 
 def parse_descriptor(text: str, keys: dict, lists=()) -> tuple[str, dict]:
@@ -649,9 +653,9 @@ def parse_descriptor(text: str, keys: dict, lists=()) -> tuple[str, dict]:
 
 
 def parse_test_function(descriptor: str) -> TestFunction:
-    """Build a test function from text like "gaussian:center=0,scale=1"."""
-    name, fields = parse_descriptor(
-        descriptor, {name: tuple(defaults)
-                     for name, (_, defaults) in _FAMILIES.items()})
-    cls, defaults = _FAMILIES[name]
-    return cls(**{**defaults, **fields})
+    """Build a test function from text like "gaussian:center=0,scale=1",
+    named and keyed as a family's descriptor attribute states; the keys
+    left out take the family constructor's defaults."""
+    name, fields = parse_descriptor(descriptor, {
+        name: cls.descriptor[1] for name, cls in _FAMILIES.items()})
+    return _FAMILIES[name](**fields)

@@ -224,6 +224,15 @@ class TestSimulate:
         assert run(["simulate", "--alpha", "1.0", "--horizon", "1",
                     "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
 
+    def test_seed_env_not_an_integer_exit_2(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setenv("KALPHA_SEED", "abc")
+        assert run(["simulate", "--alpha", "1.0", "--horizon", "1",
+                    "--out", str(tmp_path / "x.jsonl")]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+               "error: KALPHA_SEED must be an integer, got 'abc'\n"
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.fixture()
 def sample_path_file(tmp_path):
@@ -250,6 +259,24 @@ class TestDiagnose:
                     "--envelope", "pow:beta=0.5"]) == EXIT_USAGE
         assert run(["diagnose", "--in", str(sample_path_file),
                     "--envelope", "spiral:k=2"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("modes, message", [
+        ([], "one of the arguments --envelope --moment-scan --pruitt "
+             "--growth is required"),
+        (["--envelope", "exp:c=1", "--growth", "eta=0.5"],
+         "argument --growth: not allowed with argument --envelope"),
+        # an empty descriptor still names its mode
+        (["--envelope", "", "--growth", "eta=0.5"],
+         "argument --growth: not allowed with argument --envelope"),
+    ], ids=["none", "two", "empty-and-one"])
+    def test_exactly_one_mode(self, modes, message, sample_path_file,
+                              tmp_path, capsys):
+        rpt = tmp_path / "r.json"
+        assert run(["diagnose", "--in", str(sample_path_file), *modes,
+                    "--json", str(rpt)]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"kalpha diagnose: error: {message}\n")
+        assert not rpt.exists()
 
     def test_mixed_horizons_exit_2_without_report(self, tmp_path, capsys):
         # files are read one at a time, so the horizon mismatch of the
@@ -590,6 +617,17 @@ class TestBadInput:
         # a finite rate, about 1.7e308, beyond any Poisson draw
         ["simulate", "--alpha", "1.2e-308", "--horizon", "1", "--seed", "1",
          "--out", "{out}/p.jsonl"],
+        ["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1",
+         "--paths", "0", "--out", "{out}/p.jsonl"],
+        # refused by the first draw, before any file is opened
+        ["simulate", "--alpha", "1.5", "--horizon", "-1", "--seed", "1",
+         "--out", "{out}/p.jsonl"],
+        ["diagnose", "--envelope", "exp:c=1"],
+        ["diagnose", "--moment-scan", "eta=0.25,caps=10,100"],
+        ["diagnose", "--pruitt", "etas=0.5,rs=10,100"],
+        ["pair", "--in", "{path}", "--phi", "gaussian:center=x"],
+        ["pair", "--in", "{path}", "--phi", "gaussian:center=1,2"],
+        ["diagnose", "--alpha", "1.5", "--pruitt", "etas=0.5,rs=100,10"],
     ], ids=["pruitt-nan", "moment-scan-nan", "growth-repeated-key",
             "envelope-inf", "betas-inf", "plot-data-without-table",
             "pruitt-radius-squared-overflows", "pruitt-r-power-eta-overflows",
@@ -600,7 +638,11 @@ class TestBadInput:
             "envelope-unknown-name", "betas-one", "simulate-rate-overflows",
             "pruitt-rate-overflows", "classify-rate-overflows",
             "pruitt-hbar-overflows", "growth-eta-weight-overflows",
-            "simulate-event-count-beyond-poisson"])
+            "simulate-event-count-beyond-poisson", "simulate-no-paths",
+            "simulate-negative-horizon", "envelope-without-in",
+            "moment-scan-without-alpha", "pruitt-without-alpha",
+            "phi-value-not-a-number", "phi-two-values-for-a-key",
+            "pruitt-radii-decreasing"])
     def test_rejected_without_output(self, args, sample_path_file, tmp_path,
                                      capsys):
         out = tmp_path / "out"
@@ -671,6 +713,7 @@ class TestBadInput:
         lambda meta, rec: meta.update(horizon=-5.0),
         lambda meta, rec: meta.update(format_version=True),
         lambda meta, rec: meta.update(format_version=1.0),
+        lambda meta, rec: meta.update(seed=1.5),
     ], ids=["record-without-sign", "header-without-alpha", "nan-magnitude",
             "fractional-sign", "nan-horizon", "string-alpha", "string-horizon",
             "string-magnitude", "string-time", "bool-sign", "bool-time",
@@ -679,7 +722,7 @@ class TestBadInput:
             "spawn-key-negative", "spawn-key-string", "spawn-key-bool",
             "rng-name-int", "component-small", "horizon-zero",
             "horizon-negative", "bool-format-version",
-            "float-format-version"])
+            "float-format-version", "float-seed"])
     def test_malformed_path_file(self, mangle, sample_path_file, tmp_path,
                                  capsys):
         lines = sample_path_file.read_text().splitlines()
@@ -818,7 +861,7 @@ class TestBadInput:
                     "--envelope", "exp:c=1.0"]) == EXIT_OK
         json.loads(capsys.readouterr().out, parse_constant=reject_constant)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     @pytest.mark.parametrize("args", [
         ["simulate", "--alpha", "{v}", "--horizon", "10", "--seed", "1",
          "--out", "{out}/p.jsonl"],

@@ -7,8 +7,8 @@ from scipy.integrate import quad as scipy_quad
 from kalpha import measure
 from kalpha.measure import (ConsistencyError, EnvelopeSpec, KAlphaParams,
                             classify_support, inverse_tail, laplace_exponent,
-                            levy_density, pruitt_index, tail_one_sided,
-                            truncated_moment, truncated_moments,
+                            levy_density, pruitt_index, pruitt_indices,
+                            tail_one_sided, truncated_moment, truncated_moments,
                             upper_function_integral)
 from kalpha.numerics import LN2, adaptive_quad
 
@@ -155,6 +155,8 @@ class TestTruncatedMoment:
             truncated_moment(0.0, 10.0, p)
         with pytest.raises(ValueError):
             truncated_moment(0.5, 0.5, p)
+        with pytest.raises(ValueError, match="caps must be nondecreasing"):
+            truncated_moments(0.5, [100.0, 10.0], p)
 
     def test_nan_eta_refused(self):
         # a ValueError (exit 2), not the quadrature's exit-4 QuadratureError
@@ -183,6 +185,8 @@ class TestPruittIndex:
     def test_domain(self):
         with pytest.raises(ValueError):
             pruitt_index(0.99, KAlphaParams(1.0))
+        with pytest.raises(ValueError, match="radii must be nondecreasing"):
+            pruitt_indices([100.0, 10.0], KAlphaParams(1.0))
 
     def test_second_moment_term_against_oracle(self):
         p = KAlphaParams(1.0)

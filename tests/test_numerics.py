@@ -9,8 +9,9 @@ from scipy.integrate import quad as scipy_quad
 
 from kalpha import numerics
 from kalpha.numerics import (_DIVERGENCE_STREAK, LN2, QuadratureError,
-                             SubdivisionLimitError, _tail_verdict,
-                             adaptive_quad, quad_partition, slv_sum)
+                             SignedLogValue, SubdivisionLimitError,
+                             _tail_verdict, adaptive_quad, quad_partition,
+                             slv_sum)
 
 
 def reference_slv_sum(logs, coefs) -> tuple[float, float]:
@@ -98,6 +99,16 @@ def block_source(logs, coefs, calls):
 
 def bits(result) -> tuple[str, str]:
     return tuple(float(x).hex() for x in result)
+
+
+class TestSignedLogValue:
+    def test_sign_out_of_range_refused(self):
+        with pytest.raises(ValueError, match="sign must be -1, 0 or \\+1"):
+            SignedLogValue(2, 0.0)
+
+    def test_zero_has_one_form(self):
+        assert SignedLogValue(0, 1.0).logmag == -math.inf
+        assert SignedLogValue(0, 1.0) == SignedLogValue(0, -math.inf)
 
 
 class TestSlvSum:
@@ -256,6 +267,14 @@ class TestAdaptiveQuad:
             adaptive_quad(lambda u: u, 1.0, 1.0)
         with pytest.raises(ValueError):
             adaptive_quad(lambda u: u, -math.inf, 1.0)
+
+    @pytest.mark.parametrize("integrate", [
+        lambda tol: adaptive_quad(lambda u: u, 1.0, 2.0, tol),
+        lambda tol: quad_partition(lambda u: u, [1.0, 2.0], tol),
+    ], ids=["adaptive_quad", "quad_partition"])
+    def test_zero_tolerance_rejected(self, integrate):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate(0.0)
 
     @pytest.mark.parametrize("lo", [0.0, -1.0])
     def test_nonpositive_lower_limit_rejected(self, lo):

@@ -69,6 +69,14 @@ class TestSimulateLarge:
             with pytest.raises(ValueError, match="horizon must be positive"):
                 small_path(horizon=horizon)
 
+    @pytest.mark.parametrize("rows, message", [
+        (([1.0, 2.0], [1.0], [1.0, 1.0]), "equal length"),
+        (([1.0], [1.0], [0.69]), "must be >= ln 2"),
+    ], ids=["unequal-rows", "magnitude-below-ln2"])
+    def test_event_rows_refused(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            EventPath(KAlphaParams(1.5), 10.0, 0, *rows)
+
     def test_infinite_horizon_refused(self):
         # growth_scan doubles t up to the horizon, so inf would never stop
         with pytest.raises(ValueError, match="horizon must be finite"):
@@ -849,8 +857,9 @@ MUTATIONS = ["value", "exponent", "float-sign", "reorder", "rename", "extra",
 
 @st.composite
 def event_blocks(draw):
-    """(text, canonical): up to 12 event lines, canonical when every line
-    is exactly what write_event_path writes."""
+    """(text, canonical): up to 12 event lines, ended by LF or by CRLF,
+    canonical when every line is what write_event_path writes up to its
+    line end."""
     n = draw(st.integers(0, 12))
     mags = draw(st.lists(st.floats(min_value=LN2, max_value=50.0),
                          min_size=n, max_size=n))
@@ -896,7 +905,8 @@ def event_blocks(draw):
         fields = row["comma"].join(f'"{k}"{row["colon"]}{v}'
                                    for k, v in zip(row["keys"], row["tokens"]))
         lines.append("{" + fields + row["extra"] + "}" + row["after"])
-    text = "".join(line + "\n" for line in lines)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
     if text and draw(st.booleans()):
         text, canonical = text[:-1], False
     return text, canonical
