@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -300,11 +299,8 @@ def _cmd_diagnose(args) -> int:
     if not args.infiles:
         raise ValueError("--growth needs at least one --in path file")
     eta = _required_fields(args.growth, ("eta",))["eta"]
-    first = load_event_file(args.infiles[0])
-    alpha = first.params.alpha
-    paths = itertools.chain([first], map(load_event_file, args.infiles[1:]))
-    del first                       # the scan holds one path at a time
-    rows = [(t, lvl.sign, lvl.logmag) for t, lvl in growth_scan(paths, eta)]
+    alpha, levels = growth_scan(map(load_event_file, args.infiles), eta)
+    rows = [(t, lvl.sign, lvl.logmag) for t, lvl in levels]
     return _emit(args, "growth_scan", {
         "alpha": alpha,
         "eta": eta,
@@ -319,15 +315,6 @@ def _cmd_classify(args) -> int:
     params = KAlphaParams(args.alpha)
     betas = _required_fields(f"betas={args.betas}", ("betas",),
                              lists=("betas",))["betas"]
-    # the report keys each beta by f"{beta:g}"; a shared key would drop one
-    seen = {}
-    for b in betas:
-        key = f"{b:g}"
-        if key in seen:
-            raise ValueError(f"betas {seen[key]!r} and {b!r} share the report "
-                             f"key {key!r}; give betas that differ in their "
-                             f"first six significant digits")
-        seen[key] = b
     verdict = classify_support(params, betas)
     return _emit(args, "support_verdict", {
         "alpha": verdict.alpha,
@@ -365,11 +352,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses by ValueError, so main reports it as one "error: " line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The kalpha parser, built once per process: parsing keeps no state
     in it, and every default it hands out is immutable."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kalpha",
         description="Simulate heavy-tailed log-Pareto jump paths and verify "
                     "their growth and support behaviour.")
@@ -418,13 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.  Every refusal, argparse's
+    included, is one stderr line; --help and --version return 0."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -136,18 +136,18 @@ def _dyadic_times(horizon: float) -> list[float]:
     return ts
 
 
-def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
-    """max over paths of t^(-1/eta) * sup-level(t) at dyadic times up to
-    the shortest horizon.
+def growth_scan(paths, eta: float) -> tuple[float, list[tuple[float, SignedLogValue]]]:
+    """(alpha, rows): the paths' shared alpha, and the rows (t, max over
+    paths of t^(-1/eta) * sup-level(t)) at dyadic times up to the
+    shortest horizon.
 
     Single paths decay in this statistic (one early jump divided by a
     growing power); only ensembles over long horizons show the growth
     signature.  Levels stay in log domain because they routinely
     overflow floats.  paths may be a one-shot iterable, one path held at
-    a time: each path's levels go into a running maximum on a dyadic
-    grid that grows to the longest horizon seen, cut at the shortest
-    once all are in.  max is exact, so the rows do not depend on the
-    order of the paths.
+    a time: each path's levels go into a running maximum on the dyadic
+    grid of the shortest horizon seen so far, which a shorter path cuts.
+    max is exact, so the rows do not depend on the order of the paths.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -155,30 +155,27 @@ def growth_scan(paths, eta: float) -> list[tuple[float, SignedLogValue]]:
     horizon = math.inf
     # best sup level at each t over the paths; rounding is monotone, so
     # adding the weight's log to the best equals the best of the sums
-    best = np.empty(0)
+    best = None
     for path in paths:
         if alpha is None:
             alpha = path.params.alpha
         elif path.params.alpha != alpha:
             raise ValueError("paths in a scan must share parameters")
         horizon = min(horizon, path.horizon)
-        ts = _dyadic_times(path.horizon)
-        if len(ts) > len(best):
-            best = np.append(best, np.full(len(ts) - len(best), -math.inf))
+        ts = _dyadic_times(horizon)
         times, levels = running_sup(path)
         sampled = levels[np.searchsorted(times, ts, side="right") - 1]
         del path, times, levels     # freed before the next path is drawn
-        mine = best[:len(ts)]
-        np.maximum(mine, sampled, out=mine)
+        best = sampled if best is None else np.maximum(best[:len(ts)], sampled)
     if alpha is None:
         raise ValueError("need at least one path")
-    ts = _dyadic_times(horizon)
     # the largest t has the largest weight exponent ln(t)/eta
     if ts and not math.log(ts[-1]) / eta < math.inf:
         raise ValueError(f"eta={eta!r} is too small: ln(t)/eta overflows a "
                          f"float at t={ts[-1]!r}")
-    return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
-            for t, lvl in zip(ts, best[:len(ts)].tolist())]
+    return alpha, [(t, SignedLogValue(int(lvl > -math.inf),
+                                      -math.log(t) / eta + lvl))
+                   for t, lvl in zip(ts, best.tolist())]
 
 
 @dataclass(frozen=True)

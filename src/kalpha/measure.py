@@ -367,14 +367,14 @@ def upper_function_integral(env: EnvelopeSpec, p: KAlphaParams) -> UpperFunction
     numeric = not res.diverged
     if numeric != analytic:
         raise ConsistencyError(
-            f"envelope {env.describe()} at alpha={a:g}: analytic says "
+            f"envelope {env.describe()} at alpha={a!r}: analytic says "
             f"{'convergent' if analytic else 'divergent'} but quadrature says "
             f"{'convergent' if numeric else 'divergent'}")
     scale = math.exp(log_scale)     # a finite float; / a may overflow to inf
     res = QuadResult(res.value * scale / a, res.abs_error * scale / a,
                      res.subdivisions, res.diverged)
     if res.value == math.inf:
-        raise ValueError(f"envelope {env.describe()} at alpha={a:g}: the "
+        raise ValueError(f"envelope {env.describe()} at alpha={a!r}: the "
                          "upper-function integral exceeds the float range")
     return UpperFunctionResult(analytic, res.value if analytic else None, res)
 
@@ -397,8 +397,17 @@ def classify_support(p: KAlphaParams, betas: list[float]) -> SupportVerdict:
     envelopes fail); in K' exactly when alpha > 1; in K'_beta exactly
     when alpha > 1/beta.  Each flag's reason cites the corresponding
     upper-function integral outcome, which is recomputed and
-    cross-checked here.
+    cross-checked here.  Betas sharing a reason key f"{beta:g}" are
+    refused before any integral.
     """
+    seen: dict[str, float] = {}
+    for b in betas:
+        key = f"{b:g}"
+        if key in seen:
+            raise ValueError(f"betas {seen[key]!r} and {b!r} share the report "
+                             f"key {key!r}; give betas that differ in their "
+                             f"first six significant digits")
+        seen[key] = b
     a = p.alpha
     k_beta = {b: EnvelopeSpec("power_exponential", c=1.0, beta=b) for b in betas}
     reasons: dict[str, str] = {}

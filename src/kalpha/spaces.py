@@ -114,7 +114,8 @@ class TestFunction:
         return None
 
     def decay(self):
-        """(degree, rate) meaning |phi| ~ exp(-rate * |y|^degree)."""
+        """(degree, rate) meaning |phi| ~ exp(-rate * |y|^degree); asked
+        only of families without a support()."""
         raise NotImplementedError
 
     def _y(self, x):
@@ -264,9 +265,6 @@ class Bump(TestFunction):
 
     def support(self):
         return self.center - self.width, self.center + self.width
-
-    def decay(self):
-        return math.inf, math.inf  # compact support beats any weight
 
 
 # ---------------------------------------------------------------------------

@@ -274,8 +274,7 @@ class TestDiagnose:
         rpt = tmp_path / "r.json"
         assert run(["diagnose", "--in", str(sample_path_file), *modes,
                     "--json", str(rpt)]) == EXIT_USAGE
-        assert capsys.readouterr().err.endswith(
-            f"kalpha diagnose: error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not rpt.exists()
 
     def test_mixed_horizons_exit_2_without_report(self, tmp_path, capsys):
@@ -427,7 +426,10 @@ class TestClassify:
         rpt = tmp_path / "r.json"
         assert run(["classify", "--alpha", alpha, "--betas", beta,
                     "--json", str(rpt)]) == EXIT_INTERNAL
-        assert capsys.readouterr().err.startswith("internal consistency error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency error: ")
+        # alpha in full: at 1.000001, alpha=1 would name the divergent side
+        assert f"at alpha={float(alpha)!r}: " in err
         assert not rpt.exists()
 
     @pytest.mark.parametrize("alpha, in_k_beta_1e307", [
@@ -880,7 +882,10 @@ class TestBadInput:
         out.mkdir()
         argv = [a.format(path=sample_path_file, out=out, v=value) for a in args]
         assert run(argv) == EXIT_USAGE
-        assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: argument --")
+        assert err.endswith(f": expected a finite number, got '{value}'\n")
+        assert err.count("\n") == 1
         assert not any(out.iterdir())
 
 
@@ -978,6 +983,26 @@ class TestParser:
 
     def test_built_once(self):
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["simulate", "--alpha", "1.5", "--horizon", "10", "--seed", "1"],
+         "the following arguments are required: --out"),
+        (["classify", "--alpha", "1.5", "--betas", "2", "--frob"],
+         "unrecognized arguments: --frob"),
+    ], ids=["no-command", "unknown-command", "missing-out", "unknown-option"])
+    def test_argparse_refusal_is_one_error_line(self, argv, message, capsys):
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        assert run([flag]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out and err == ""
 
     def test_different_subcommands_in_one_process(self, sample_path_file,
                                                   tmp_path, capsys):

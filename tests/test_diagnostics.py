@@ -155,7 +155,8 @@ class TestExceedanceReport:
 
 class TestGrowthScan:
     def test_empty_path_all_zero(self):
-        rows = growth_scan([make_path(horizon=64.0)], 1.0)
+        alpha, rows = growth_scan([make_path(horizon=64.0)], 1.0)
+        assert alpha == 1.0
         assert [t for t, _ in rows] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         assert all(lvl.sign == 0 for _, lvl in rows)
 
@@ -163,7 +164,7 @@ class TestGrowthScan:
         # one early jump: statistic J/t falls, no divergence from one path
         path = make_path(horizon=64.0, times=[1.0], signs=[1],
                          mags=[math.log1p(7.0)])
-        rows = growth_scan([path], 1.0)
+        _, rows = growth_scan([path], 1.0)
         vals = [lvl.sign * math.exp(lvl.logmag) for _, lvl in rows]
         assert vals[0] == pytest.approx(7.0, rel=1e-12)
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -175,7 +176,9 @@ class TestGrowthScan:
         p = KAlphaParams(1.5)
         paths = [simulate_large_jumps(p, 1024.0, 42, spawn_key=(i,))
                  for i in range(200)]
-        rows = dict((t, lvl) for t, lvl in growth_scan(paths, 0.5))
+        alpha, rows = growth_scan(paths, 0.5)
+        assert alpha == 1.5
+        rows = dict(rows)
         assert rows[1024.0].logmag > rows[8.0].logmag
         assert rows[8.0].logmag == pytest.approx(119.3544531982493, rel=1e-9)
         assert rows[1024.0].logmag == pytest.approx(5672.335370426583, rel=1e-9)
@@ -190,14 +193,16 @@ class TestGrowthScan:
 
 
 def reference_growth_scan(paths, eta):
-    """growth_scan over a list: the dyadic grid of the shortest horizon,
-    and the best level over all the paths at each of its times."""
+    """growth_scan over a list: the first path's alpha, the dyadic grid of
+    the shortest horizon, and the best level over all the paths at each of
+    its times."""
     horizon = min(p.horizon for p in paths)
     ts = [2.0 ** k for k in range(64) if 2.0 ** k <= horizon]
     best = [max(levels[np.searchsorted(times, t, side="right") - 1]
                 for times, levels in map(running_sup, paths)) for t in ts]
-    return [(t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
-            for t, lvl in zip(ts, best)]
+    return paths[0].params.alpha, [
+        (t, SignedLogValue(int(lvl > -math.inf), -math.log(t) / eta + lvl))
+        for t, lvl in zip(ts, best)]
 
 
 class TestStreaming:
@@ -215,9 +220,9 @@ class TestStreaming:
         short, long_ = self.ensemble(40.0, 3), self.ensemble(300.0, 4)
         paths = {"short-first": short + long_, "long-first": long_ + short,
                  "mixed": [p for pair in zip(long_, short) for p in pair]}[order]
-        rows = growth_scan((p for p in paths), 0.5)
-        assert rows == growth_scan(paths, 0.5) == reference_growth_scan(paths, 0.5)
-        assert [t for t, _ in rows] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        scan = growth_scan((p for p in paths), 0.5)
+        assert scan == growth_scan(paths, 0.5) == reference_growth_scan(paths, 0.5)
+        assert [t for t, _ in scan[1]] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
     def test_growth_scan_one_horizon_generator_equals_list(self):
         paths = self.ensemble(1024.0, 42, 20)

@@ -546,3 +546,14 @@ class TestClassifySupport:
     def test_beta_domain(self):
         with pytest.raises(ValueError):
             classify_support(KAlphaParams(1.0), [0.9])
+
+    def test_betas_sharing_a_reason_key_refused(self, monkeypatch):
+        # both would be keyed "2", so one verdict would replace the other
+        # (2 diverges at alpha 0.5, 2.000003 converges); refused before
+        # any integral is computed
+        def no_quadrature(*args):
+            raise AssertionError("integrated before refusing")
+
+        monkeypatch.setattr(measure, "upper_function_integral", no_quadrature)
+        with pytest.raises(ValueError, match="share the report key '2'"):
+            classify_support(KAlphaParams(0.5), [2.0, 2.000003])

@@ -72,7 +72,8 @@ class TestSimulateLarge:
     @pytest.mark.parametrize("rows, message", [
         (([1.0, 2.0], [1.0], [1.0, 1.0]), "equal length"),
         (([1.0], [1.0], [0.69]), "must be >= ln 2"),
-    ], ids=["unequal-rows", "magnitude-below-ln2"])
+        (([1.0, 10.5], [1.0, -1.0], [1.0, 1.0]), r"must lie in \[0, horizon\]"),
+    ], ids=["unequal-rows", "magnitude-below-ln2", "time-past-horizon"])
     def test_event_rows_refused(self, rows, message):
         with pytest.raises(ValueError, match=message):
             EventPath(KAlphaParams(1.5), 10.0, 0, *rows)

@@ -64,6 +64,8 @@ class TestFamilies:
             b.deriv(9, 0.3)
         with pytest.raises(ValueError):
             b.log_abs_deriv(9, np.array([0.3]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            b.deriv(-1, 0.3)
 
     @pytest.mark.parametrize("phi", [Gaussian(0.0, 1.0), Gaussian(1.0, 0.7),
                                      Bump(0.5, 2.0), ExpPoly(1.0, 4),
@@ -286,6 +288,8 @@ class TestSNorm:
     def test_derivative_order_gate(self):
         with pytest.raises(ValueError):
             log_s_norm(Bump(0.0, 1.0), 0, 9)
+        with pytest.raises(ValueError, match="orders must be nonnegative"):
+            log_s_norm(Gaussian(0.0, 1.0), -1, 0)
 
     def test_dead_outer_probe_brackets(self):
         # y^400 overflows at the first probe, y = 10: the objective is -inf
@@ -323,6 +327,10 @@ class TestKNorm:
         for phi in (Gaussian(0.0, 1.0), Bump(0.0, 1.0), ExpPoly(1.0, 4)):
             vals = [log_k_norm(phi, p) for p in range(4)]
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="p must be nonnegative"):
+            log_k_norm(Gaussian(0.0, 1.0), -1)
 
     def test_norm_beyond_float_range_is_finite(self):
         # e^(1000 |x|) on the support: the norm itself is about e^1000
